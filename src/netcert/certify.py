@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crown, frown, lp
-from .model import Network, PerturbationSpec, forward
+from .model import ModelError, Network, PerturbationSpec, forward
 
 #: starting probe of the exponential bracket
 BRACKET_START = 1e-3
@@ -109,8 +109,8 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
     """Largest certifiable radius by exponential bracketing plus bisection."""
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    if not cap > 0:
-        raise ValueError("cap must be positive")
+    if not (cap > 0 and math.isfinite(cap)):
+        raise ModelError(f"cap must be positive and finite, got {cap}")
     t_start = time.perf_counter()
     state = {"count": 0, "margins": {}}
 

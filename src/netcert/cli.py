@@ -44,10 +44,6 @@ def _frown_config(args, seed: int = 0) -> frown.OptimizerConfig:
         group_size=args.group_size, seed=seed)
 
 
-def _menu(name: str) -> lp.RelaxationMenu:
-    return lp.RelaxationMenu.single() if name == "single" else lp.RelaxationMenu.multi()
-
-
 def _write_report(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if out:
@@ -60,17 +56,14 @@ def _write_report(doc: dict, out: str | None) -> None:
 def cmd_bounds(args) -> int:
     net = load_network(args.network)
     x0, _ = load_sample(args.sample)
-    if args.method == "lp" and args.p == 2.0:
-        print("error: the lp method supports only p in {1, inf}", file=sys.stderr)
-        return 2
     spec = PerturbationSpec(x0, args.p, args.eps)
     dumps = []
     if args.method == "crown":
-        bounds, _ = crown.propagate(net, spec, mode=args.mode)
+        bounds, _ = crown.propagate(net, spec)
     elif args.method == "frown":
         bounds, _ = frown.frown_propagate(net, spec, _frown_config(args, args.seed))
     else:
-        menu = _menu(args.lines)
+        menu = lp.RelaxationMenu(args.lines)
         bounds, _ = lp.lp_propagate(net, spec, menu=menu)
         if args.dump_lp:
             for i in range(net.layer_width(net.m)):
@@ -104,14 +97,11 @@ def cmd_bounds(args) -> int:
 def cmd_certify(args) -> int:
     net = load_network(args.network)
     x0, label = load_sample(args.sample)
-    if args.method == "lp" and args.p == 2.0:
-        print("error: the lp method supports only p in {1, inf}", file=sys.stderr)
-        return 2
     cert = certify.search_epsilon(
         net, x0, label, args.p, method=args.method, target=args.targeted,
         rel_tol=args.rel_tol, cap=args.cap,
         frown_config=_frown_config(args, args.seed),
-        lp_menu=_menu(args.lines))
+        lp_menu=lp.RelaxationMenu(args.lines))
     doc = cert.to_dict()
     doc["network"] = args.network
     doc["sample"] = args.sample
@@ -129,7 +119,7 @@ def _bench_cell(task: dict) -> dict:
     """One (network, norm, method) cell of the benchmark matrix."""
     net = load_network(task["network"])
     cfg = frown.OptimizerConfig(**task["frown"]) if task.get("frown") else None
-    menu = _menu(task.get("lp_lines", "multi"))
+    menu = lp.RelaxationMenu(task.get("lp_lines", "multi"))
     radii, times, iters = [], [], []
     for sample_path in task["samples"]:
         x0, label = load_sample(sample_path)
@@ -263,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bounds", help="output bounds at a fixed radius")
     add_common(pb)
     pb.add_argument("--eps", type=float, required=True)
-    pb.add_argument("--mode", choices=["self-consistent", "per-neuron"],
-                    default="self-consistent")
     pb.add_argument("--all-layers", action="store_true")
     pb.add_argument("--dump-lp", default=None,
                     help="write the assembled output-layer LPs to this file")

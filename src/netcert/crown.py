@@ -11,6 +11,9 @@ the ball follows from the dual norm:
 
 Layer-1 bounds are exact (the first layer is affine in the input); bounds
 for k = 2..m come from the backward pass using the lines of layers < k.
+Each layer gets one set of lines, the default member of every line family
+(``default_line``), chosen from its bounds and shared by every later layer;
+frown tunes the same families and lp reads the same lines.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, PerturbationSpec
+from .model import Network, PerturbationSpec, check_input
 from . import relax
-from .relax import LineSpace
+from .relax import Line, LineSpace
 
 #: elementwise slack allowed when asserting lower <= upper (float noise only)
 _BOUND_ORDER_SLACK = 1e-9
@@ -83,11 +86,6 @@ class LayerLines:
     intercept_lower: np.ndarray
     slope_upper: np.ndarray
     intercept_upper: np.ndarray
-    # the free variable that generated each line; nan where the space is fixed
-    var_lower: np.ndarray
-    var_upper: np.ndarray
-    spaces_lower: list
-    spaces_upper: list
 
     def arrays(self):
         return (self.slope_lower, self.intercept_lower,
@@ -96,29 +94,10 @@ class LayerLines:
 
 @dataclass
 class LineSet:
-    """Bounding lines for layers 1..m-1.
+    """Bounding lines for layers 1..m-1, shared by every bound computation;
+    ``layers[v-1]`` holds layer v."""
 
-    In self-consistent mode one set of lines is shared by every bound
-    computation (``layers[v-1]`` holds layer v).  In per-neuron mode each
-    target neuron (k, i) owns its own stack of lines for layers 1..k-1.
-    """
-
-    mode: str
-    layers: list | None = None
-    by_target: dict | None = None
-
-    def lines_for(self, k: int, i: int | None = None) -> list:
-        """Line arrays for layers 1..k-1, for target neuron i of layer k."""
-        if self.mode == "self-consistent":
-            if self.layers is None or len(self.layers) < k - 1:
-                raise ValueError(f"missing lines for layers below {k}")
-            return self.layers[:k - 1]
-        if i is None:
-            raise ValueError("per-neuron line set needs a target neuron")
-        try:
-            return self.by_target[(k, i)]
-        except (KeyError, TypeError):
-            raise ValueError(f"missing lines for target ({k}, {i})") from None
+    layers: list
 
 
 @dataclass
@@ -158,45 +137,40 @@ def default_variable(space: LineSpace) -> float | None:
     return 0.5 * (space.var_lo + space.var_hi)
 
 
-def default_chooser(space: LineSpace, layer: int = 0, neuron: int = 0,
-                    target=None) -> float:
-    """Variable chooser implementing the deterministic baseline rules."""
-    return default_variable(space)
+def default_line(space: LineSpace) -> Line:
+    """The baseline line of a space: its fixed line, or the family member
+    at ``default_variable``."""
+    if space.kind == "fixed":
+        return space.fixed_line
+    return space.line_at(default_variable(space))
 
 
-def choose_layer_lines(spaces_lower, spaces_upper, chooser, layer: int,
-                       target=None) -> LayerLines:
-    """Materialize one layer's lines; ``chooser`` picks the free variable of
-    each one-variable space (fixed spaces are not consulted)."""
-    n = len(spaces_lower)
-    sl = np.empty(n)
-    tl = np.empty(n)
-    su = np.empty(n)
-    tu = np.empty(n)
-    vl = np.full(n, math.nan)
-    vu = np.full(n, math.nan)
-    for j, (lo_sp, up_sp) in enumerate(zip(spaces_lower, spaces_upper)):
-        if lo_sp.kind == "fixed":
-            low = lo_sp.fixed_line
-        else:
-            vl[j] = chooser(lo_sp, layer, j, target)
-            low = lo_sp.line_at(vl[j])
-        if up_sp.kind == "fixed":
-            up = up_sp.fixed_line
-        else:
-            vu[j] = chooser(up_sp, layer, j, target)
-            up = up_sp.line_at(vu[j])
-        sl[j], tl[j] = low.slope, low.intercept
-        su[j], tu[j] = up.slope, up.intercept
-    return LayerLines(sl, tl, su, tu, vl, vu, spaces_lower, spaces_upper)
+def _side_arrays(spaces):
+    lines = [default_line(sp) for sp in spaces]
+    return (np.array([ln.slope for ln in lines], dtype=float),
+            np.array([ln.intercept for ln in lines], dtype=float))
+
+
+def choose_layer_lines(spaces_lower, spaces_upper) -> LayerLines:
+    """One layer's baseline lines, from its lower- and upper-side spaces."""
+    return LayerLines(*_side_arrays(spaces_lower), *_side_arrays(spaces_upper))
 
 
 def layer1_bounds(net: Network, spec: PerturbationSpec):
     """Exact bounds of z(1) = W(1) x + b(1) over the ball."""
+    check_input(net, spec.x0)
     w, b = net.weights[0], net.biases[0]
     center = w @ spec.x0 + b
     spread = spec.epsilon * dual_norm(w, spec.q)
     return center - spread, center + spread
+
+
+def oriented(line_arrays, sense: str):
+    """One layer's (slope, intercept) arrays ordered for ``sense``: first
+    the lines that multiply nonnegative row entries, then those for the
+    nonpositive entries (lower lines first for a lower bound)."""
+    sl, tl, su, tu = line_arrays[:4]
+    return (sl, tl, su, tu) if sense == "lower" else (su, tu, sl, tl)
 
 
 def backward_rows(net: Network, k: int, rows, line_arrays, sense: str,
@@ -208,7 +182,7 @@ def backward_rows(net: Network, k: int, rows, line_arrays, sense: str,
     the tape lists (v, running row matrix before unwrapping layer v), used
     for reverse-mode gradients.
     """
-    if sense not in ("lower", "upper"):
+    if sense not in relax.SIDES:
         raise ValueError(f"sense must be 'lower' or 'upper', got {sense!r}")
     if len(line_arrays) < k - 1:
         raise ValueError(f"missing lines for layers below {k}")
@@ -217,11 +191,7 @@ def backward_rows(net: Network, k: int, rows, line_arrays, sense: str,
     c = np.array(net.biases[k - 1][rows])
     tape = [] if keep_tape else None
     for v in range(k - 1, 0, -1):
-        sl, tl, su, tu = line_arrays[v - 1][:4]
-        if sense == "lower":
-            s_pos, t_pos, s_neg, t_neg = sl, tl, su, tu
-        else:
-            s_pos, t_pos, s_neg, t_neg = su, tu, sl, tl
+        s_pos, t_pos, s_neg, t_neg = oriented(line_arrays[v - 1], sense)
         if keep_tape:
             tape.append((v, A))
         Ap = np.maximum(A, 0.0)
@@ -243,8 +213,7 @@ def concretize_rows(coeffs: np.ndarray, offsets: np.ndarray,
 def backward_bound(net: Network, k: int, i: int, lines: LineSet,
                    sense: str) -> AffineBound:
     """Affine bound (coeffs, offset) on z(k)_i in terms of the raw input."""
-    stack = lines.lines_for(k, i)
-    arrays = [ll.arrays() for ll in stack]
+    arrays = [ll.arrays() for ll in lines.layers[:k - 1]]
     A, c, _ = backward_rows(net, k, [i], arrays, sense)
     return AffineBound(A[0], float(c[0]), sense)
 
@@ -258,65 +227,27 @@ def concretize(bound: AffineBound, spec: PerturbationSpec) -> float:
                                  bound.sense)[0])
 
 
-def with_gamma(bound: AffineBound, spec: PerturbationSpec) -> AffineBound:
-    return AffineBound(bound.coeffs, bound.offset, bound.sense,
-                       concretize(bound, spec))
-
-
-def propagate(net: Network, spec: PerturbationSpec,
-              mode: str = "self-consistent", chooser=None):
+def propagate(net: Network, spec: PerturbationSpec):
     """Bounds for every layer plus the lines that produced them.
 
-    In self-consistent mode each layer's lines are chosen once, from that
-    layer's bounds, and shared by every downstream computation.  In
-    per-neuron mode the chooser runs once per target neuron, so different
-    targets may use different lines in the earlier layers.
+    Each layer's lines are chosen once, from that layer's bounds, and shared
+    by every downstream computation.
     """
-    if mode not in ("self-consistent", "per-neuron"):
-        raise ValueError(f"unknown mode {mode!r}")
-    chooser = chooser or default_chooser
     low1, up1 = layer1_bounds(net, spec)
     lows, ups = [low1], [up1]
-    act = net.activation
-
-    if mode == "self-consistent":
-        shared: list = []
-        for k in range(2, net.m + 1):
-            sp_lo, sp_up = relax.layer_line_spaces(act, lows[-1], ups[-1])
-            shared.append(choose_layer_lines(sp_lo, sp_up, chooser, k - 1))
-            arrays = [ll.arrays() for ll in shared]
-            gl = concretize_rows(*backward_rows(net, k, range(net.layer_width(k)),
-                                                arrays, "lower")[:2],
-                                 spec, "lower")
-            gu = concretize_rows(*backward_rows(net, k, range(net.layer_width(k)),
-                                                arrays, "upper")[:2],
-                                 spec, "upper")
-            _check_order(gl, gu, k)
-            lows.append(np.minimum(gl, gu))
-            ups.append(np.maximum(gl, gu))
-        return LayerBounds(lows, ups), LineSet("self-consistent", layers=shared)
-
-    by_target: dict = {}
-    spaces: list = []
+    layers: list = []
     for k in range(2, net.m + 1):
-        sp_lo, sp_up = relax.layer_line_spaces(act, lows[-1], ups[-1])
-        spaces.append((sp_lo, sp_up))
-        width = net.layer_width(k)
-        gl = np.empty(width)
-        gu = np.empty(width)
-        for i in range(width):
-            stack = [choose_layer_lines(*spaces[v - 1], chooser, v, target=(k, i))
-                     for v in range(1, k)]
-            by_target[(k, i)] = stack
-            arrays = [ll.arrays() for ll in stack]
-            A, c, _ = backward_rows(net, k, [i], arrays, "lower")
-            gl[i] = concretize_rows(A, c, spec, "lower")[0]
-            A, c, _ = backward_rows(net, k, [i], arrays, "upper")
-            gu[i] = concretize_rows(A, c, spec, "upper")[0]
+        layers.append(choose_layer_lines(
+            *relax.layer_line_spaces(net.activation, lows[-1], ups[-1])))
+        arrays = [ll.arrays() for ll in layers]
+        rows = range(net.layer_width(k))
+        gl, gu = (concretize_rows(*backward_rows(net, k, rows, arrays,
+                                                 sense)[:2], spec, sense)
+                  for sense in relax.SIDES)
         _check_order(gl, gu, k)
         lows.append(np.minimum(gl, gu))
         ups.append(np.maximum(gl, gu))
-    return LayerBounds(lows, ups), LineSet("per-neuron", by_target=by_target)
+    return LayerBounds(lows, ups), LineSet(layers)
 
 
 def _check_order(gl: np.ndarray, gu: np.ndarray, k: int) -> None:

@@ -80,55 +80,48 @@ class VariableVector:
 def collect_variables(layer_spaces) -> VariableVector:
     """Gather the one-variable spaces of ``layer_spaces`` (layers 1..k-1),
     initialized at the deterministic baseline choice."""
-    entries, vals, lo, hi = [], [], [], []
-    for v, (sp_lo, sp_up) in enumerate(layer_spaces, start=1):
-        for j, sp in enumerate(sp_lo):
-            if sp.kind == "one-variable":
-                entries.append(VarEntry(v, j, "lower", sp))
-                vals.append(crown.default_variable(sp))
-                lo.append(sp.var_lo)
-                hi.append(sp.var_hi)
-        for j, sp in enumerate(sp_up):
-            if sp.kind == "one-variable":
-                entries.append(VarEntry(v, j, "upper", sp))
-                vals.append(crown.default_variable(sp))
-                lo.append(sp.var_lo)
-                hi.append(sp.var_hi)
-    return VariableVector(entries, np.array(vals, dtype=float),
-                          np.array(lo, dtype=float), np.array(hi, dtype=float))
+    entries = [VarEntry(v, j, side, sp)
+               for v, spaces in enumerate(layer_spaces, start=1)
+               for side, side_spaces in zip(relax.SIDES, spaces)
+               for j, sp in enumerate(side_spaces)
+               if sp.kind == "one-variable"]
+    return VariableVector(
+        entries,
+        np.array([crown.default_variable(e.space) for e in entries],
+                 dtype=float),
+        np.array([e.space.var_lo for e in entries], dtype=float),
+        np.array([e.space.var_hi for e in entries], dtype=float))
 
 
 def _materialize(layer_spaces, var_vec: VariableVector):
-    """Line arrays per layer from the current variable values, plus the
-    generator derivatives (d slope, d intercept) per entry."""
-    arrays = []
-    for sp_lo, sp_up in layer_spaces:
-        n = len(sp_lo)
-        sl, tl = np.full(n, np.nan), np.full(n, np.nan)
-        su, tu = np.full(n, np.nan), np.full(n, np.nan)
-        for j, sp in enumerate(sp_lo):
-            if sp.kind == "fixed":
-                sl[j], tl[j] = sp.fixed_line.slope, sp.fixed_line.intercept
-        for j, sp in enumerate(sp_up):
-            if sp.kind == "fixed":
-                su[j], tu[j] = sp.fixed_line.slope, sp.fixed_line.intercept
-        arrays.append([sl, tl, su, tu])
-    dgen = np.zeros((len(var_vec), 2))
-    for e_idx, (entry, theta) in enumerate(zip(var_vec.entries, var_vec.values)):
-        s, t, ds, dt = entry.space.line_and_grad_at(float(theta))
-        block = arrays[entry.layer - 1]
-        if entry.side == "lower":
-            block[0][entry.neuron] = s
-            block[1][entry.neuron] = t
-        else:
-            block[2][entry.neuron] = s
-            block[3][entry.neuron] = t
-        dgen[e_idx, 0] = ds
-        dgen[e_idx, 1] = dt
-    for block in arrays:
-        if any(np.isnan(arr).any() for arr in block):
-            raise ValueError("variable vector does not cover the line spaces")
-    return arrays, dgen
+    """Line arrays per layer from the current variable values, the generator
+    derivatives (d slope, d intercept) per entry, and each entry's slot in
+    the flat line layout.
+
+    The flat layout stacks, layer by layer, the lower-side then the
+    upper-side lines of every neuron.
+    """
+    widths = [len(spaces[0]) for spaces in layer_spaces]
+    starts = np.cumsum([0] + [2 * w for w in widths])
+    spaces = [sp for layer in layer_spaces for side in layer for sp in side]
+    slopes = np.array([sp.fixed_line.slope if sp.kind == "fixed" else np.nan
+                       for sp in spaces], dtype=float)
+    intercepts = np.array([sp.fixed_line.intercept if sp.kind == "fixed"
+                           else np.nan for sp in spaces], dtype=float)
+    slots = np.array([starts[e.layer - 1] + e.neuron
+                      + relax.SIDES.index(e.side) * widths[e.layer - 1]
+                      for e in var_vec.entries], dtype=int)
+    gen = np.array([e.space.line_and_grad_at(float(theta))
+                    for e, theta in zip(var_vec.entries, var_vec.values)],
+                   dtype=float).reshape(-1, 4)
+    slopes[slots] = gen[:, 0]
+    intercepts[slots] = gen[:, 1]
+    if np.isnan(slopes).any() or np.isnan(intercepts).any():
+        raise ValueError("variable vector does not cover the line spaces")
+    arrays = [(slopes[a:a + w], intercepts[a:a + w],
+               slopes[a + w:a + 2 * w], intercepts[a + w:a + 2 * w])
+              for a, w in zip(starts, widths)]
+    return arrays, gen[:, 2:], slots
 
 
 def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
@@ -140,7 +133,7 @@ def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
     the affine bounds of the batch, row-aligned with ``neurons``.
     """
     var_vec.check()
-    arrays, dgen = _materialize(layer_spaces, var_vec)
+    arrays, dgen, slots = _materialize(layer_spaces, var_vec)
     neurons = np.atleast_1d(np.asarray(neurons, dtype=int))
     A, c, tape = crown.backward_rows(net, k, neurons, arrays, sense,
                                      keep_tape=True)
@@ -149,43 +142,28 @@ def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
     sign = -1.0 if sense == "lower" else 1.0
     Abar = spec.x0[None, :] + sign * spec.epsilon * crown.dual_norm_grad(A, spec.q)
 
-    sbar_lo = {}
-    tbar_lo = {}
-    sbar_up = {}
-    tbar_up = {}
+    # adjoints of every slope and intercept in the flat line layout; the
+    # lines of ``sense``'s own side multiply the nonnegative row entries
+    own = relax.SIDES.index(sense)
+    sbar = np.zeros(sum(len(a[0]) for a in arrays) * 2)
+    tbar = np.zeros_like(sbar)
+    start = 0
     for v, A_v in reversed(tape):  # tape runs k-1..1; reverse walks 1..k-1
         Dbar = Abar @ net.weights[v - 1].T + net.biases[v - 1][None, :]
-        Ap = np.maximum(A_v, 0.0)
-        An = np.minimum(A_v, 0.0)
-        pos_bar_s = (Dbar * Ap).sum(axis=0)
-        neg_bar_s = (Dbar * An).sum(axis=0)
-        pos_bar_t = Ap.sum(axis=0)
-        neg_bar_t = An.sum(axis=0)
-        sl, tl, su, tu = arrays[v - 1]
-        if sense == "lower":
-            sbar_lo[v], tbar_lo[v] = pos_bar_s, pos_bar_t
-            sbar_up[v], tbar_up[v] = neg_bar_s, neg_bar_t
-            s_sel = np.where(A_v > 0, sl, np.where(A_v < 0, su, 0.0))
-            t_sel = np.where(A_v > 0, tl, np.where(A_v < 0, tu, 0.0))
-        else:
-            sbar_up[v], tbar_up[v] = pos_bar_s, pos_bar_t
-            sbar_lo[v], tbar_lo[v] = neg_bar_s, neg_bar_t
-            s_sel = np.where(A_v > 0, su, np.where(A_v < 0, sl, 0.0))
-            t_sel = np.where(A_v > 0, tu, np.where(A_v < 0, tl, 0.0))
+        parts = (np.maximum(A_v, 0.0), np.minimum(A_v, 0.0))
+        w = A_v.shape[1]
+        for side in (0, 1):
+            part = parts[side != own]
+            seg = slice(start + side * w, start + (side + 1) * w)
+            sbar[seg] = (Dbar * part).sum(axis=0)
+            tbar[seg] = part.sum(axis=0)
+        start += 2 * w
+        s_pos, t_pos, s_neg, t_neg = crown.oriented(arrays[v - 1], sense)
+        s_sel = np.where(A_v > 0, s_pos, np.where(A_v < 0, s_neg, 0.0))
+        t_sel = np.where(A_v > 0, t_pos, np.where(A_v < 0, t_neg, 0.0))
         Abar = Dbar * s_sel + t_sel
 
-    grad = np.zeros(len(var_vec))
-    for e_idx, entry in enumerate(var_vec.entries):
-        if entry.side == "lower":
-            sb = sbar_lo.get(entry.layer)
-            tb = tbar_lo.get(entry.layer)
-        else:
-            sb = sbar_up.get(entry.layer)
-            tb = tbar_up.get(entry.layer)
-        if sb is None:
-            continue
-        grad[e_idx] = (sb[entry.neuron] * dgen[e_idx, 0]
-                       + tb[entry.neuron] * dgen[e_idx, 1])
+    grad = sbar[slots] * dgen[:, 0] + tbar[slots] * dgen[:, 1]
     return gammas, grad, A, c
 
 
@@ -303,18 +281,15 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
     for k in range(2, net.m + 1):
         width = net.layer_width(k)
         base_arrays = [ll.arrays() for ll in base_lines.layers[:k - 1]]
-        bestL = _Best("lower", base_bounds.lower[k - 1].copy(),
-                      *(crown.backward_rows(net, k, range(width),
-                                            base_arrays, "lower")[:2]))
-        bestU = _Best("upper", base_bounds.upper[k - 1].copy(),
-                      *(crown.backward_rows(net, k, range(width),
-                                            base_arrays, "upper")[:2]))
+        best = [_Best(sense, gammas.copy(),
+                      *crown.backward_rows(net, k, range(width), base_arrays,
+                                           sense)[:2])
+                for sense, gammas in zip(relax.SIDES, base_bounds.layer(k))]
         for g_idx, group in enumerate(_groups(width, config.group_size)):
-            for s_idx, sense in enumerate(("lower", "upper")):
+            for s_idx, (sense, tgt) in enumerate(zip(relax.SIDES, best)):
                 rng = np.random.default_rng([config.seed, k, g_idx, s_idx])
                 _, gammas, (coeffs, offsets) = optimize_bounds(
                     net, spec, k, group, sense, config, layer_spaces, rng)
-                tgt = bestL if sense == "lower" else bestU
                 full_g = tgt.gammas.copy()
                 full_g[group] = gammas
                 full_c = tgt.coeffs.copy()
@@ -322,6 +297,7 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
                 full_o = tgt.offsets.copy()
                 full_o[group] = offsets
                 tgt.fold(full_g, full_c, full_o)
+        bestL, bestU = best
         if np.any(bestL.gammas > bestU.gammas + 1e-9):
             raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
         # the two senses fold over different iterates, so allow float-noise
@@ -332,12 +308,8 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))
         else:
-            out_affine = (
-                [crown.AffineBound(bestL.coeffs[i], float(bestL.offsets[i]),
-                                   "lower", float(bestL.gammas[i]))
-                 for i in range(width)],
-                [crown.AffineBound(bestU.coeffs[i], float(bestU.offsets[i]),
-                                   "upper", float(bestU.gammas[i]))
-                 for i in range(width)],
-            )
+            out_affine = tuple(
+                [crown.AffineBound(b.coeffs[i], float(b.offsets[i]), b.sense,
+                                   float(b.gammas[i])) for i in range(width)]
+                for b in best)
     return crown.LayerBounds(lows, ups), out_affine

@@ -2,9 +2,10 @@
 
 The LP for neuron i of layer k optimizes the affine row W(k)_i a(k-1) + b(k)_i
 over the input ball and the relaxed activation constraints of layers < k:
-layer equalities, one or more bounding lines per neuron per side, and the
-interval rows l <= z <= u.  Only p = 1 and p = inf keep the feasible set a
-polyhedron; p = 2 is rejected.
+layer equalities, bounding lines per neuron per side, and the interval rows
+l <= z <= u.  A RelaxationMenu picks the lines: crown's default line alone
+("single"), or both ends of each one-variable family ("multi").  Only p = 1
+and p = inf keep the feasible set a polyhedron; p = 2 is rejected.
 
 Two propagation modes exist: the baseline recursively feeds each layer's LP
 optima into the next layer's constraints, while shared-lines mode imports the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crown, relax, simplex
-from .model import Network, PerturbationSpec
+from .model import Network, PerturbationSpec, ball_rows, check_input
 from .relax import Line, LineSpace
 
 #: slack for the primal-certificate recheck after a solve
@@ -54,41 +55,34 @@ class LpProblem:
 class RelaxationMenu:
     """Which bounding lines each activation contributes to the LP.
 
-    Tags: "adaptive" (the deterministic baseline line), "chord", "slope-0",
-    "slope-1" (ReLU lower lines through the origin), "tangent-left" /
-    "tangent-right" (the extreme members of a tangent family).  Tags that do
-    not apply to a case are skipped, so every neuron keeps at least one valid
-    line per side.
+    "single" takes crown's default line per neuron and side; "multi" takes
+    both ends of every one-variable family (ReLU lower slopes 0 and 1, the
+    extreme tangents).  A fixed space gives its one line under either
+    choice.
     """
 
-    relu_lower: tuple = ("slope-0", "slope-1")
-    relu_upper: tuple = ("chord",)
-    smooth_lower: tuple = ("chord", "tangent-left", "tangent-right")
-    smooth_upper: tuple = ("chord", "tangent-left", "tangent-right")
+    lines: str = "multi"
+
+    def __post_init__(self):
+        if self.lines not in ("single", "multi"):
+            raise ValueError(f"menu lines must be 'single' or 'multi', "
+                             f"got {self.lines!r}")
 
     @classmethod
     def single(cls) -> "RelaxationMenu":
-        one = ("adaptive",)
-        return cls(one, one, one, one)
+        return cls("single")
 
     @classmethod
     def multi(cls) -> "RelaxationMenu":
-        return cls()
+        return cls("multi")
 
     def lines_for(self, space: LineSpace) -> list:
-        if space.act == "relu":
-            tags = self.relu_lower if space.side == "lower" else self.relu_upper
+        if space.kind == "fixed":
+            lines = [space.fixed_line]
+        elif self.lines == "single":
+            lines = [crown.default_line(space)]
         else:
-            tags = self.smooth_lower if space.side == "lower" else self.smooth_upper
-        lines = []
-        for tag in tags:
-            line = _resolve_tag(space, tag)
-            if line is not None:
-                lines.append(line)
-        if not lines:
-            # a menu may name only tags that do not apply to this case;
-            # fall back to the deterministic baseline line
-            lines.append(_resolve_tag(space, "adaptive"))
+            lines = [space.line_at(space.var_lo), space.line_at(space.var_hi)]
         dedup = []
         for line in lines:
             if not any(abs(line.slope - o.slope) < 1e-15
@@ -104,36 +98,12 @@ class RelaxationMenu:
         return dedup
 
 
-def _resolve_tag(space: LineSpace, tag: str) -> Line | None:
-    if tag == "adaptive":
-        if space.kind == "fixed":
-            return space.fixed_line
-        return space.line_at(crown.default_variable(space))
-    if space.kind == "fixed":
-        # the unique tightest line already is the chord (or the degenerate
-        # midpoint tangent); other tags do not apply
-        return space.fixed_line if tag == "chord" else None
-    if tag == "chord":
-        return None  # the chord is not valid on this side in family cases
-    if tag == "slope-0":
-        return Line(0.0, 0.0) if space.generator == "relu-slope" else None
-    if tag == "slope-1":
-        return Line(1.0, 0.0) if space.generator == "relu-slope" else None
-    if tag == "tangent-left":
-        return space.line_at(space.var_lo) if space.generator == "tangent" else None
-    if tag == "tangent-right":
-        return space.line_at(space.var_hi) if space.generator == "tangent" else None
-    raise ValueError(f"unknown relaxation tag {tag!r}")
-
-
 def _layer_lines_from_menu(act, lower, upper, menu):
     """Per neuron: (list of lower Lines, list of upper Lines)."""
-    out = []
-    for l, u in zip(lower, upper):
-        lo_sp = relax.line_space(act, "lower", float(l), float(u))
-        up_sp = relax.line_space(act, "upper", float(l), float(u))
-        out.append((menu.lines_for(lo_sp), menu.lines_for(up_sp)))
-    return out
+    return [tuple(menu.lines_for(relax.line_space(act, side, float(l),
+                                                  float(u)))
+                  for side in relax.SIDES)
+            for l, u in zip(lower, upper)]
 
 
 class _VarMap:
@@ -170,9 +140,6 @@ class _VarMap:
     def a(self, v, j):
         return self.offsets[("a", v)] + j
 
-    def r(self, i):
-        return self.r_offset + i
-
 
 def _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer):
     if spec.p not in (1.0, math.inf):
@@ -199,60 +166,28 @@ def _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer):
             eq_rows.append(row)
             eq_rhs.append(b_vec[j])
 
-    # bounding lines and interval rows
+    # bounding lines, then interval rows; with sign +1 a lower line
+    # a >= s z + t is s z - a <= -t, with sign -1 an upper line
+    # a <= s z + t is a - s z <= t
     for v in range(1, k):
         low_v, up_v = bounds.layer(v)
         for j in range(net.layer_width(v)):
-            lo_lines, up_lines = lines_per_layer[v - 1][j]
-            for line in lo_lines:       # a >= s z + t  <=>  s z - a <= -t
-                row = new_row()
-                row[vm.z(v, j)] = line.slope
-                row[vm.a(v, j)] = -1.0
+            for sign, lines in zip((1.0, -1.0), lines_per_layer[v - 1][j]):
+                for line in lines:
+                    row = new_row()
+                    row[vm.z(v, j)] = sign * line.slope
+                    row[vm.a(v, j)] = -sign
+                    ub_rows.append(row)
+                    ub_rhs.append(-sign * line.intercept)
+            for sign, bound in ((1.0, up_v[j]), (-1.0, low_v[j])):
+                row = new_row()          # z <= u, then -z <= -l
+                row[vm.z(v, j)] = sign
                 ub_rows.append(row)
-                ub_rhs.append(-line.intercept)
-            for line in up_lines:       # a <= s z + t  <=>  a - s z <= t
-                row = new_row()
-                row[vm.a(v, j)] = 1.0
-                row[vm.z(v, j)] = -line.slope
-                ub_rows.append(row)
-                ub_rhs.append(line.intercept)
-            row = new_row()
-            row[vm.z(v, j)] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(up_v[j])
-            row = new_row()
-            row[vm.z(v, j)] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(-low_v[j])
+                ub_rhs.append(sign * bound)
 
-    # ball encoding
-    if spec.p == math.inf:
-        for t in range(vm.n):
-            row = new_row()
-            row[vm.x(t)] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(spec.x0[t] + spec.epsilon)
-            row = new_row()
-            row[vm.x(t)] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(-(spec.x0[t] - spec.epsilon))
-    else:
-        for t in range(vm.n):
-            row = new_row()
-            row[vm.x(t)] = 1.0
-            row[vm.r(t)] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(spec.x0[t])
-            row = new_row()
-            row[vm.x(t)] = -1.0
-            row[vm.r(t)] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(-spec.x0[t])
-        row = new_row()
-        for t in range(vm.n):
-            row[vm.r(t)] = 1.0
-        ub_rows.append(row)
-        ub_rhs.append(spec.epsilon)
+    ball_A, ball_b = ball_rows(spec, vm.total, r_col=vm.r_offset)
+    ub_rows.extend(ball_A)
+    ub_rhs.extend(ball_b)
 
     # objective: row i of the layer-k affine map
     c = np.zeros(vm.total)
@@ -276,6 +211,7 @@ def _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer):
 def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
              bounds: crown.LayerBounds, menu: RelaxationMenu) -> LpProblem:
     """Assemble the relaxed LP for neuron i of layer k."""
+    check_input(net, spec.x0)
     act = net.activation
     lines_per_layer = []
     for v in range(1, k):
@@ -307,10 +243,9 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
                  menu: RelaxationMenu | None = None, mode: str = "baseline"):
     """Recursive LP bounds for layers 2..m.
 
-    mode="shared-lines" imports lines and intermediate intervals verbatim from a
-    self-consistent backward-propagation run with the baseline chooser; the
-    returned LayerBounds then hold the LP optima for comparison against the
-    closed-form values.
+    mode="shared-lines" imports lines and intermediate intervals verbatim from
+    ``crown.propagate``; the returned LayerBounds then hold the LP optima for
+    comparison against the closed-form values.
     """
     if mode not in ("baseline", "shared-lines"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -320,41 +255,26 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     menu = menu or RelaxationMenu.multi()
 
     low1, up1 = crown.layer1_bounds(net, spec)
-    lows, ups = [low1], [up1]
-
+    bounds = crown.LayerBounds([low1], [up1])
     if mode == "shared-lines":
         ref_bounds, ref_lines = crown.propagate(net, spec)
-        for k in range(2, net.m + 1):
-            lines_per_layer = []
-            for v in range(1, k):
-                ll = ref_lines.layers[v - 1]
-                per_neuron = [
-                    ([Line(ll.slope_lower[j], ll.intercept_lower[j])],
-                     [Line(ll.slope_upper[j], ll.intercept_upper[j])])
-                    for j in range(net.layer_width(v))
-                ]
-                lines_per_layer.append(per_neuron)
-            gl = np.empty(net.layer_width(k))
-            gu = np.empty(net.layer_width(k))
-            for i in range(net.layer_width(k)):
-                prob = _build_with_lines(net, spec, k, i, "lower",
-                                         ref_bounds, lines_per_layer)
-                gl[i] = solve(prob)[0]
-                prob = _build_with_lines(net, spec, k, i, "upper",
-                                         ref_bounds, lines_per_layer)
-                gu[i] = solve(prob)[0]
-            lows.append(gl)
-            ups.append(gu)
-        bounds = crown.LayerBounds(lows, ups)
-        return bounds, (bounds.output_lower, bounds.output_upper)
+        shared = [[([Line(sl[j], tl[j])], [Line(su[j], tu[j])])
+                   for j in range(len(sl))]
+                  for sl, tl, su, tu in (ll.arrays()
+                                         for ll in ref_lines.layers)]
 
-    bounds = crown.LayerBounds(lows, ups)
+        def problem(k, i, sense):
+            return _build_with_lines(net, spec, k, i, sense, ref_bounds, shared)
+    else:
+        def problem(k, i, sense):
+            return build_lp(net, spec, k, i, sense, bounds, menu)
+
     for k in range(2, net.m + 1):
         gl = np.empty(net.layer_width(k))
         gu = np.empty(net.layer_width(k))
         for i in range(net.layer_width(k)):
-            gl[i] = solve(build_lp(net, spec, k, i, "lower", bounds, menu))[0]
-            gu[i] = solve(build_lp(net, spec, k, i, "upper", bounds, menu))[0]
+            gl[i] = solve(problem(k, i, "lower"))[0]
+            gu[i] = solve(problem(k, i, "upper"))[0]
         bounds.lower.append(gl)
         bounds.upper.append(gu)
     return bounds, (bounds.output_lower, bounds.output_upper)

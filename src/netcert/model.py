@@ -152,8 +152,9 @@ class PerturbationSpec:
         p = float(self.p)
         if p not in (1.0, 2.0, math.inf):
             raise ModelError(f"unsupported norm order p={self.p}")
-        if not (self.epsilon >= 0.0):
-            raise ModelError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ModelError(f"epsilon must be finite and nonnegative, "
+                             f"got {self.epsilon}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -166,6 +167,48 @@ class PerturbationSpec:
         if self.p == math.inf:
             return 1.0
         return 2.0
+
+
+def check_input(net: Network, x0) -> None:
+    """Reject a centre point whose length is not the network's input width."""
+    if len(x0) != net.n:
+        raise ModelError(f"x0 has {len(x0)} entries but the network takes "
+                         f"{net.n} inputs")
+
+
+def ball_rows(spec: PerturbationSpec, n_vars: int, x_col: int = 0,
+              r_col: int | None = None):
+    """Rows (A, b), A v <= b, that put the x block of a variable vector v of
+    length ``n_vars`` in the ball (p = 1 or inf).
+
+    x occupies columns x_col..x_col+n-1.  For p = 1 the absolute-value
+    auxiliaries r occupy r_col..r_col+n-1: per coordinate x - r <= x0 and
+    -x - r <= -x0, then sum r <= eps.  For p = inf each coordinate gives
+    x <= x0 + eps and -x <= -(x0 - eps).
+    """
+    n = spec.x0.shape[0]
+    t = np.arange(n)
+    if spec.p == math.inf:
+        A = np.zeros((2 * n, n_vars))
+        A[2 * t, x_col + t] = 1.0
+        A[2 * t + 1, x_col + t] = -1.0
+        b = np.empty(2 * n)
+        b[0::2] = spec.x0 + spec.epsilon
+        b[1::2] = -(spec.x0 - spec.epsilon)
+        return A, b
+    if spec.p != 1.0:
+        raise ValueError("the ball is a polyhedron only for p in {1, inf}")
+    A = np.zeros((2 * n + 1, n_vars))
+    A[2 * t, x_col + t] = 1.0
+    A[2 * t + 1, x_col + t] = -1.0
+    A[2 * t, r_col + t] = -1.0
+    A[2 * t + 1, r_col + t] = -1.0
+    A[2 * n, r_col + t] = 1.0
+    b = np.empty(2 * n + 1)
+    b[0:2 * n:2] = spec.x0
+    b[1:2 * n:2] = -spec.x0
+    b[2 * n] = spec.epsilon
+    return A, b
 
 
 def forward(net: Network, x) -> np.ndarray:

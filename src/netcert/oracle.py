@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crown, simplex
-from .model import Network, PerturbationSpec, preactivations
+from .model import (Network, PerturbationSpec, ball_rows, check_input,
+                    preactivations)
 
 #: slack before a sampled point counts as a bound violation
 VIOLATION_SLACK = 1e-7
@@ -78,6 +79,7 @@ def sample_check(net: Network, spec: PerturbationSpec, claimed, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    check_input(net, spec.x0)
     if isinstance(claimed, crown.LayerBounds):
         per_layer = [(k, claimed.lower[k - 1], claimed.upper[k - 1])
                      for k in range(1, len(claimed.lower) + 1)]
@@ -109,38 +111,6 @@ def _collect(violations, k, side, bound, extreme):
                                          float(extreme[j]), float(excess[j])))
 
 
-def _ball_rows(spec: PerturbationSpec, n_vars: int, n: int):
-    """Inequality rows encoding the ball over [x, r?] variable vectors."""
-    rows, rhs = [], []
-    if spec.p == math.inf:
-        for t in range(n):
-            row = np.zeros(n_vars)
-            row[t] = 1.0
-            rows.append(row)
-            rhs.append(spec.x0[t] + spec.epsilon)
-            row = np.zeros(n_vars)
-            row[t] = -1.0
-            rows.append(row)
-            rhs.append(-(spec.x0[t] - spec.epsilon))
-    else:
-        for t in range(n):
-            row = np.zeros(n_vars)
-            row[t] = 1.0
-            row[n + t] = -1.0
-            rows.append(row)
-            rhs.append(spec.x0[t])
-            row = np.zeros(n_vars)
-            row[t] = -1.0
-            row[n + t] = -1.0
-            rows.append(row)
-            rhs.append(-spec.x0[t])
-        row = np.zeros(n_vars)
-        row[n:] = 1.0
-        rows.append(row)
-        rhs.append(spec.epsilon)
-    return rows, rhs
-
-
 def exact_output_functional_range(net: Network, spec: PerturbationSpec,
                                   out_weights) -> ExactRange:
     """Exact range of sum_j out_weights[j] * F_j(x) over the ball (ReLU only)."""
@@ -151,11 +121,12 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         raise ValueError(f"{hidden} hidden neurons exceed the cap {MAX_HIDDEN}")
     if spec.p not in (1.0, math.inf):
         raise ValueError("exact enumeration supports p in {1, inf} only")
+    check_input(net, spec.x0)
     out_weights = np.asarray(out_weights, dtype=float)
 
     n = net.n
     n_vars = n + (n if spec.p == 1.0 else 0)
-    ball_rows, ball_rhs = _ball_rows(spec, n_vars, n)
+    ball_A, ball_b = ball_rows(spec, n_vars, r_col=n)
     state = {
         "best_min": math.inf, "best_max": -math.inf,
         "argmin": None, "argmax": None, "patterns": 0,
@@ -225,7 +196,7 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
             descend(v, j + 1, M, d, pattern, new_rows, new_rhs)
 
     descend(1, 0, net.weights[0].copy(), net.biases[0].copy(),
-            np.empty(net.layer_width(1)), ball_rows, ball_rhs)
+            np.empty(net.layer_width(1)), list(ball_A), list(ball_b))
     if state["argmin"] is None:
         raise RuntimeError("no feasible activation pattern found")
     return ExactRange(float(state["best_min"]), float(state["best_max"]),

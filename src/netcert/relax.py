@@ -36,6 +36,14 @@ DEGENERATE_WIDTH = 1e-12
 #: validity slack for grid checks of bounding lines
 LINE_SLACK = 1e-9
 
+#: halvings of the tangent-point bracket, which ends 2**-40 (about 1e-12) as
+#: wide as it starts; bisecting on to adjacent floats took half again as
+#: many activation evaluations for no change in the certified radii
+TANGENT_BISECTIONS = 40
+
+#: the two sides of a bounding-line pair, in the order every layer lists them
+SIDES = ("lower", "upper")
+
 
 class TangentUndefinedError(RuntimeError):
     """No anchored tangent exists on the admissible side of the inflection."""
@@ -90,8 +98,7 @@ def _anchored_gap(act: str, e: float):
     return g
 
 
-def tangent_point_through(act: str, anchor: str, l: float, u: float,
-                          tol: float = 1e-10, max_iter: int = 80) -> float:
+def tangent_point_through(act: str, anchor: str, l: float, u: float) -> float:
     """Abscissa d of the tangent that passes through the anchored endpoint.
 
     anchor="left" solves f'(d)(l - d) + f(d) = f(l) with d >= 0 (requires
@@ -99,6 +106,15 @@ def tangent_point_through(act: str, anchor: str, l: float, u: float,
     Raises TangentUndefinedError when the anchored endpoint does not sit
     strictly on the other side of the inflection point, which happens when
     both endpoints share a side.
+
+    Bisection halves the bracket a fixed number of times instead of stopping
+    at a small |g|: near the inflection point g shrinks like the cube of the
+    interval width, so a small |g| says nothing about the distance to the
+    root.  The returned end is the one on the valid side (g >= 0 for the
+    left anchor, g <= 0 for the right anchor).  When the other endpoint
+    already is on the valid side (the case1/case3 test) the bracket starts
+    there, so on intervals so narrow that rounding decides the sign of g the
+    result still stays inside [l, u].
     """
     if act == "relu":
         raise ValueError("anchored tangents only apply to sigmoid/tanh")
@@ -110,34 +126,34 @@ def tangent_point_through(act: str, anchor: str, l: float, u: float,
         if not e < 0.0:
             raise TangentUndefinedError(
                 f"left anchor {e} not below the inflection point")
-        lo, hi = 0.0, max(u, 1.0)
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise TangentUndefinedError("no sign change while expanding")
+        lo, hi = 0.0, u
+        if not (u > 0.0 and g(u) >= 0.0):
+            hi = max(u, 1.0)
+            while g(hi) < 0.0:
+                hi *= 2.0
+                if hi > 1e6:
+                    raise TangentUndefinedError(
+                        "no sign change while expanding")
     else:
         if not e > 0.0:
             raise TangentUndefinedError(
                 f"right anchor {e} not above the inflection point")
-        lo, hi = min(l, -1.0), 0.0
-        while g(lo) > 0.0:
-            lo *= 2.0
-            if lo < -1e6:
-                raise TangentUndefinedError("no sign change while expanding")
+        lo, hi = l, 0.0
+        if not (l < 0.0 and g(l) <= 0.0):
+            lo = min(l, -1.0)
+            while g(lo) > 0.0:
+                lo *= 2.0
+                if lo < -1e6:
+                    raise TangentUndefinedError(
+                        "no sign change while expanding")
     # invariant: g(lo) <= 0 <= g(hi); g monotone on the bracketed side
-    d = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(TANGENT_BISECTIONS):
         d = 0.5 * (lo + hi)
-        gd = g(d)
-        if abs(gd) <= 0.1 * tol:
-            break
-        if gd < 0.0:
+        if g(d) < 0.0:
             lo = d
         else:
             hi = d
-    if abs(g(d)) > tol:
-        raise TangentUndefinedError(f"bisection residual {g(d)} above {tol}")
-    return d
+    return hi if anchor == "left" else lo
 
 
 @dataclass(frozen=True)
@@ -199,7 +215,7 @@ def _family(act, side, l, u, tag, gen, lo, hi) -> LineSpace:
 
 def line_space(act: str, side: str, l: float, u: float) -> LineSpace:
     """The tightest-line family for (activation, side, sign case) on [l, u]."""
-    if side not in ("lower", "upper"):
+    if side not in SIDES:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     l, u = float(l), float(u)
     if not (np.isfinite(l) and np.isfinite(u) and l <= u):
@@ -260,8 +276,5 @@ def validate_line(act: str, side: str, l: float, u: float, line: Line,
 
 def layer_line_spaces(act: str, lower: np.ndarray, upper: np.ndarray):
     """Per-neuron (lower-side, upper-side) line spaces for one layer."""
-    lows = [line_space(act, "lower", float(l), float(u))
-            for l, u in zip(lower, upper)]
-    ups = [line_space(act, "upper", float(l), float(u))
-           for l, u in zip(lower, upper)]
-    return lows, ups
+    return tuple([line_space(act, side, float(l), float(u))
+                  for l, u in zip(lower, upper)] for side in SIDES)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from netcert import certify, frown, oracle
-from netcert.model import Network, PerturbationSpec, generate_random_network
+from netcert.model import (
+    ModelError,
+    Network,
+    PerturbationSpec,
+    generate_random_network,
+)
 
 from conftest import boundary_sample, linear_two_class_net
 
@@ -100,6 +105,13 @@ def test_lp_method_and_p2_rejection():
     from netcert.lp import LpUnsupportedError
     with pytest.raises(LpUnsupportedError):
         certify.certified_at(net, [0.5], 0, 0.1, 2, method="lp")
+
+
+def test_search_rejects_non_finite_cap():
+    for cap in (np.inf, np.nan, 0.0):
+        with pytest.raises(ModelError):
+            certify.search_epsilon(linear_two_class_net(), [0.5], 0, np.inf,
+                                   cap=cap)
 
 
 def test_certificate_serialization_round_trip():

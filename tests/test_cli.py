@@ -49,6 +49,19 @@ def test_lp_with_p2_exits_2(capsys):
     assert rc == 2
 
 
+def test_infinite_eps_exits_1(capsys):
+    rc = run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
+              "--eps", "inf"])
+    assert rc == 1
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
+def test_mode_flag_removed():
+    with pytest.raises(SystemExit):
+        run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
+             "--eps", "0.5", "--mode", "per-neuron"])
+
+
 def test_missing_file_exits_1():
     rc = run(["bounds", "no-such-net.json", data_path("toy_sample.json"),
               "--eps", "0.5"])

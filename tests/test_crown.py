@@ -3,6 +3,7 @@ import pytest
 
 from netcert import crown, oracle, relax
 from netcert.model import (
+    ModelError,
     Network,
     PerturbationSpec,
     forward,
@@ -53,7 +54,7 @@ def test_backward_affine_bound_valid_under_sampling():
 
 def test_backward_missing_lines():
     net = generate_random_network(2, [3, 4, 4, 2], "relu")
-    lines = crown.LineSet("self-consistent", layers=[])
+    lines = crown.LineSet(layers=[])
     with pytest.raises(ValueError):
         crown.backward_bound(net, 3, 0, lines, "lower")
 
@@ -125,6 +126,25 @@ def test_propagate_soundness_fuzz(act):
             spec = PerturbationSpec(x0, p, 0.25)
             bounds, _ = crown.propagate(net, spec)
             assert not oracle.sample_check(net, spec, bounds, 20000, seed=seed)
+
+
+def test_deep_sigmoid_narrow_intervals_propagate():
+    # layer intervals a few 1e-6 wide around 0 once gave inverted tangent
+    # ranges, and the default variable then fell outside its range
+    net = generate_random_network(2, [20, 50, 50, 50, 10], "sigmoid")
+    x0 = np.random.default_rng(2).uniform(-1, 1, 20)
+    spec = PerturbationSpec(x0, np.inf, 10 ** -4.5)
+    bounds, _ = crown.propagate(net, spec)
+    out = forward(net, x0)
+    assert np.all(bounds.output_lower <= out)
+    assert np.all(out <= bounds.output_upper)
+
+
+def test_short_or_long_x0_rejected():
+    net = generate_random_network(2, [4, 6, 3], "relu")
+    for x0 in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(ModelError):
+            crown.propagate(net, PerturbationSpec(x0, np.inf, 0.1))
 
 
 def test_monotone_in_epsilon():
@@ -199,36 +219,7 @@ def test_margins_definition_and_errors():
         crown.margins(low, up, 3)
 
 
-# --- modes and line sets ---------------------------------------------------------
-
-def test_per_neuron_mode_matches_self_consistent_default():
-    net = generate_random_network(6, [4, 5, 4, 3], "tanh", scale=1.0)
-    spec = PerturbationSpec(np.full(4, 0.1), np.inf, 0.3)
-    b1, _ = crown.propagate(net, spec)
-    b2, lines2 = crown.propagate(net, spec, mode="per-neuron")
-    for k in range(1, net.m + 1):
-        assert np.allclose(b1.lower[k - 1], b2.lower[k - 1])
-        assert np.allclose(b1.upper[k - 1], b2.upper[k - 1])
-    assert (3, 0) in lines2.by_target
-
-
-def test_per_neuron_mode_allows_distinct_lines():
-    net = generate_random_network(8, [3, 5, 2], "relu", scale=1.0)
-    spec = PerturbationSpec(np.zeros(3), np.inf, 0.5)
-
-    def chooser(space, layer, neuron, target):
-        if space.generator == "relu-slope":
-            return 0.0 if (target and target[1] == 0) else 1.0
-        return crown.default_variable(space)
-
-    bounds, lines = crown.propagate(net, spec, mode="per-neuron",
-                                    chooser=chooser)
-    l0 = lines.by_target[(2, 0)][0]
-    l1 = lines.by_target[(2, 1)][0]
-    crossing = np.isnan(l0.var_lower) == False
-    assert np.any(l0.slope_lower[crossing] != l1.slope_lower[crossing])
-    assert not oracle.sample_check(net, spec, bounds, 20000, seed=0)
-
+# --- line sets ------------------------------------------------------------------
 
 def test_line_set_lines_validate_against_intervals():
     net = generate_random_network(12, [4, 6, 5, 3], "sigmoid", scale=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netcert import crown, lp, oracle, relax, simplex
-from netcert.model import PerturbationSpec, generate_random_network
+from netcert.model import ModelError, PerturbationSpec, generate_random_network
 
 from conftest import toy_relu_net
 
@@ -74,6 +74,36 @@ def test_build_lp_counts_for_two_layer_single_menu():
     # 2*n1 line rows + 2*n1 interval rows + 2*n ball rows
     assert prob.A_ub.shape[0] == 2 * n1 + 2 * n1 + 2 * n
     assert prob.c0 == pytest.approx(net.biases[1][0])
+
+
+def test_menu_lines_per_space():
+    single, multi = lp.RelaxationMenu.single(), lp.RelaxationMenu.multi()
+    relu = relax.line_space("relu", "lower", -1.0, 2.0)
+    assert single.lines_for(relu) == [relax.Line(1.0, 0.0)]
+    assert multi.lines_for(relu) == [relax.Line(0.0, 0.0), relax.Line(1.0, 0.0)]
+    tangent = relax.line_space("tanh", "lower", -2.0, 2.0)
+    assert single.lines_for(tangent) == [crown.default_line(tangent)]
+    assert multi.lines_for(tangent) == [tangent.line_at(tangent.var_lo),
+                                        tangent.line_at(tangent.var_hi)]
+    fixed = relax.line_space("sigmoid", "upper", -8.0, 0.1)
+    for menu in (single, multi):
+        assert menu.lines_for(fixed) == [fixed.fixed_line]
+    with pytest.raises(ValueError):
+        lp.RelaxationMenu("adaptive")
+
+
+def test_build_lp_rejects_wrong_length_x0():
+    # a long x0 once passed, its extra entries silently left out of the ball
+    net = generate_random_network(0, [3, 5, 2], "relu", scale=1.0)
+    spec = PerturbationSpec(np.zeros(3), np.inf, 0.2)
+    bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
+    for x0 in (np.zeros(2), np.zeros(4)):
+        bad = PerturbationSpec(x0, np.inf, 0.2)
+        with pytest.raises(ModelError):
+            lp.build_lp(net, bad, 2, 0, "lower", bounds,
+                        lp.RelaxationMenu.multi())
+        with pytest.raises(ModelError):
+            lp.lp_propagate(net, bad)
 
 
 def test_build_lp_rejects_p2():

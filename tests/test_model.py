@@ -150,6 +150,17 @@ def test_spec_validation():
         PerturbationSpec(np.zeros(3), 3, 0.1)
     with pytest.raises(ModelError):
         PerturbationSpec(np.zeros(3), 2, -0.5)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ModelError):
+            PerturbationSpec(np.zeros(3), np.inf, eps)
+
+
+def test_check_input_length():
+    net = generate_random_network(0, [3, 4, 2], "relu")
+    model.check_input(net, np.zeros(3))
+    for x0 in (np.zeros(2), np.zeros(4)):
+        with pytest.raises(ModelError):
+            model.check_input(net, x0)
 
 
 def test_activation_tables():
@@ -168,3 +179,33 @@ def test_activation_tables():
     # extreme arguments stay finite
     assert model.sigmoid(-1e4) == 0.0
     assert model.sigmoid(1e4) == 1.0
+
+
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_ball_rows_match_coordinate_loop(p):
+    spec = PerturbationSpec(np.array([0.3, -1.2, 0.0]), p, 0.25)
+    n, n_vars, x_col, r_col = 3, 11, 2, 7
+    rows, rhs = [], []
+    for t in range(n):
+        for sign in (1.0, -1.0):
+            row = np.zeros(n_vars)
+            row[x_col + t] = sign
+            if p == 1:
+                row[r_col + t] = -1.0
+                rhs.append(sign * spec.x0[t])
+            else:
+                rhs.append(sign * spec.x0[t] + spec.epsilon)
+            rows.append(row)
+    if p == 1:
+        row = np.zeros(n_vars)
+        row[r_col:r_col + n] = 1.0
+        rows.append(row)
+        rhs.append(spec.epsilon)
+    A, b = model.ball_rows(spec, n_vars, x_col, r_col)
+    assert np.array_equal(A, np.array(rows))
+    assert np.array_equal(b, np.array(rhs))
+    inside = np.zeros(n_vars)
+    inside[x_col:x_col + n] = spec.x0
+    assert np.all(A @ inside <= b)
+    with pytest.raises(ValueError):
+        model.ball_rows(PerturbationSpec(spec.x0, 2, 0.25), n_vars)

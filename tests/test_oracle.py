@@ -5,6 +5,7 @@ import pytest
 
 from netcert import crown, frown, lp, oracle
 from netcert.model import (
+    ModelError,
     PerturbationSpec,
     forward,
     forward_batch,
@@ -166,3 +167,14 @@ def test_guardrails():
         oracle.exact_relu_range(net, PerturbationSpec(np.zeros(4), 2, 0.1), 0)
     with pytest.raises(ValueError):
         oracle.exact_relu_range(net, spec, 5)
+
+
+def test_wrong_length_x0_rejected():
+    net = generate_random_network(0, [4, 6, 2], "relu")
+    for x0 in (np.zeros(3), np.zeros(5)):
+        spec = PerturbationSpec(x0, np.inf, 0.1)
+        bounds = (np.full(2, -1e3), np.full(2, 1e3))
+        with pytest.raises(ModelError):
+            oracle.sample_check(net, spec, bounds, 10)
+        with pytest.raises(ModelError):
+            oracle.exact_relu_range(net, spec, 0)

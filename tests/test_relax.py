@@ -276,3 +276,34 @@ def test_line_and_grad_matches_finite_differences():
             assert dt == pytest.approx((lp.intercept - lm.intercept) / (2 * h), abs=1e-5)
     sp = line_space("relu", "lower", -1.0, 2.0)
     assert sp.line_and_grad_at(0.5) == (0.5, 0.0, 1.0, 0.0)
+
+
+# --- narrow crossing intervals -------------------------------------------------
+
+def test_tangent_range_on_reported_narrow_intervals():
+    sp = line_space("sigmoid", "upper", -1e-6, 1e-6)
+    assert sp.case_tag == "case1"
+    assert sp.var_lo <= sp.var_hi == 1e-6
+    sp = line_space("tanh", "lower", -1e-5, 1e-5)
+    assert sp.case_tag == "case3"
+    assert -1e-5 == sp.var_lo <= sp.var_hi
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_tangent_range_valid_on_tiny_crossing_intervals(act):
+    # near the inflection point the anchored gap shrinks like width**3, so
+    # rounding decides its sign; the admissible range must stay ordered and
+    # both of its end lines valid all the same
+    rng = np.random.default_rng(7)
+    for exponent in range(1, 12):
+        for _ in range(40):
+            width = 10.0 ** -exponent * rng.uniform(0.5, 2.0)
+            l = -width * rng.uniform(0.02, 0.98)
+            u = l + width
+            for side in ("lower", "upper"):
+                sp = line_space(act, side, l, u)
+                if sp.kind != "one-variable":
+                    continue
+                assert sp.var_lo <= sp.var_hi, (side, l, u)
+                for theta in (sp.var_lo, sp.var_hi):
+                    assert validate_line(act, side, l, u, sp.line_at(theta), 201)
