@@ -24,6 +24,11 @@ from .model import ModelError, PerturbationSpec, load_network, load_sample
 
 WORKERS_ENV = "NETCERT_WORKERS"
 
+#: keys a bench config may hold; the first three are required
+BENCH_KEYS = ("networks", "samples", "methods", "norms", "rel_tol", "cap",
+              "frown", "lp_lines", "timing")
+METHODS = ("crown", "frown", "lp")
+
 
 def _parse_p(text: str) -> float:
     if text in ("inf", "Inf", "INF"):
@@ -118,7 +123,8 @@ def cmd_certify(args) -> int:
 def _bench_cell(task: dict) -> dict:
     """One (network, norm, method) cell of the benchmark matrix."""
     net = load_network(task["network"])
-    cfg = frown.OptimizerConfig(**task["frown"]) if task.get("frown") else None
+    cfg = (frown.OptimizerConfig(**task["frown"])
+           if task["method"] == "frown" and task["frown"] else None)
     menu = lp.RelaxationMenu(task.get("lp_lines", "multi"))
     radii, times, iters = [], [], []
     for sample_path in task["samples"]:
@@ -141,13 +147,38 @@ def _bench_cell(task: dict) -> dict:
     }
 
 
+def _bench_norms(config) -> list:
+    """The norms of a bench config, after rejecting a malformed config."""
+    if not isinstance(config, dict):
+        raise ModelError("bench config must be a JSON object")
+    missing = [key for key in BENCH_KEYS[:3] if key not in config]
+    if missing:
+        raise ModelError(f"bench config lacks {', '.join(missing)}")
+    unknown = sorted(set(config) - set(BENCH_KEYS))
+    if unknown:
+        raise ModelError(f"unknown bench config keys: {', '.join(unknown)}")
+    methods = config["methods"]
+    if (not isinstance(methods, list) or not methods
+            or any(m not in METHODS for m in methods)):
+        raise ModelError(f"bench methods must be a non-empty list drawn "
+                         f"from {', '.join(METHODS)}, got {methods!r}")
+    lines = config.get("lp_lines", "multi")
+    if lines not in ("single", "multi"):
+        raise ModelError(f"lp_lines must be 'single' or 'multi', "
+                         f"got {lines!r}")
+    try:
+        return [_parse_p(str(p)) for p in config.get("norms", ["inf"])]
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ModelError(f"bad bench norm: {exc}") from None
+
+
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
+    norms = _bench_norms(config)
     networks = config["networks"]
     samples = config["samples"]
     methods = config["methods"]
-    norms = [(_parse_p(str(p))) for p in config.get("norms", ["inf"])]
     timing = bool(config.get("timing", True))
     tasks = []
     for net_path in networks:

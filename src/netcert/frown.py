@@ -2,29 +2,40 @@
 
 Every one-variable line space in the layers below the target contributes one
 optimization variable (a free ReLU lower slope or a tangency abscissa).  The
-objective gamma is differentiable in the generated slopes and intercepts, so
-its gradient follows from one reverse sweep over the backward recursion:
+target neurons of a layer are split into groups, and each group maximizes
+the sum of its lower bounds (or minimizes the sum of its upper bounds) over
+its own copy of the variables: the values form a (groups, variables) array.
+One evaluation serves every group of the batch:
 
-  seed      dgamma/dcoeffs = x0 -/+ eps * d||coeffs||_q   (lower/upper)
-  per layer Dbar = Abar_next @ W(v).T + b(v)
-            sbar = Dbar * relu(A)   tbar = relu(A)     (positive split)
-            sbar = Dbar * neg(A)    tbar = neg(A)      (negative split)
-            Abar = Dbar * s_selected + t_selected      (masked by sign of A)
+  lines     each group's slopes and intercepts, with one array call each of
+            f, f' and f'' for all tangent generators
+  forward   the backward recursion over all target rows at once, each row
+            composing with the lines of its own group
+  reverse   seed      dgamma/dcoeffs = x0 -/+ eps * d||coeffs||_q
+            per layer Dbar = Abar_next @ W(v).T + b(v)
+                      sbar = Dbar * relu(A)   tbar = relu(A)   (positive split)
+                      sbar = Dbar * neg(A)    tbar = neg(A)    (negative split)
+                      Abar = Dbar * s_selected + t_selected    (by sign of A)
+  per group sbar and tbar summed over the group's rows, chained through the
+            generators (d slope / d theta, d intercept / d theta)
 
-and chains through the generators (d slope / d theta, d intercept / d theta).
-Projection clamps each variable to its admissible interval after every step,
-so every iterate generates valid lines and every visited gamma is a sound
-bound; the returned value per neuron is the best one ever visited.
+Each group steps along its own gradient, normalized by its largest entry,
+and stops on its own once its objective stalls; a stopped group leaves the
+batch.  Projection clamps each variable to its admissible interval after
+every step, so every iterate generates valid lines and every visited gamma
+is a sound bound; the returned value per neuron is the best one ever
+visited.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import crown, relax
-from .model import Network, PerturbationSpec
+from .model import ACTIVATIONS, Network, PerturbationSpec
 
 
 @dataclass(frozen=True)
@@ -57,17 +68,36 @@ class VarEntry:
     space: relax.LineSpace
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariableVector:
-    """Flat view of all free line variables for layers 1..k-1."""
+    """The free line variables of layers 1..k-1, their values, and where
+    their lines sit.
 
-    entries: list
+    ``values`` is (variables,) for one group or (groups, variables), one row
+    per group.  The flat line layout stacks, layer by layer, the lower-side
+    then the upper-side lines of every neuron; ``slopes``/``intercepts``
+    hold the fixed lines there and ``slots`` the place of each variable's
+    line.  Every variable of a ReLU net is a slope through the origin and
+    every variable of a sigmoid/tanh net a tangency abscissa.
+    """
+
+    entries: tuple
     values: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    act: str
+    widths: tuple
+    slots: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
 
     def __len__(self):
         return len(self.entries)
+
+    def at(self, values) -> "VariableVector":
+        """The same variables at other values."""
+        return dataclasses.replace(self,
+                                   values=np.asarray(values, dtype=float))
 
     def check(self):
         if np.any(self.values < self.lo - 1e-12) or np.any(self.values > self.hi + 1e-12):
@@ -80,96 +110,166 @@ class VariableVector:
 def collect_variables(layer_spaces) -> VariableVector:
     """Gather the one-variable spaces of ``layer_spaces`` (layers 1..k-1),
     initialized at the deterministic baseline choice."""
-    entries = [VarEntry(v, j, side, sp)
-               for v, spaces in enumerate(layer_spaces, start=1)
-               for side, side_spaces in zip(relax.SIDES, spaces)
-               for j, sp in enumerate(side_spaces)
-               if sp.kind == "one-variable"]
+    flat = [(v, side, j, sp)
+            for v, spaces in enumerate(layer_spaces, start=1)
+            for side, side_spaces in zip(relax.SIDES, spaces)
+            for j, sp in enumerate(side_spaces)]
+    slots = [i for i, (*_, sp) in enumerate(flat) if sp.kind == "one-variable"]
+    entries = tuple(VarEntry(v, j, side, sp)
+                    for v, side, j, sp in (flat[i] for i in slots))
+    fixed = [sp.fixed_line if sp.kind == "fixed" else relax.Line(0.0, 0.0)
+             for *_, sp in flat]
     return VariableVector(
         entries,
         np.array([crown.default_variable(e.space) for e in entries],
                  dtype=float),
         np.array([e.space.var_lo for e in entries], dtype=float),
-        np.array([e.space.var_hi for e in entries], dtype=float))
+        np.array([e.space.var_hi for e in entries], dtype=float),
+        flat[0][3].act if flat else "relu",
+        tuple(len(spaces[0]) for spaces in layer_spaces),
+        np.array(slots, dtype=int),
+        np.array([ln.slope for ln in fixed], dtype=float),
+        np.array([ln.intercept for ln in fixed], dtype=float))
 
 
-def _materialize(layer_spaces, var_vec: VariableVector):
-    """Line arrays per layer from the current variable values, the generator
-    derivatives (d slope, d intercept) per entry, and each entry's slot in
-    the flat line layout.
+def _materialize(var_vec: VariableVector):
+    """Every group's lines and the generator derivatives.
 
-    The flat layout stacks, layer by layer, the lower-side then the
-    upper-side lines of every neuron.
+    Returns (slopes, intercepts) over the flat line layout, shaped
+    (groups, lines), and (d slope, d intercept) per variable, shaped
+    (groups, variables); one-dimensional values count as one group.
     """
-    widths = [len(spaces[0]) for spaces in layer_spaces]
-    starts = np.cumsum([0] + [2 * w for w in widths])
-    spaces = [sp for layer in layer_spaces for side in layer for sp in side]
-    slopes = np.array([sp.fixed_line.slope if sp.kind == "fixed" else np.nan
-                       for sp in spaces], dtype=float)
-    intercepts = np.array([sp.fixed_line.intercept if sp.kind == "fixed"
-                           else np.nan for sp in spaces], dtype=float)
-    slots = np.array([starts[e.layer - 1] + e.neuron
-                      + relax.SIDES.index(e.side) * widths[e.layer - 1]
-                      for e in var_vec.entries], dtype=int)
-    gen = np.array([e.space.line_and_grad_at(float(theta))
-                    for e, theta in zip(var_vec.entries, var_vec.values)],
-                   dtype=float).reshape(-1, 4)
-    slopes[slots] = gen[:, 0]
-    intercepts[slots] = gen[:, 1]
-    if np.isnan(slopes).any() or np.isnan(intercepts).any():
-        raise ValueError("variable vector does not cover the line spaces")
-    arrays = [(slopes[a:a + w], intercepts[a:a + w],
-               slopes[a + w:a + 2 * w], intercepts[a + w:a + 2 * w])
-              for a, w in zip(starts, widths)]
-    return arrays, gen[:, 2:], slots
+    theta = np.atleast_2d(var_vec.clipped(var_vec.values))
+    if var_vec.act == "relu":
+        slope, intercept = theta, np.zeros_like(theta)
+        dslope, dintercept = np.ones_like(theta), np.zeros_like(theta)
+    else:
+        f, df, d2f = ACTIVATIONS[var_vec.act]
+        # slope = f'(d), intercept = f(d) - f'(d) d
+        slope = df(theta)
+        intercept = f(theta) - slope * theta
+        dslope = d2f(theta)
+        dintercept = -dslope * theta
+    slopes = np.repeat(var_vec.slopes[None, :], len(theta), axis=0)
+    intercepts = np.repeat(var_vec.intercepts[None, :], len(theta), axis=0)
+    slopes[:, var_vec.slots] = slope
+    intercepts[:, var_vec.slots] = intercept
+    return slopes, intercepts, dslope, dintercept
+
+
+@dataclass(frozen=True)
+class RowGroups:
+    """Target rows of one layer, split into groups.
+
+    ``rows`` lists the neuron of every row, group by group, so each group's
+    rows are contiguous; ``starts`` holds each group's first row and
+    ``group`` each row's group.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    group: np.ndarray
+
+    @classmethod
+    def of(cls, groups) -> "RowGroups":
+        """From a list of neuron lists, or one flat neuron list (one group)."""
+        if isinstance(groups, cls):
+            return groups
+        groups = [np.atleast_1d(np.asarray(g, dtype=int)) for g in
+                  ([groups] if _is_flat(groups) else groups)]
+        sizes = [len(g) for g in groups]
+        if not groups or min(sizes) == 0:
+            raise ValueError("every group needs at least one neuron")
+        return cls(np.concatenate(groups), np.cumsum([0] + sizes[:-1]),
+                   np.repeat(np.arange(len(groups)), sizes))
+
+    def __len__(self):
+        return len(self.starts)
+
+    def take(self, keep: np.ndarray):
+        """The groups numbered ``keep``, and the positions of their rows
+        among these rows."""
+        ends = np.append(self.starts[1:], len(self.rows))
+        pos = np.concatenate([np.arange(self.starts[g], ends[g])
+                              for g in keep])
+        sizes = ends[keep] - self.starts[keep]
+        return (RowGroups(self.rows[pos], np.cumsum(sizes) - sizes,
+                          np.repeat(np.arange(len(keep)), sizes)), pos)
+
+
+def _is_flat(groups) -> bool:
+    """Whether ``groups`` is one flat neuron list rather than a list of
+    groups."""
+    if isinstance(groups, RowGroups):
+        return False
+    groups = list(groups)
+    return len(groups) == 0 or np.ndim(groups[0]) == 0
 
 
 def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
-                           neurons, sense: str, var_vec: VariableVector,
-                           layer_spaces):
-    """Per-neuron gamma values and the gradient of their sum.
+                           groups, sense: str, var_vec: VariableVector):
+    """Per-row gamma values and, per group, the gradient of the group's sum.
 
-    Returns (gammas, gradient, coeffs, offsets); ``coeffs``/``offsets`` are
-    the affine bounds of the batch, row-aligned with ``neurons``.
+    ``groups`` is a flat neuron list (one group) or a list of neuron lists
+    (or a RowGroups), with one row of ``var_vec.values`` per group; the
+    gradient has the shape of ``var_vec.values``.  Returns (gammas,
+    gradient, coeffs, offsets); ``coeffs``/``offsets`` are the affine bounds
+    of the rows, which run group by group.
     """
+    if sense not in relax.SIDES:
+        raise ValueError(f"sense must be 'lower' or 'upper', got {sense!r}")
     var_vec.check()
-    arrays, dgen, slots = _materialize(layer_spaces, var_vec)
-    neurons = np.atleast_1d(np.asarray(neurons, dtype=int))
-    A, c, tape = crown.backward_rows(net, k, neurons, arrays, sense,
-                                     keep_tape=True)
+    batch = RowGroups.of(groups)
+    if len(var_vec.widths) != k - 1:
+        raise ValueError(f"variables cover {len(var_vec.widths)} layers, "
+                         f"layer {k} needs {k - 1}")
+    if len(np.atleast_2d(var_vec.values)) != len(batch):
+        raise ValueError("need one row of variable values per group")
+    slopes, intercepts, dslope, dintercept = _materialize(var_vec)
+    row_s, row_t = slopes[batch.group], intercepts[batch.group]
+    starts = np.cumsum((0,) + tuple(2 * w for w in var_vec.widths))
+
+    A = net.weights[k - 1][batch.rows]
+    c = net.biases[k - 1][batch.rows]
+    tape = []
+    for v in range(k - 1, 0, -1):
+        a, w = starts[v - 1], var_vec.widths[v - 1]
+        s_pos, t_pos, s_neg, t_neg = crown.oriented(
+            (row_s[:, a:a + w], row_t[:, a:a + w],
+             row_s[:, a + w:a + 2 * w], row_t[:, a + w:a + 2 * w]), sense)
+        # each entry composes with the line its sign selects; a zero entry
+        # with neither
+        pos, neg = A > 0, A < 0
+        s_sel = np.where(pos, s_pos, np.where(neg, s_neg, 0.0))
+        t_sel = np.where(pos, t_pos, np.where(neg, t_neg, 0.0))
+        tape.append((np.maximum(A, 0.0), np.minimum(A, 0.0), s_sel, t_sel))
+        D = A * s_sel
+        c = c + (A * t_sel).sum(axis=1) + D @ net.biases[v - 1]
+        A = D @ net.weights[v - 1]
     gammas = crown.concretize_rows(A, c, spec, sense)
 
     sign = -1.0 if sense == "lower" else 1.0
     Abar = spec.x0[None, :] + sign * spec.epsilon * crown.dual_norm_grad(A, spec.q)
-
-    # adjoints of every slope and intercept in the flat line layout; the
+    # per-row adjoints of every slope and intercept in the flat layout; the
     # lines of ``sense``'s own side multiply the nonnegative row entries
-    own = relax.SIDES.index(sense)
-    sbar = np.zeros(sum(len(a[0]) for a in arrays) * 2)
-    tbar = np.zeros_like(sbar)
-    start = 0
-    for v, A_v in reversed(tape):  # tape runs k-1..1; reverse walks 1..k-1
-        Dbar = Abar @ net.weights[v - 1].T + net.biases[v - 1][None, :]
-        parts = (np.maximum(A_v, 0.0), np.minimum(A_v, 0.0))
-        w = A_v.shape[1]
-        for side in (0, 1):
-            part = parts[side != own]
-            seg = slice(start + side * w, start + (side + 1) * w)
-            sbar[seg] = (Dbar * part).sum(axis=0)
-            tbar[seg] = part.sum(axis=0)
-        start += 2 * w
-        s_pos, t_pos, s_neg, t_neg = crown.oriented(arrays[v - 1], sense)
-        s_sel = np.where(A_v > 0, s_pos, np.where(A_v < 0, s_neg, 0.0))
-        t_sel = np.where(A_v > 0, t_pos, np.where(A_v < 0, t_neg, 0.0))
+    sbar, tbar = [], []
+    for v, (Ap, An, s_sel, t_sel) in zip(range(1, k), reversed(tape)):
+        Dbar = Abar @ net.weights[v - 1].T + net.biases[v - 1]
+        parts = (Ap, An) if sense == "lower" else (An, Ap)
+        sbar.extend(Dbar * part for part in parts)
+        tbar.extend(parts)
         Abar = Dbar * s_sel + t_sel
 
-    grad = sbar[slots] * dgen[:, 0] + tbar[slots] * dgen[:, 1]
-    return gammas, grad, A, c
+    sbar = np.add.reduceat(np.concatenate(sbar, axis=1), batch.starts, axis=0)
+    tbar = np.add.reduceat(np.concatenate(tbar, axis=1), batch.starts, axis=0)
+    grad = (sbar[:, var_vec.slots] * dslope
+            + tbar[:, var_vec.slots] * dintercept)
+    return gammas, grad.reshape(np.shape(var_vec.values)), A, c
 
 
 @dataclass
 class _Best:
-    """Per-neuron best bound seen so far (each iterate is individually sound,
+    """Per-row best bound seen so far (each iterate is individually sound,
     so the pointwise best over iterates is a valid bound)."""
 
     sense: str
@@ -177,77 +277,104 @@ class _Best:
     coeffs: np.ndarray
     offsets: np.ndarray
 
-    def fold(self, gammas, coeffs, offsets):
-        better = (gammas > self.gammas) if self.sense == "lower" \
-            else (gammas < self.gammas)
+    def fold(self, pos, gammas, coeffs, offsets):
+        """Keep, at each row ``pos``, the tighter of the stored bound and
+        the given one."""
+        better = (gammas > self.gammas[pos]) if self.sense == "lower" \
+            else (gammas < self.gammas[pos])
         if better.any():
-            self.gammas = np.where(better, gammas, self.gammas)
-            self.coeffs[better] = coeffs[better]
-            self.offsets = np.where(better, offsets, self.offsets)
+            at = pos[better]
+            self.gammas[at] = gammas[better]
+            self.coeffs[at] = coeffs[better]
+            self.offsets[at] = offsets[better]
 
 
-def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, neurons,
-                    sense: str, config: OptimizerConfig, layer_spaces,
-                    rng: np.random.Generator | None = None):
+def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
+                    sense: str, config: OptimizerConfig,
+                    var_vec: VariableVector, seeds=None):
     """Projected gradient ascent (lower) / descent (upper) over the line
-    variables; never worse than the initialization, per neuron.
+    variables, one copy of them per group, all groups in one batch; never
+    worse than the initialization, per neuron.
 
-    Returns (best variable vector for the group objective, per-neuron best
-    gammas, per-neuron best affine bounds as (coeffs, offsets)).
+    ``groups`` is a list of neuron lists, or one flat neuron list for a
+    single group.  Every group starts from ``var_vec.values``; restarts draw
+    from ``default_rng(seed)`` with the group's entry of ``seeds`` (default:
+    ``config.seed`` for every group).
+
+    Returns (best variables of each group's objective, with values shaped
+    (variables,) for a flat neuron list and (groups, variables) otherwise;
+    per-row best gammas; per-row best affine bounds as (coeffs, offsets)),
+    the rows running group by group.
     """
-    neurons = np.atleast_1d(np.asarray(neurons, dtype=int))
-    rng = rng or np.random.default_rng(config.seed)
-    var_vec = collect_variables(layer_spaces)
+    flat = _is_flat(groups)
+    batch = RowGroups.of(groups)
+    n_groups = len(batch)
+    rngs = None
     sign = 1.0 if sense == "lower" else -1.0
+    everyone = np.arange(n_groups)
+    all_rows = np.arange(len(batch.rows))
 
-    def evaluate(values):
-        vv = VariableVector(var_vec.entries, values, var_vec.lo, var_vec.hi)
-        g, grad, A, c = objective_and_gradient(net, spec, k, neurons, sense,
-                                               vv, layer_spaces)
-        return g, grad, A, c
+    def evaluate(values, part, pos):
+        g, grad, A, c = objective_and_gradient(net, spec, k, part, sense,
+                                               var_vec.at(values))
+        best.fold(pos, g, A, c)
+        return sign * np.add.reduceat(g, part.starts), grad
 
-    g0, grad0, A0, c0 = evaluate(var_vec.values)
+    def keep_best(active, obj, values):
+        better = obj > best_obj[active]
+        best_obj[active[better]] = obj[better]
+        best_values[active[better]] = values[active[better]]
+
+    init = np.broadcast_to(var_vec.values, (n_groups, len(var_vec))).copy()
+    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch, sense,
+                                               var_vec.at(init))
     best = _Best(sense, g0.copy(), A0.copy(), c0.copy())
-    best_obj = sign * g0.sum()
-    best_values = var_vec.values.copy()
-    if len(var_vec) == 0:
-        return var_vec, best.gammas, (best.coeffs, best.offsets)
+    obj0 = sign * np.add.reduceat(g0, batch.starts)
+    best_obj = obj0.copy()
+    best_values = init.copy()
 
-    # normalizing the direction by its largest entry makes the travel speed
-    # independent of the objective scale (and so of the group size); the
-    # geometric decay converges the iterates instead of orbiting the optimum
+    # normalizing each group's direction by its largest entry makes the
+    # travel speed independent of the objective scale (and so of the group
+    # size); the geometric decay converges the iterates instead of orbiting
+    # the optimum
     step = config.step_size * (var_vec.hi - var_vec.lo)
     decay = 0.98
-    for run in range(config.restarts):
+    for run in range(config.restarts if len(var_vec) else 0):
         if run == 0:
-            values = var_vec.values.copy()
-            g, grad = g0, grad0
+            values, obj, grad = init.copy(), obj0, grad0
         else:
-            values = rng.uniform(var_vec.lo, var_vec.hi)
-            g, grad, A, c = evaluate(values)
-            best.fold(g, A, c)
-            if sign * g.sum() > best_obj:
-                best_obj = sign * g.sum()
-                best_values = values.copy()
-        obj_history = [sign * g.sum()]
+            # made on first use: seeding costs more than a small evaluation
+            rngs = rngs or [np.random.default_rng(seed) for seed in
+                            (seeds or [config.seed] * n_groups)]
+            values = np.stack([rng.uniform(var_vec.lo, var_vec.hi)
+                               for rng in rngs])
+            obj, grad = evaluate(values, batch, all_rows)
+            keep_best(everyone, obj, values)
+        active, part, pos = everyone, batch, all_rows
+        # running best objective per group; a group stops once it gained
+        # less than improvement_tol over 5 steps
+        history = np.empty((config.max_iters + 1, n_groups))
+        history[0] = obj
         scale = 1.0
         for it in range(config.max_iters):
-            gmax = np.abs(grad).max()
-            direction = grad / gmax if gmax > 0 else grad
-            values = var_vec.clipped(values + sign * step * scale * direction)
+            gmax = np.abs(grad).max(axis=1, keepdims=True)
+            direction = grad / np.where(gmax > 0, gmax, 1.0)
+            values[active] = var_vec.clipped(
+                values[active] + sign * step * scale * direction)
             scale *= decay
-            g, grad, A, c = evaluate(values)
-            best.fold(g, A, c)
-            obj = sign * g.sum()
-            if obj > best_obj:
-                best_obj = obj
-                best_values = values.copy()
-            obj_history.append(max(obj_history[-1], obj))
-            if (len(obj_history) > 5
-                    and obj_history[-1] - obj_history[-6] < config.improvement_tol):
-                break
-    out_vec = VariableVector(var_vec.entries, best_values, var_vec.lo, var_vec.hi)
-    return out_vec, best.gammas, (best.coeffs, best.offsets)
+            obj, grad = evaluate(values[active], part, pos)
+            keep_best(active, obj, values)
+            history[it + 1, active] = np.maximum(history[it, active], obj)
+            if it >= 4:
+                stalled = (history[it + 1, active] - history[it - 4, active]
+                           < config.improvement_tol)
+                if stalled.all():
+                    break
+                if stalled.any():
+                    active, grad = active[~stalled], grad[~stalled]
+                    part, pos = batch.take(active)
+    best_vec = var_vec.at(best_values[0] if flat else best_values)
+    return best_vec, best.gammas, (best.coeffs, best.offsets)
 
 
 def _groups(width: int, group_size: int):
@@ -260,13 +387,14 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
                     config: OptimizerConfig | None = None):
     """Layer-by-layer optimized bounds.
 
-    Each layer is processed group by group, a maximization of the summed
-    lower bounds and a separate minimization of the summed upper bounds per
-    group; the deterministic baseline bounds are folded into the per-neuron
-    best so the result weakly dominates them everywhere (the refreshed
-    intermediate intervals mean the initialization alone does not reproduce
-    the baseline bound beyond layer 2).  Refreshed bounds regenerate the
-    layer's line spaces before the next layer is processed.
+    Each layer runs two batched optimizations over all its groups: a
+    maximization of each group's summed lower bounds and a minimization of
+    each group's summed upper bounds.  The deterministic baseline bounds are
+    folded into the per-neuron best so the result weakly dominates them
+    everywhere (the refreshed intermediate intervals mean the initialization
+    alone does not reproduce the baseline bound beyond layer 2).  Refreshed
+    bounds regenerate the layer's line spaces before the next layer is
+    processed.
 
     Returns (LayerBounds, (lower AffineBounds, upper AffineBounds)) with the
     affine output bounds carrying their concretized gamma.
@@ -285,18 +413,15 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
                       *crown.backward_rows(net, k, range(width), base_arrays,
                                            sense)[:2])
                 for sense, gammas in zip(relax.SIDES, base_bounds.layer(k))]
-        for g_idx, group in enumerate(_groups(width, config.group_size)):
-            for s_idx, (sense, tgt) in enumerate(zip(relax.SIDES, best)):
-                rng = np.random.default_rng([config.seed, k, g_idx, s_idx])
-                _, gammas, (coeffs, offsets) = optimize_bounds(
-                    net, spec, k, group, sense, config, layer_spaces, rng)
-                full_g = tgt.gammas.copy()
-                full_g[group] = gammas
-                full_c = tgt.coeffs.copy()
-                full_c[group] = coeffs
-                full_o = tgt.offsets.copy()
-                full_o[group] = offsets
-                tgt.fold(full_g, full_c, full_o)
+        var_vec = collect_variables(layer_spaces)
+        groups = _groups(width, config.group_size)
+        rows = np.concatenate(groups)
+        for s_idx, (sense, tgt) in enumerate(zip(relax.SIDES, best)):
+            seeds = [[config.seed, k, g_idx, s_idx]
+                     for g_idx in range(len(groups))]
+            _, gammas, (coeffs, offsets) = optimize_bounds(
+                net, spec, k, groups, sense, config, var_vec, seeds)
+            tgt.fold(rows, gammas, coeffs, offsets)
         bestL, bestU = best
         if np.any(bestL.gammas > bestU.gammas + 1e-9):
             raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")

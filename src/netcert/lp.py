@@ -4,8 +4,9 @@ The LP for neuron i of layer k optimizes the affine row W(k)_i a(k-1) + b(k)_i
 over the input ball and the relaxed activation constraints of layers < k:
 layer equalities, bounding lines per neuron per side, and the interval rows
 l <= z <= u.  A RelaxationMenu picks the lines: crown's default line alone
-("single"), or both ends of each one-variable family ("multi").  Only p = 1
-and p = inf keep the feasible set a polyhedron; p = 2 is rejected.
+("single"), or both ends of each one-variable family and the default line
+("multi").  Only p = 1 and p = inf keep the feasible set a polyhedron; p = 2
+is rejected.
 
 Two propagation modes exist: the baseline recursively feeds each layer's LP
 optima into the next layer's constraints, while shared-lines mode imports the
@@ -57,8 +58,8 @@ class RelaxationMenu:
 
     "single" takes crown's default line per neuron and side; "multi" takes
     both ends of every one-variable family (ReLU lower slopes 0 and 1, the
-    extreme tangents).  A fixed space gives its one line under either
-    choice.
+    extreme tangents) and crown's default line, so its LP has every row of
+    the single LP.  A fixed space gives its one line under either choice.
     """
 
     lines: str = "multi"
@@ -82,7 +83,8 @@ class RelaxationMenu:
         elif self.lines == "single":
             lines = [crown.default_line(space)]
         else:
-            lines = [space.line_at(space.var_lo), space.line_at(space.var_hi)]
+            lines = [space.line_at(space.var_lo), space.line_at(space.var_hi),
+                     crown.default_line(space)]
         dedup = []
         for line in lines:
             if not any(abs(line.slope - o.slope) < 1e-15

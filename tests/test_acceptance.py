@@ -231,10 +231,9 @@ def test_criterion_6_gradients_match_finite_differences():
                 vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                                    vv.hi - 0.1 * (vv.hi - vv.lo))
                 sense = ("lower", "upper")[points % 2]
-                vvt = frown.VariableVector(vv.entries, vals.copy(),
-                                           vv.lo, vv.hi)
+                vvt = vv.at(vals.copy())
                 _, grad, _, _ = frown.objective_and_gradient(
-                    net, spec, 3, [0], sense, vvt, spaces)
+                    net, spec, 3, [0], sense, vvt)
                 points += 1
                 for e in range(len(vv)):
                     vp, vm = vals.copy(), vals.copy()
@@ -242,12 +241,10 @@ def test_criterion_6_gradients_match_finite_differences():
                     vm[e] -= h
                     gp = frown.objective_and_gradient(
                         net, spec, 3, [0], sense,
-                        frown.VariableVector(vv.entries, vp, vv.lo, vv.hi),
-                        spaces)[0][0]
+                        vv.at(vp))[0][0]
                     gm = frown.objective_and_gradient(
                         net, spec, 3, [0], sense,
-                        frown.VariableVector(vv.entries, vm, vv.lo, vv.hi),
-                        spaces)[0][0]
+                        vv.at(vm))[0][0]
                     fd = (gp - gm) / (2 * h)
                     worst = max(worst,
                                 abs(grad[e] - fd) / max(abs(fd), 1e-8))

@@ -191,3 +191,45 @@ def test_bench_partial_failure_recorded(tmp_path):
     assert run(["bench", str(cfg), "--out-dir", str(out_dir)]) == 0
     doc = json.load(open(out_dir / "bench.json"))
     assert "error" in doc["cells"][0]
+
+
+def toy_bench_doc(**changes):
+    doc = {"networks": [data_path("toy_relu.json")],
+           "samples": [data_path("toy_sample.json")],
+           "methods": ["crown"], "rel_tol": 1e-2, "cap": 2.0}
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes", [
+    {"methods": None},                 # a required key missing
+    {"norm": ["1"]},                   # once ignored, leaving p = inf
+    {"methods": ["crown", "crwn"]},
+    {"methods": []},
+    {"lp_lines": "both"},
+    {"norms": ["3"]},
+], ids=["missing-methods", "unknown-key", "unknown-method", "no-methods",
+        "bad-lp-lines", "bad-norm"])
+def test_bench_rejects_malformed_config(tmp_path, capsys, changes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(toy_bench_doc(**changes)))
+    out_dir = tmp_path / "out"
+    assert run(["bench", str(cfg), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_bench_bad_frown_settings_fail_only_frown_cells(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(toy_bench_doc(methods=["crown", "frown"],
+                                            frown={"iterations": 5})))
+    out_dir = tmp_path / "out"
+    assert run(["bench", str(cfg), "--out-dir", str(out_dir)]) == 0
+    cells = {c["method"]: c for c in
+             json.load(open(out_dir / "bench.json"))["cells"]}
+    assert "error" not in cells["crown"]
+    assert "iterations" in cells["frown"]["error"]

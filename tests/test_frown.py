@@ -31,9 +31,9 @@ def test_toy_closed_form_objective():
     vv = frown.collect_variables(spaces)
     assert len(vv) == 1 and vv.values[0] == 1.0
     for s in (0.2, 0.5, 0.9):
-        vv2 = frown.VariableVector(vv.entries, np.array([s]), vv.lo, vv.hi)
+        vv2 = vv.at(np.array([s]))
         g, grad, _, _ = frown.objective_and_gradient(
-            net, spec, 2, [0], "lower", vv2, spaces)
+            net, spec, 2, [0], "lower", vv2)
         assert g[0] == pytest.approx(-spec.epsilon * s)
         assert grad[0] == pytest.approx(-spec.epsilon)
 
@@ -41,9 +41,9 @@ def test_toy_closed_form_objective():
 def test_variable_outside_interval_rejected():
     net, spec, spaces = toy_setup()
     vv = frown.collect_variables(spaces)
-    bad = frown.VariableVector(vv.entries, np.array([1.5]), vv.lo, vv.hi)
+    bad = vv.at(np.array([1.5]))
     with pytest.raises(ValueError):
-        frown.objective_and_gradient(net, spec, 2, [0], "lower", bad, spaces)
+        frown.objective_and_gradient(net, spec, 2, [0], "lower", bad)
 
 
 def test_no_variables_matches_baseline():
@@ -55,7 +55,7 @@ def test_no_variables_matches_baseline():
     vv = frown.collect_variables(spaces)
     assert len(vv) == 0
     g, grad, _, _ = frown.objective_and_gradient(
-        net, spec, net.m, [0], "lower", vv, spaces)
+        net, spec, net.m, [0], "lower", vv)
     assert grad.shape == (0,)
     assert g[0] == pytest.approx(bounds.output_lower[0])
 
@@ -74,24 +74,72 @@ def test_gradient_matches_central_differences(act, p):
         vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                            vv.hi - 0.1 * (vv.hi - vv.lo))
         for sense in ("lower", "upper"):
-            vvt = frown.VariableVector(vv.entries, vals.copy(), vv.lo, vv.hi)
+            vvt = vv.at(vals.copy())
             g, grad, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [0, 1], sense, vvt, spaces)
+                net, spec, 3, [0, 1], sense, vvt)
             for e in range(len(vv)):
                 vp, vm = vals.copy(), vals.copy()
                 vp[e] += h
                 vm[e] -= h
                 gp = frown.objective_and_gradient(
                     net, spec, 3, [0, 1], sense,
-                    frown.VariableVector(vv.entries, vp, vv.lo, vv.hi),
-                    spaces)[0].sum()
+                    vv.at(vp))[0].sum()
                 gm = frown.objective_and_gradient(
                     net, spec, 3, [0, 1], sense,
-                    frown.VariableVector(vv.entries, vm, vv.lo, vv.hi),
-                    spaces)[0].sum()
+                    vv.at(vm))[0].sum()
                 fd = (gp - gm) / (2 * h)
                 assert abs(grad[e] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
                     act, p, sense, e)
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_materialize_matches_line_space_per_variable(act):
+    net = generate_random_network(7, [4, 6, 5, 3], act, scale=1.0)
+    spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
+    bounds, _ = crown.propagate(net, spec)
+    spaces = spaces_for(net, bounds, 3)
+    vv = frown.collect_variables(spaces)
+    assert len(vv) > 0
+    rng = np.random.default_rng(3)
+    values = np.vstack([vv.lo, vv.hi, rng.uniform(vv.lo, vv.hi, (4, len(vv)))])
+    slopes, intercepts, dslope, dintercept = frown._materialize(vv.at(values))
+    flat = [sp for layer in spaces for side in layer for sp in side]
+    for g, row in enumerate(values):
+        for e, (entry, theta) in enumerate(zip(vv.entries, row)):
+            expected = entry.space.line_and_grad_at(float(theta))
+            got = (slopes[g, vv.slots[e]], intercepts[g, vv.slots[e]],
+                   dslope[g, e], dintercept[g, e])
+            assert got == expected, (g, e)
+        for slot, sp in enumerate(flat):
+            if sp.kind == "fixed":
+                assert (slopes[g, slot], intercepts[g, slot]) == (
+                    sp.fixed_line.slope, sp.fixed_line.intercept)
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_batched_groups_match_one_group_at_a_time(act, p):
+    net = generate_random_network(31, [4, 6, 5, 6, 3], act, scale=1.2)
+    spec = PerturbationSpec(np.full(4, 0.05), p, 0.3)
+    bounds, _ = crown.propagate(net, spec)
+    vv = frown.collect_variables(spaces_for(net, bounds, 3))
+    for group_size in (1, 3, 6):
+        groups = frown._groups(6, group_size)
+        for restarts in (1, 3):
+            config = frown.OptimizerConfig(max_iters=20, restarts=restarts)
+            for sense in ("lower", "upper"):
+                seeds = [[9, g] for g in range(len(groups))]
+                batch_vec, batch, (batch_c, batch_o) = frown.optimize_bounds(
+                    net, spec, 3, groups, sense, config, vv, seeds)
+                assert batch_vec.values.shape == (len(groups), len(vv))
+                for g, (group, seed) in enumerate(zip(groups, seeds)):
+                    _, one, (one_c, one_o) = frown.optimize_bounds(
+                        net, spec, 3, group, sense, config, vv, [seed])
+                    for got, want in ((batch[group], one),
+                                      (batch_c[group], one_c),
+                                      (batch_o[group], one_o)):
+                        assert np.allclose(got, want, rtol=1e-9, atol=0), (
+                            group_size, restarts, sense, g)
 
 
 # --- optimize_bounds -------------------------------------------------------------
@@ -102,7 +150,8 @@ def test_toy_recovers_flat_lower_line():
     grid = np.linspace(0, 1, 1001)
     assert (-spec.epsilon * grid).max() == 0.0
     _, best, _ = frown.optimize_bounds(
-        net, spec, 2, [0], "lower", frown.OptimizerConfig(), spaces)
+        net, spec, 2, [0], "lower", frown.OptimizerConfig(),
+        frown.collect_variables(spaces))
     assert best[0] == pytest.approx(0.0, abs=1e-3)
 
 
@@ -116,10 +165,10 @@ def test_best_iterate_never_worse_than_init():
         vv = frown.collect_variables(spaces)
         for sense in ("lower", "upper"):
             g0, _, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [0, 1, 2], sense, vv, spaces)
+                net, spec, 3, [0, 1, 2], sense, vv)
             _, best, _ = frown.optimize_bounds(
                 net, spec, 3, [0, 1, 2], sense,
-                frown.OptimizerConfig(max_iters=40), spaces)
+                frown.OptimizerConfig(max_iters=40), vv)
             if sense == "lower":
                 assert np.all(best >= g0 - 1e-12)
             else:
@@ -130,13 +179,13 @@ def test_restarts_only_help():
     net = generate_random_network(21, [4, 6, 6, 6, 3], "sigmoid", scale=1.2)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.4)
     bounds, _ = crown.propagate(net, spec)
-    spaces = spaces_for(net, bounds, 4)
+    vv = frown.collect_variables(spaces_for(net, bounds, 4))
     one = frown.optimize_bounds(
         net, spec, 4, [0], "lower",
-        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), spaces)[1]
+        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)[1]
     three = frown.optimize_bounds(
         net, spec, 4, [0], "lower",
-        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), spaces)[1]
+        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)[1]
     assert three[0] >= one[0] - 1e-12
 
 
@@ -147,7 +196,7 @@ def test_iterates_stay_in_box_and_lines_valid():
     spaces = spaces_for(net, bounds, 3)
     out_vec, _, _ = frown.optimize_bounds(
         net, spec, 3, [0], "lower", frown.OptimizerConfig(max_iters=50),
-        spaces)
+        frown.collect_variables(spaces))
     out_vec.check()
     for entry, theta in zip(out_vec.entries, out_vec.values):
         sp = entry.space

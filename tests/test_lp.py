@@ -84,7 +84,8 @@ def test_menu_lines_per_space():
     tangent = relax.line_space("tanh", "lower", -2.0, 2.0)
     assert single.lines_for(tangent) == [crown.default_line(tangent)]
     assert multi.lines_for(tangent) == [tangent.line_at(tangent.var_lo),
-                                        tangent.line_at(tangent.var_hi)]
+                                        tangent.line_at(tangent.var_hi),
+                                        crown.default_line(tangent)]
     fixed = relax.line_space("sigmoid", "upper", -8.0, 0.1)
     for menu in (single, multi):
         assert menu.lines_for(fixed) == [fixed.fixed_line]
