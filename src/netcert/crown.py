@@ -12,7 +12,7 @@ the ball follows from the dual norm:
 Layer-1 bounds are exact (the first layer is affine in the input); bounds
 for k = 2..m come from the backward pass using the lines of layers < k.
 Each layer gets one set of lines, the default member of every line family
-(``default_line``), chosen from its bounds and shared by every later layer;
+(``default_lines``), chosen from its bounds and shared by every later layer;
 frown tunes the same families and lp reads the same lines.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import Network, PerturbationSpec, check_input
 from . import relax
-from .relax import Line, LineSpace
+from .relax import Line, LineSpace, LineSpaces
 
 #: elementwise slack allowed when asserting lower <= upper (float noise only)
 _BOUND_ORDER_SLACK = 1e-9
@@ -123,37 +123,37 @@ class LayerBounds:
         return self.upper[-1]
 
 
-def default_variable(space: LineSpace) -> float | None:
-    """Deterministic baseline pick for a one-variable line space.
+def default_variables(spaces: LineSpaces) -> np.ndarray:
+    """Deterministic baseline pick of every one-variable space of a record.
 
     ReLU crossing intervals take slope 1 when u >= |l| (ties included) and 0
     otherwise; tangent families start at the midpoint of the admissible
-    range.  Fixed spaces return None.
+    range.  Fixed spaces get NaN.
     """
-    if space.kind == "fixed":
-        return None
-    if space.generator == "relu-slope":
-        return 1.0 if space.u >= -space.l else 0.0
-    return 0.5 * (space.var_lo + space.var_hi)
+    if spaces.generator == "relu-slope":
+        theta = np.where(spaces.u >= -spaces.l, 1.0, 0.0)
+    else:
+        theta = 0.5 * (spaces.var_lo + spaces.var_hi)
+    return np.where(spaces.family, theta, np.nan)
+
+
+def default_lines(spaces: LineSpaces):
+    """The baseline line of every space of a record, as (slopes,
+    intercepts): its fixed line, or the family member at
+    ``default_variables``."""
+    return spaces.members(default_variables(spaces))
 
 
 def default_line(space: LineSpace) -> Line:
-    """The baseline line of a space: its fixed line, or the family member
-    at ``default_variable``."""
-    if space.kind == "fixed":
-        return space.fixed_line
-    return space.line_at(default_variable(space))
-
-
-def _side_arrays(spaces):
-    lines = [default_line(sp) for sp in spaces]
-    return (np.array([ln.slope for ln in lines], dtype=float),
-            np.array([ln.intercept for ln in lines], dtype=float))
+    """The baseline line of one space."""
+    s, t = default_lines(space.one())
+    return Line(float(s[0]), float(t[0]))
 
 
 def choose_layer_lines(spaces_lower, spaces_upper) -> LayerLines:
     """One layer's baseline lines, from its lower- and upper-side spaces."""
-    return LayerLines(*_side_arrays(spaces_lower), *_side_arrays(spaces_upper))
+    return LayerLines(*default_lines(spaces_lower),
+                      *default_lines(spaces_upper))
 
 
 def layer1_bounds(net: Network, spec: PerturbationSpec):
@@ -173,14 +173,11 @@ def oriented(line_arrays, sense: str):
     return (sl, tl, su, tu) if sense == "lower" else (su, tu, sl, tl)
 
 
-def backward_rows(net: Network, k: int, rows, line_arrays, sense: str,
-                  keep_tape: bool = False):
+def backward_rows(net: Network, k: int, rows, line_arrays, sense: str):
     """Backward pass for a batch of target rows of layer k.
 
     ``line_arrays[v-1]`` holds (slope_lower, intercept_lower, slope_upper,
-    intercept_upper) for layer v.  Returns (coeffs g x n, offsets g, tape);
-    the tape lists (v, running row matrix before unwrapping layer v), used
-    for reverse-mode gradients.
+    intercept_upper) for layer v.  Returns (coeffs g x n, offsets g).
     """
     if sense not in relax.SIDES:
         raise ValueError(f"sense must be 'lower' or 'upper', got {sense!r}")
@@ -189,18 +186,15 @@ def backward_rows(net: Network, k: int, rows, line_arrays, sense: str,
     rows = np.atleast_1d(np.asarray(rows, dtype=int))
     A = np.array(net.weights[k - 1][rows, :])
     c = np.array(net.biases[k - 1][rows])
-    tape = [] if keep_tape else None
     for v in range(k - 1, 0, -1):
         s_pos, t_pos, s_neg, t_neg = oriented(line_arrays[v - 1], sense)
-        if keep_tape:
-            tape.append((v, A))
         Ap = np.maximum(A, 0.0)
         An = np.minimum(A, 0.0)
         c = c + Ap @ t_pos + An @ t_neg
         D = Ap * s_pos + An * s_neg
         c = c + D @ net.biases[v - 1]
         A = D @ net.weights[v - 1]
-    return A, c, tape
+    return A, c
 
 
 def concretize_rows(coeffs: np.ndarray, offsets: np.ndarray,
@@ -214,7 +208,7 @@ def backward_bound(net: Network, k: int, i: int, lines: LineSet,
                    sense: str) -> AffineBound:
     """Affine bound (coeffs, offset) on z(k)_i in terms of the raw input."""
     arrays = [ll.arrays() for ll in lines.layers[:k - 1]]
-    A, c, _ = backward_rows(net, k, [i], arrays, sense)
+    A, c = backward_rows(net, k, [i], arrays, sense)
     return AffineBound(A[0], float(c[0]), sense)
 
 
@@ -242,7 +236,7 @@ def propagate(net: Network, spec: PerturbationSpec):
         arrays = [ll.arrays() for ll in layers]
         rows = range(net.layer_width(k))
         gl, gu = (concretize_rows(*backward_rows(net, k, rows, arrays,
-                                                 sense)[:2], spec, sense)
+                                                 sense), spec, sense)
                   for sense in relax.SIDES)
         _check_order(gl, gu, k)
         lows.append(np.minimum(gl, gu))

@@ -7,7 +7,7 @@ the sum of its lower bounds (or minimizes the sum of its upper bounds) over
 its own copy of the variables: the values form a (groups, variables) array.
 One evaluation serves every group of the batch:
 
-  lines     each group's slopes and intercepts, with one array call each of
+  lines     each group's slopes and intercepts, with one array evaluation of
             f, f' and f'' for all tangent generators
   forward   the backward recursion over all target rows at once, each row
             composing with the lines of its own group
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crown, relax
-from .model import ACTIVATIONS, Network, PerturbationSpec
+from .model import Network, PerturbationSpec
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,11 @@ class VariableVector:
     then the upper-side lines of every neuron; ``slopes``/``intercepts``
     hold the fixed lines there and ``slots`` the place of each variable's
     line.  Every variable of a ReLU net is a slope through the origin and
-    every variable of a sigmoid/tanh net a tangency abscissa.
+    every variable of a sigmoid/tanh net a tangency abscissa.  ``spaces``
+    holds the (lower, upper) LineSpaces of each layer.
     """
 
-    entries: tuple
+    spaces: tuple
     values: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -92,7 +93,15 @@ class VariableVector:
     intercepts: np.ndarray
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.slots)
+
+    @property
+    def entries(self) -> tuple:
+        """One VarEntry per variable, in slot order."""
+        return tuple(VarEntry(v, int(j), side, records[j])
+                     for v, layer in enumerate(self.spaces, start=1)
+                     for side, records in zip(relax.SIDES, layer)
+                     for j in np.flatnonzero(records.family))
 
     def at(self, values) -> "VariableVector":
         """The same variables at other values."""
@@ -108,28 +117,26 @@ class VariableVector:
 
 
 def collect_variables(layer_spaces) -> VariableVector:
-    """Gather the one-variable spaces of ``layer_spaces`` (layers 1..k-1),
-    initialized at the deterministic baseline choice."""
-    flat = [(v, side, j, sp)
-            for v, spaces in enumerate(layer_spaces, start=1)
-            for side, side_spaces in zip(relax.SIDES, spaces)
-            for j, sp in enumerate(side_spaces)]
-    slots = [i for i, (*_, sp) in enumerate(flat) if sp.kind == "one-variable"]
-    entries = tuple(VarEntry(v, j, side, sp)
-                    for v, side, j, sp in (flat[i] for i in slots))
-    fixed = [sp.fixed_line if sp.kind == "fixed" else relax.Line(0.0, 0.0)
-             for *_, sp in flat]
+    """Gather the one-variable spaces of ``layer_spaces`` (the (lower,
+    upper) LineSpaces of layers 1..k-1), initialized at the deterministic
+    baseline choice."""
+    records = [rec for layer in layer_spaces for rec in layer]
+
+    def flat(field):
+        return np.concatenate([field(rec) for rec in records]) if records \
+            else np.zeros(0)
+
+    slots = np.flatnonzero(flat(lambda rec: rec.family))
     return VariableVector(
-        entries,
-        np.array([crown.default_variable(e.space) for e in entries],
-                 dtype=float),
-        np.array([e.space.var_lo for e in entries], dtype=float),
-        np.array([e.space.var_hi for e in entries], dtype=float),
-        flat[0][3].act if flat else "relu",
-        tuple(len(spaces[0]) for spaces in layer_spaces),
-        np.array(slots, dtype=int),
-        np.array([ln.slope for ln in fixed], dtype=float),
-        np.array([ln.intercept for ln in fixed], dtype=float))
+        tuple(layer_spaces),
+        flat(crown.default_variables)[slots],
+        flat(lambda rec: rec.var_lo)[slots],
+        flat(lambda rec: rec.var_hi)[slots],
+        records[0].act if records else "relu",
+        tuple(len(layer[0]) for layer in layer_spaces),
+        slots,
+        flat(lambda rec: rec.slope),
+        flat(lambda rec: rec.intercept))
 
 
 def _materialize(var_vec: VariableVector):
@@ -140,16 +147,8 @@ def _materialize(var_vec: VariableVector):
     (groups, variables); one-dimensional values count as one group.
     """
     theta = np.atleast_2d(var_vec.clipped(var_vec.values))
-    if var_vec.act == "relu":
-        slope, intercept = theta, np.zeros_like(theta)
-        dslope, dintercept = np.ones_like(theta), np.zeros_like(theta)
-    else:
-        f, df, d2f = ACTIVATIONS[var_vec.act]
-        # slope = f'(d), intercept = f(d) - f'(d) d
-        slope = df(theta)
-        intercept = f(theta) - slope * theta
-        dslope = d2f(theta)
-        dintercept = -dslope * theta
+    slope, intercept, dslope, dintercept = relax.family_lines(
+        var_vec.act, theta, grads=True)
     slopes = np.repeat(var_vec.slopes[None, :], len(theta), axis=0)
     intercepts = np.repeat(var_vec.intercepts[None, :], len(theta), axis=0)
     slopes[:, var_vec.slots] = slope
@@ -411,7 +410,7 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
         base_arrays = [ll.arrays() for ll in base_lines.layers[:k - 1]]
         best = [_Best(sense, gammas.copy(),
                       *crown.backward_rows(net, k, range(width), base_arrays,
-                                           sense)[:2])
+                                           sense))
                 for sense, gammas in zip(relax.SIDES, base_bounds.layer(k))]
         var_vec = collect_variables(layer_spaces)
         groups = _groups(width, config.group_size)

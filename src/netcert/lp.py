@@ -23,7 +23,7 @@ import numpy as np
 
 from . import crown, relax, simplex
 from .model import Network, PerturbationSpec, ball_rows, check_input
-from .relax import Line, LineSpace
+from .relax import Line, LineSpace, LineSpaces
 
 #: slack for the primal-certificate recheck after a solve
 CERT_TOL = 1e-7
@@ -77,35 +77,58 @@ class RelaxationMenu:
     def multi(cls) -> "RelaxationMenu":
         return cls("multi")
 
+    def layer_lines(self, spaces: LineSpaces):
+        """Every neuron's menu lines for one side of a layer, as (slopes,
+        intercepts, keep), each shaped (neurons, candidates): a neuron's
+        lines are its kept candidates, in order.
+
+        A candidate within 1e-15 of a kept earlier one is dropped, and every
+        kept line is checked on a 101-point grid of its interval.
+        """
+        candidates = [crown.default_lines(spaces)]
+        if self.lines == "multi":
+            candidates[:0] = [spaces.lines_at(spaces.var_lo),
+                              spaces.lines_at(spaces.var_hi)]
+        slopes = np.stack([c[0] for c in candidates], axis=1)
+        intercepts = np.stack([c[1] for c in candidates], axis=1)
+        keep = np.ones(slopes.shape, dtype=bool)
+        for c in range(1, len(candidates)):
+            for o in range(c):
+                keep[:, c] &= ~(keep[:, o]
+                                & (np.abs(slopes[:, c] - slopes[:, o]) < 1e-15)
+                                & (np.abs(intercepts[:, c] - intercepts[:, o])
+                                   < 1e-15))
+        neuron = np.nonzero(keep)[0]
+        valid = relax.validate_line(
+            spaces.act, spaces.side, spaces.l[neuron], spaces.u[neuron],
+            Line(slopes[keep], intercepts[keep]), grid_size=101)
+        if not valid.all():
+            j = neuron[np.argmin(valid)]
+            raise RuntimeError(
+                f"menu produced an invalid {spaces.side} line for "
+                f"{spaces.act} on [{spaces.l[j]}, {spaces.u[j]}]")
+        return slopes, intercepts, keep
+
     def lines_for(self, space: LineSpace) -> list:
-        if space.kind == "fixed":
-            lines = [space.fixed_line]
-        elif self.lines == "single":
-            lines = [crown.default_line(space)]
-        else:
-            lines = [space.line_at(space.var_lo), space.line_at(space.var_hi),
-                     crown.default_line(space)]
-        dedup = []
-        for line in lines:
-            if not any(abs(line.slope - o.slope) < 1e-15
-                       and abs(line.intercept - o.intercept) < 1e-15
-                       for o in dedup):
-                dedup.append(line)
-        for line in dedup:
-            if not relax.validate_line(space.act, space.side, space.l, space.u,
-                                       line, grid_size=101):
-                raise RuntimeError(
-                    f"menu produced an invalid {space.side} line for "
-                    f"{space.act} on [{space.l}, {space.u}]")
-        return dedup
+        """One space's menu lines."""
+        slopes, intercepts, keep = self.layer_lines(space.one())
+        return [Line(float(s), float(t))
+                for s, t in zip(slopes[0, keep[0]], intercepts[0, keep[0]])]
 
 
 def _layer_lines_from_menu(act, lower, upper, menu):
-    """Per neuron: (list of lower Lines, list of upper Lines)."""
-    return [tuple(menu.lines_for(relax.line_space(act, side, float(l),
-                                                  float(u)))
-                  for side in relax.SIDES)
-            for l, u in zip(lower, upper)]
+    """One layer's (lower, upper) menu lines, each as
+    ``RelaxationMenu.layer_lines`` gives them."""
+    return tuple(menu.layer_lines(spaces)
+                 for spaces in relax.layer_line_spaces(act, lower, upper))
+
+
+def _one_line_each(line_arrays):
+    """A layer's (lower, upper) lines in menu form, from its LayerLines
+    arrays."""
+    sl, tl, su, tu = line_arrays
+    return tuple((s[:, None], t[:, None], np.ones((len(s), 1), dtype=bool))
+                 for s, t in ((sl, tl), (su, tu)))
 
 
 class _VarMap:
@@ -174,13 +197,15 @@ def _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer):
     for v in range(1, k):
         low_v, up_v = bounds.layer(v)
         for j in range(net.layer_width(v)):
-            for sign, lines in zip((1.0, -1.0), lines_per_layer[v - 1][j]):
-                for line in lines:
+            for sign, (slopes, intercepts, keep) in zip(
+                    (1.0, -1.0), lines_per_layer[v - 1]):
+                for slope, intercept in zip(slopes[j, keep[j]],
+                                            intercepts[j, keep[j]]):
                     row = new_row()
-                    row[vm.z(v, j)] = sign * line.slope
+                    row[vm.z(v, j)] = sign * slope
                     row[vm.a(v, j)] = -sign
                     ub_rows.append(row)
-                    ub_rhs.append(-sign * line.intercept)
+                    ub_rhs.append(-sign * intercept)
             for sign, bound in ((1.0, up_v[j]), (-1.0, low_v[j])):
                 row = new_row()          # z <= u, then -z <= -l
                 row[vm.z(v, j)] = sign
@@ -260,10 +285,7 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     bounds = crown.LayerBounds([low1], [up1])
     if mode == "shared-lines":
         ref_bounds, ref_lines = crown.propagate(net, spec)
-        shared = [[([Line(sl[j], tl[j])], [Line(su[j], tu[j])])
-                   for j in range(len(sl))]
-                  for sl, tl, su, tu in (ll.arrays()
-                                         for ll in ref_lines.layers)]
+        shared = [_one_line_each(ll.arrays()) for ll in ref_lines.layers]
 
         def problem(k, i, sense):
             return _build_with_lines(net, spec, k, i, sense, ref_bounds, shared)

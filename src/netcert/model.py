@@ -66,11 +66,38 @@ def tanh_deriv2(z):
     return -2.0 * t * (1.0 - t * t)
 
 
+def relu_jet(z, order=2):
+    if order == 1:
+        return relu(z), relu_deriv(z)
+    return relu(z), relu_deriv(z), relu_deriv2(z)
+
+
+def sigmoid_jet(z, order=2):
+    s = sigmoid(z)
+    d1 = s * (1.0 - s)
+    return (s, d1) if order == 1 else (s, d1, d1 * (1.0 - 2.0 * s))
+
+
+def tanh_jet(z, order=2):
+    t = tanh(z)
+    d1 = 1.0 - t * t
+    return (t, d1) if order == 1 else (t, d1, -2.0 * t * d1)
+
+
 #: activation name -> (function, first derivative, second derivative)
 ACTIVATIONS = {
     "relu": (relu, relu_deriv, relu_deriv2),
     "sigmoid": (sigmoid, sigmoid_deriv, sigmoid_deriv2),
     "tanh": (tanh, tanh_deriv, tanh_deriv2),
+}
+
+#: activation name -> jet(z, order): the function and its first ``order``
+#: derivatives (order 1 or 2) from one evaluation of the activation, with the
+#: same bits as the separate functions above
+ACTIVATION_JETS = {
+    "relu": relu_jet,
+    "sigmoid": sigmoid_jet,
+    "tanh": tanh_jet,
 }
 
 

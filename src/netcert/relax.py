@@ -18,16 +18,23 @@ tangent clears the opposite endpoint:
 l_d / u_d are the tangency abscissas of the tangent passing through the left
 / right endpoint; they live on the opposite side of the inflection point from
 their anchor.
+
+A layer's families are one record of arrays per side (``LineSpaces``): the
+case of every neuron, whether it is a family or a fixed line, the family's
+admissible range and the fixed line.  ``layer_line_spaces`` builds both
+records of a layer with array code, and solves every anchored tangent of the
+layer (case1 and case3 alike) in one batched bisection.  The per-neuron API
+(``line_space``, ``LineSpace``, ``chord``, ``tangent_point_through``) is a
+one-element view of the same array code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ACTIVATIONS
+from .model import ACTIVATION_JETS, ACTIVATIONS
 
 #: intervals narrower than this use the midpoint-tangent degenerate rule
 #: (the chord slope divides by u - l)
@@ -43,6 +50,12 @@ TANGENT_BISECTIONS = 40
 
 #: the two sides of a bounding-line pair, in the order every layer lists them
 SIDES = ("lower", "upper")
+
+#: case tags, indexed by ``LineSpaces.case``
+CASE_TAGS = ("degenerate", "l<u<=0", "l<0<u", "0<=l<u",
+             "case1", "case2", "case3", "case4")
+_DEGENERATE, _NEGATIVE, _CROSSING, _POSITIVE = 0, 1, 2, 3
+_CASE1, _CASE2, _CASE3, _CASE4 = 4, 5, 6, 7
 
 
 class TangentUndefinedError(RuntimeError):
@@ -65,37 +78,151 @@ def _funcs(act: str):
         raise ValueError(f"unknown activation {act!r}") from None
 
 
+def _jet(act: str):
+    _funcs(act)
+    return ACTIVATION_JETS[act]
+
+
+def _intervals(lower, upper):
+    """The intervals as two float arrays; rejects non-finite or inverted
+    ones."""
+    l = np.atleast_1d(np.asarray(lower, dtype=float))
+    u = np.atleast_1d(np.asarray(upper, dtype=float))
+    if l.shape != u.shape:
+        raise ValueError(f"{l.shape[0]} lower but {u.shape[0]} upper bounds")
+    bad = ~(np.isfinite(l) & np.isfinite(u) & (l <= u))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"bad interval [{l[j]}, {u[j]}]")
+    return l, u
+
+
+def tangent_lines(act: str, d):
+    """Tangents to the activation at abscissas d, as (slopes, intercepts)."""
+    fd, dfd = _jet(act)(d, 1)
+    return dfd, fd - dfd * d
+
+
 def tangent_line(act: str, d: float) -> Line:
     """Tangent to the activation at abscissa d."""
-    f, df, _ = _funcs(act)
-    s = float(df(d))
-    return Line(s, float(f(d)) - s * d)
+    s, t = tangent_lines(act, np.array([d], dtype=float))
+    return Line(float(s[0]), float(t[0]))
+
+
+def family_lines(act: str, theta, grads: bool = False):
+    """Members of the one-variable families at variables ``theta``.
+
+    ReLU families are lower lines of slope theta through the origin; the
+    sigmoid/tanh families are tangents at abscissa theta.  Returns (slopes,
+    intercepts), and with ``grads`` also their derivatives in theta.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if act == "relu":
+        zero = np.zeros_like(theta)
+        return (theta, zero, np.ones_like(theta), zero) if grads \
+            else (theta, zero)
+    # slope = f'(d), intercept = f(d) - f'(d) d
+    if not grads:
+        return tangent_lines(act, theta)
+    f, df, d2f = _jet(act)(theta)
+    return df, f - df * theta, d2f, -d2f * theta
+
+
+def _chord_lines(act, l, u, fl, fu, degenerate):
+    """Secants through (l, f(l)) and (u, f(u)), or the midpoint tangent
+    where ``degenerate``."""
+    if not degenerate.any():
+        s = (fu - fl) / (u - l)
+        return s, fl - s * l
+    s = (fu - fl) / np.where(degenerate, 1.0, u - l)
+    ms, mt = tangent_lines(act, 0.5 * (l + u))
+    return np.where(degenerate, ms, s), np.where(degenerate, mt, fl - s * l)
 
 
 def chord(act: str, l: float, u: float) -> Line:
     """Secant through (l, f(l)) and (u, f(u)); midpoint tangent if degenerate."""
-    if not (np.isfinite(l) and np.isfinite(u) and l <= u):
-        raise ValueError(f"bad interval [{l}, {u}]")
-    if u - l <= DEGENERATE_WIDTH:
-        return tangent_line(act, 0.5 * (l + u))
+    l, u = _intervals(l, u)
     f = _funcs(act)[0]
-    s0 = (float(f(u)) - float(f(l))) / (u - l)
-    return Line(s0, float(f(l)) - s0 * l)
+    s, t = _chord_lines(act, l, u, f(l), f(u), u - l <= DEGENERATE_WIDTH)
+    return Line(float(s[0]), float(t[0]))
 
 
-def _anchored_gap(act: str, e: float):
-    """g(d) = f'(d)(e - d) + f(d) - f(e): tangent-at-d value at e, minus f(e).
+def tangent_points_through(act: str, l, u, left):
+    """Abscissas d of the tangents through one endpoint of each interval.
 
-    g is nondecreasing in d on each side of the inflection point, since
-    g'(d) = f''(d)(e - d).
+    Where ``left`` is set the tangent passes through (l, f(l)) and d >= 0
+    (requires l < 0); elsewhere it passes through (u, f(u)) and d <= 0
+    (requires u > 0).  d solves g(d) = 0 for the gap
+
+        g(d) = f'(d)(e - d) + f(d) - f(e),    e the anchored endpoint,
+
+    the tangent-at-d value at e minus f(e), which is nondecreasing in d on
+    each side of the inflection point (g'(d) = f''(d)(e - d)).  Raises
+    TangentUndefinedError when an anchored endpoint does not sit strictly on
+    the other side of the inflection point, which happens when both
+    endpoints share a side.
+
+    All intervals are solved in one bisection.  Its bracket starts at the
+    inflection point and the other endpoint when that endpoint already is on
+    the valid side (g >= 0 for a left anchor, g <= 0 for a right one: the
+    case1/case3 test), so on intervals so narrow that rounding decides the
+    sign of g the result still stays inside [l, u].  Otherwise the far end
+    starts at +-1 (or the endpoint, if farther) and doubles until it reaches
+    the valid side, up to 1e6.  The bracket is then halved a fixed number of
+    times instead of stopping at a small |g|: near the inflection point g
+    shrinks like the cube of the interval width, so a small |g| says nothing
+    about the distance to the root.  The returned end is the one on the
+    valid side.
     """
-    f, df, _ = _funcs(act)
-    fe = float(f(e))
+    jet = _jet(act)
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    left = np.atleast_1d(np.asarray(left, dtype=bool))
+    e = np.where(left, l, u)
+    wrong_side = np.where(left, ~(e < 0.0), ~(e > 0.0))
+    if wrong_side.any():
+        j = int(np.argmax(wrong_side))
+        where = ("left", "below") if left[j] else ("right", "above")
+        raise TangentUndefinedError(
+            f"{where[0]} anchor {e[j]} not {where[1]} the inflection point")
+    fe = _funcs(act)[0](e)
 
-    def g(d: float) -> float:
-        return float(df(d)) * (e - d) + float(f(d)) - fe
+    def tangent_value(d, e):
+        # g(d) = tangent_value(d, e) - f(e); the comparisons below read the
+        # sign of g from comparing the two terms, which decides alike
+        fd, dfd = jet(d, 1)
+        return dfd * (e - d) + fd
 
-    return g
+    lo = np.where(left, 0.0, l)
+    hi = np.where(left, u, 0.0)
+    far = np.where(left, u, l)
+    t_far = tangent_value(far, e)
+    ready = np.where(left, (far > 0.0) & (t_far >= fe),
+                     (far < 0.0) & (t_far <= fe))
+    if not ready.all():
+        at = np.flatnonzero(~ready)
+        far = np.where(left[at], np.maximum(u[at], 1.0),
+                       np.minimum(l[at], -1.0))
+        todo = np.arange(len(at))
+        while True:
+            j = at[todo]
+            t = tangent_value(far[todo], e[j])
+            todo = todo[np.where(left[j], t < fe[j], t > fe[j])]
+            if not len(todo):
+                break
+            far[todo] *= 2.0
+            if np.any(np.abs(far[todo]) > 1e6):
+                raise TangentUndefinedError("no sign change while expanding")
+        hi[at] = np.where(left[at], far, hi[at])
+        lo[at] = np.where(left[at], lo[at], far)
+    # invariant: g(lo) <= 0 <= g(hi); g monotone on the bracketed side
+    half = np.array(0.5)
+    for _ in range(TANGENT_BISECTIONS):
+        d = (lo + hi) * half
+        below = tangent_value(d, e) < fe
+        np.copyto(lo, d, where=below)
+        np.copyto(hi, d, where=~below)
+    return np.where(left, hi, lo)
 
 
 def tangent_point_through(act: str, anchor: str, l: float, u: float) -> float:
@@ -103,62 +230,90 @@ def tangent_point_through(act: str, anchor: str, l: float, u: float) -> float:
 
     anchor="left" solves f'(d)(l - d) + f(d) = f(l) with d >= 0 (requires
     l < 0); anchor="right" solves the mirror with d <= 0 (requires u > 0).
-    Raises TangentUndefinedError when the anchored endpoint does not sit
-    strictly on the other side of the inflection point, which happens when
-    both endpoints share a side.
-
-    Bisection halves the bracket a fixed number of times instead of stopping
-    at a small |g|: near the inflection point g shrinks like the cube of the
-    interval width, so a small |g| says nothing about the distance to the
-    root.  The returned end is the one on the valid side (g >= 0 for the
-    left anchor, g <= 0 for the right anchor).  When the other endpoint
-    already is on the valid side (the case1/case3 test) the bracket starts
-    there, so on intervals so narrow that rounding decides the sign of g the
-    result still stays inside [l, u].
+    One interval of ``tangent_points_through``, which documents the rule.
     """
     if act == "relu":
         raise ValueError("anchored tangents only apply to sigmoid/tanh")
     if anchor not in ("left", "right"):
         raise ValueError(f"anchor must be 'left' or 'right', got {anchor!r}")
-    e = l if anchor == "left" else u
-    g = _anchored_gap(act, e)
-    if anchor == "left":
-        if not e < 0.0:
-            raise TangentUndefinedError(
-                f"left anchor {e} not below the inflection point")
-        lo, hi = 0.0, u
-        if not (u > 0.0 and g(u) >= 0.0):
-            hi = max(u, 1.0)
-            while g(hi) < 0.0:
-                hi *= 2.0
-                if hi > 1e6:
-                    raise TangentUndefinedError(
-                        "no sign change while expanding")
-    else:
-        if not e > 0.0:
-            raise TangentUndefinedError(
-                f"right anchor {e} not above the inflection point")
-        lo, hi = l, 0.0
-        if not (l < 0.0 and g(l) <= 0.0):
-            lo = min(l, -1.0)
-            while g(lo) > 0.0:
-                lo *= 2.0
-                if lo < -1e6:
-                    raise TangentUndefinedError(
-                        "no sign change while expanding")
-    # invariant: g(lo) <= 0 <= g(hi); g monotone on the bracketed side
-    for _ in range(TANGENT_BISECTIONS):
-        d = 0.5 * (lo + hi)
-        if g(d) < 0.0:
-            lo = d
-        else:
-            hi = d
-    return hi if anchor == "left" else lo
+    return float(tangent_points_through(act, l, u, anchor == "left")[0])
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class LineSpaces:
+    """The tightest-line families of one side of a layer, one entry per
+    neuron.
+
+    ``family`` marks the one-variable entries, whose members the
+    activation's generator ("relu-slope": a free lower slope through the
+    origin; "tangent": the tangency abscissa) makes from a variable in
+    [var_lo, var_hi]; the other entries are fixed to the line
+    (slope, intercept).  NaN fills the fields an entry does not use.
+    ``case`` indexes CASE_TAGS.  Iterating yields one LineSpace view per
+    neuron, made on demand.
+    """
+
+    act: str
+    side: str            # "lower" | "upper"
+    l: np.ndarray
+    u: np.ndarray
+    case: np.ndarray
+    family: np.ndarray
+    var_lo: np.ndarray
+    var_hi: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+
+    @property
+    def generator(self) -> str:
+        return "relu-slope" if self.act == "relu" else "tangent"
+
+    def __len__(self):
+        return len(self.l)
+
+    def __iter__(self):
+        return (LineSpace(self, j) for j in range(len(self)))
+
+    def __getitem__(self, j) -> "LineSpace":
+        return LineSpace(self, range(len(self))[j])
+
+    def take(self, idx) -> "LineSpaces":
+        """The entries ``idx`` as a record of their own."""
+        return LineSpaces(self.act, self.side, self.l[idx], self.u[idx],
+                          self.case[idx], self.family[idx], self.var_lo[idx],
+                          self.var_hi[idx], self.slope[idx],
+                          self.intercept[idx])
+
+    def lines_at(self, theta, grads: bool = False):
+        """Every entry's line, a family member at variable ``theta`` or the
+        fixed line (where theta is ignored), as (slopes, intercepts); with
+        ``grads`` also their derivatives in theta (zero for fixed lines).
+
+        A variable may leave its range by 1e-9 and is clamped into it.
+        """
+        fam = self.family
+        theta = np.broadcast_to(np.asarray(theta, dtype=float), fam.shape)
+        outside = fam & ~((self.var_lo - 1e-9 <= theta)
+                          & (theta <= self.var_hi + 1e-9))
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(f"variable {theta[j]} outside "
+                             f"[{self.var_lo[j]}, {self.var_hi[j]}]")
+        theta = np.where(self.var_lo > theta, self.var_lo, theta)
+        theta = np.where(self.var_hi < theta, self.var_hi, theta)
+        return self.members(theta, grads)
+
+    def members(self, theta, grads: bool = False):
+        """``lines_at`` for variables already inside their ranges."""
+        out = family_lines(self.act, theta, grads)
+        fixed = (self.slope, self.intercept, 0.0, 0.0)
+        return tuple(np.where(self.family, gen, fix)
+                     for gen, fix in zip(out, fixed))
+
+
 class LineSpace:
-    """The family of tightest bounding lines for one activation interval.
+    """The family of tightest bounding lines for one activation interval:
+    entry ``index`` of a LineSpaces record.
 
     kind is "fixed" (a unique tightest line) or "one-variable"; one-variable
     spaces are generated either by a free lower slope through the origin
@@ -166,115 +321,187 @@ class LineSpace:
     family (sigmoid/tanh).
     """
 
-    act: str
-    side: str            # "lower" | "upper"
-    l: float
-    u: float
-    kind: str            # "fixed" | "one-variable"
-    case_tag: str        # degenerate | l<u<=0 | l<0<u | 0<=l<u | case1..case4
-    generator: str = ""  # "relu-slope" | "tangent" (one-variable only)
-    var_lo: float = math.nan
-    var_hi: float = math.nan
-    fixed_line: Line | None = None
+    __slots__ = ("spaces", "index")
+
+    def __init__(self, spaces: LineSpaces, index: int):
+        self.spaces = spaces
+        self.index = index
+
+    @property
+    def act(self) -> str:
+        return self.spaces.act
+
+    @property
+    def side(self) -> str:
+        return self.spaces.side
+
+    @property
+    def l(self) -> float:
+        return float(self.spaces.l[self.index])
+
+    @property
+    def u(self) -> float:
+        return float(self.spaces.u[self.index])
+
+    @property
+    def kind(self) -> str:
+        return "one-variable" if self.spaces.family[self.index] else "fixed"
+
+    @property
+    def case_tag(self) -> str:
+        return CASE_TAGS[self.spaces.case[self.index]]
+
+    @property
+    def generator(self) -> str:
+        return self.spaces.generator if self.kind == "one-variable" else ""
+
+    @property
+    def var_lo(self) -> float:
+        return float(self.spaces.var_lo[self.index])
+
+    @property
+    def var_hi(self) -> float:
+        return float(self.spaces.var_hi[self.index])
 
     @property
     def var_range(self):
         return (self.var_lo, self.var_hi)
 
+    @property
+    def fixed_line(self) -> Line | None:
+        if self.kind != "fixed":
+            return None
+        return Line(float(self.spaces.slope[self.index]),
+                    float(self.spaces.intercept[self.index]))
+
+    def one(self) -> LineSpaces:
+        """This space as a one-entry record."""
+        return self.spaces.take([self.index])
+
     def line_at(self, theta: float) -> Line:
         if self.kind == "fixed":
             return self.fixed_line
-        if not (self.var_lo - 1e-9 <= theta <= self.var_hi + 1e-9):
-            raise ValueError(
-                f"variable {theta} outside [{self.var_lo}, {self.var_hi}]")
-        theta = min(max(theta, self.var_lo), self.var_hi)
-        if self.generator == "relu-slope":
-            return Line(float(theta), 0.0)
-        return tangent_line(self.act, theta)
+        s, t = self.one().lines_at(theta)
+        return Line(float(s[0]), float(t[0]))
 
     def line_and_grad_at(self, theta: float):
         """(slope, intercept, d slope / d theta, d intercept / d theta)."""
-        line = self.line_at(theta)
-        if self.kind == "fixed":
-            return line.slope, line.intercept, 0.0, 0.0
-        if self.generator == "relu-slope":
-            return line.slope, line.intercept, 1.0, 0.0
-        curv = float(_funcs(self.act)[2](theta))
-        # slope = f'(d), intercept = f(d) - f'(d) d
-        return line.slope, line.intercept, curv, -curv * theta
+        return tuple(float(a[0]) for a in self.one().lines_at(theta, True))
+
+    def _key(self):
+        family = self.kind == "one-variable"
+        return (self.act, self.side, self.l, self.u, self.kind, self.case_tag,
+                self.generator, self.var_range if family else None,
+                self.fixed_line)
+
+    def __eq__(self, other):
+        if not isinstance(other, LineSpace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "LineSpace(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(
+                ("act", "side", "l", "u", "kind", "case_tag", "generator",
+                 "var_range", "fixed_line"), self._key())) + ")"
 
 
-def _fixed(act, side, l, u, tag, line) -> LineSpace:
-    return LineSpace(act, side, l, u, "fixed", tag, fixed_line=line)
+def layer_line_spaces(act: str, lower, upper):
+    """(lower-side, upper-side) LineSpaces of one layer's intervals; the
+    anchored tangents of both sides are solved in one bisection."""
+    l, u = _intervals(lower, upper)
+    jet = _jet(act)
+    fl, dfl = jet(l, 1)
+    fu, dfu = jet(u, 1)
+    degenerate = u - l <= DEGENERATE_WIDTH
+    negative = ~degenerate & (u <= 0.0)
+    positive = ~degenerate & (l >= 0.0)
+    crossing = ~(degenerate | negative | positive)
+    case = np.where(degenerate, _DEGENERATE, np.where(
+        negative, _NEGATIVE, np.where(positive, _POSITIVE, _CROSSING)))
+    chord_s, chord_t = _chord_lines(act, l, u, fl, fu, degenerate)
+    nan = np.full(len(l), np.nan)
 
-
-def _family(act, side, l, u, tag, gen, lo, hi) -> LineSpace:
-    return LineSpace(act, side, l, u, "one-variable", tag, generator=gen,
-                     var_lo=float(lo), var_hi=float(hi))
+    if act == "relu":
+        # upper: the chord; lower: 0 left of the kink, the identity right of
+        # it, and a free slope in [0, 1] across it
+        low_s = np.where(degenerate, chord_s, np.where(positive, 1.0, 0.0))
+        low_t = np.where(degenerate, chord_t, 0.0)
+        fields = {"lower": (case, crossing, np.zeros(len(l)), np.ones(len(l)),
+                            low_s, low_t),
+                  "upper": (case, np.zeros(len(l), dtype=bool), nan, nan,
+                            chord_s, chord_t)}
+    else:
+        # case 1 iff the tangent at u clears (l, f(l)); case 3 iff the
+        # tangent at l stays below (u, f(u))
+        case1 = crossing & (dfu * (l - u) + fu >= fl)
+        case3 = crossing & (dfl * (u - l) + fl <= fu)
+        at1, at3 = np.flatnonzero(case1), np.flatnonzero(case3)
+        ld, ud = nan.copy(), nan.copy()
+        if len(at1) or len(at3):
+            at = np.concatenate([at1, at3])
+            d = tangent_points_through(
+                act, l[at], u[at], np.arange(len(at)) < len(at1))
+            ld[at1], ud[at3] = d[:len(at1)], d[len(at1):]
+        # upper: the chord in the convex region, tangents in the concave
+        # one; lower: the mirror
+        fields = {"lower": (np.where(case3, _CASE3,
+                                     np.where(crossing, _CASE4, case)),
+                            negative | case3, l, np.where(negative, u, ud),
+                            chord_s, chord_t),
+                  "upper": (np.where(case1, _CASE1,
+                                     np.where(crossing, _CASE2, case)),
+                            positive | case1, np.where(positive, l, ld), u,
+                            chord_s, chord_t)}
+    records = []
+    for side in SIDES:
+        tags, family, lo, hi, s, t = fields[side]
+        records.append(LineSpaces(
+            act, side, l, u, tags, family, np.where(family, lo, np.nan),
+            np.where(family, hi, np.nan), np.where(family, np.nan, s),
+            np.where(family, np.nan, t)))
+    return tuple(records)
 
 
 def line_space(act: str, side: str, l: float, u: float) -> LineSpace:
     """The tightest-line family for (activation, side, sign case) on [l, u]."""
     if side not in SIDES:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    l, u = float(l), float(u)
-    if not (np.isfinite(l) and np.isfinite(u) and l <= u):
-        raise ValueError(f"bad interval [{l}, {u}]")
-    if u - l <= DEGENERATE_WIDTH:
-        return _fixed(act, side, l, u, "degenerate",
-                      tangent_line(act, 0.5 * (l + u)))
-
-    if act == "relu":
-        if side == "upper":
-            tag = "l<u<=0" if u <= 0 else ("0<=l<u" if l >= 0 else "l<0<u")
-            return _fixed(act, side, l, u, tag, chord(act, l, u))
-        if u <= 0:
-            return _fixed(act, side, l, u, "l<u<=0", Line(0.0, 0.0))
-        if l >= 0:
-            return _fixed(act, side, l, u, "0<=l<u", Line(1.0, 0.0))
-        return _family(act, side, l, u, "l<0<u", "relu-slope", 0.0, 1.0)
-
-    f, df, _ = _funcs(act)
-    if side == "upper":
-        if u <= 0:
-            # convex region: the chord lies above
-            return _fixed(act, side, l, u, "l<u<=0", chord(act, l, u))
-        if l >= 0:
-            # concave region: every tangent lies above
-            return _family(act, side, l, u, "0<=l<u", "tangent", l, u)
-        # crossing: case 1 iff the tangent at u clears (l, f(l))
-        if float(df(u)) * (l - u) + float(f(u)) >= float(f(l)):
-            ld = tangent_point_through(act, "left", l, u)
-            return _family(act, side, l, u, "case1", "tangent", ld, u)
-        return _fixed(act, side, l, u, "case2", chord(act, l, u))
-    # lower side
-    if u <= 0:
-        # convex region: every tangent lies below
-        return _family(act, side, l, u, "l<u<=0", "tangent", l, u)
-    if l >= 0:
-        # concave region: the chord lies below
-        return _fixed(act, side, l, u, "0<=l<u", chord(act, l, u))
-    # crossing: case 3 iff the tangent at l stays below (u, f(u))
-    if float(df(l)) * (u - l) + float(f(l)) <= float(f(u)):
-        ud = tangent_point_through(act, "right", l, u)
-        return _family(act, side, l, u, "case3", "tangent", l, ud)
-    return _fixed(act, side, l, u, "case4", chord(act, l, u))
+    return layer_line_spaces(act, l, u)[SIDES.index(side)][0]
 
 
-def validate_line(act: str, side: str, l: float, u: float, line: Line,
-                  grid_size: int = 1001) -> bool:
-    """Check the side inequality on a dense grid including both endpoints."""
+def _grid(l, u, grid_size):
+    """``np.linspace(l, u, grid_size)`` for every (l, u) pair along a new
+    last axis, with the bits of one call per pair."""
+    div = grid_size - 1
+    delta = (u - l)[..., None]
+    k = np.arange(grid_size, dtype=float)
+    step = delta / div
+    zs = np.where(step == 0.0, (k / div) * delta, k * step) + l[..., None]
+    zs[..., -1] = u
+    return zs
+
+
+def validate_line(act: str, side: str, l, u, line: Line,
+                  grid_size: int = 1001):
+    """Check the side inequality on a dense grid including both endpoints.
+
+    ``l``, ``u`` and the line's slope and intercept may also be arrays of
+    one shape: each line is then checked on its own interval, and the result
+    is a bool array.
+    """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     f = _funcs(act)[0]
-    zs = np.linspace(l, u, grid_size)
-    gap = f(zs) - line.value(zs)
+    zs = _grid(np.asarray(l, dtype=float), np.asarray(u, dtype=float),
+               grid_size)
+    slope = np.asarray(line.slope, dtype=float)[..., None]
+    intercept = np.asarray(line.intercept, dtype=float)[..., None]
+    gap = f(zs) - (slope * zs + intercept)
     if side == "upper":
         gap = -gap
-    return bool(np.min(gap) >= -LINE_SLACK)
-
-
-def layer_line_spaces(act: str, lower: np.ndarray, upper: np.ndarray):
-    """Per-neuron (lower-side, upper-side) line spaces for one layer."""
-    return tuple([line_space(act, side, float(l), float(u))
-                  for l, u in zip(lower, upper)] for side in SIDES)
+    ok = np.min(gap, axis=-1) >= -LINE_SLACK
+    return bool(ok) if ok.ndim == 0 else ok

@@ -198,10 +198,10 @@ def test_criterion_5_intercept_shifts_never_improve():
                 for k in range(2, net.m + 1):
                     rows = range(net.layer_width(k))
                     gl = crown.concretize_rows(
-                        *crown.backward_rows(net, k, rows, arrays, "lower")[:2],
+                        *crown.backward_rows(net, k, rows, arrays, "lower"),
                         spec, "lower")
                     gu = crown.concretize_rows(
-                        *crown.backward_rows(net, k, rows, arrays, "upper")[:2],
+                        *crown.backward_rows(net, k, rows, arrays, "upper"),
                         spec, "upper")
                     if np.any(gl > bounds.lower[k - 1] + 1e-12) \
                             or np.any(gu < bounds.upper[k - 1] - 1e-12):

@@ -5,8 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from netcert import cli
-from netcert.model import generate_random_network, save_network, save_sample
+from netcert import cli, crown, relax
+from netcert.model import (
+    PerturbationSpec,
+    generate_random_network,
+    load_network,
+    load_sample,
+    save_network,
+    save_sample,
+)
 
 from conftest import data_path
 
@@ -25,6 +32,42 @@ def test_bounds_matches_golden(tmp_path):
     golden = json.load(open(data_path("golden_toy_crown_bounds.json")))
     for key in ("method", "p", "eps", "gamma_lower", "gamma_upper", "layers"):
         assert got[key] == golden[key]
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_tangent_bounds_match_golden(tmp_path, act):
+    # generate_random_network(0, [3, 10, 10, 2], act) at x0 =
+    # default_rng(0).uniform(-1, 1, 3): eps 1.0 puts hidden neurons in
+    # case1..case4 and eps 5e-13 gives degenerate intervals beside
+    # one-sided ones; the bounds are compared bit for bit
+    golden = json.load(open(data_path(f"golden_{act}_crown_bounds.json")))
+    assert len(golden) == 6
+    for want in golden:
+        out = tmp_path / "bounds.json"
+        rc = run(["bounds", data_path(f"{act}_3_10_10_2.json"),
+                  data_path("small3_sample.json"), "--eps", repr(want["eps"]),
+                  "--p", want["p"], "--method", "crown", "--all-layers",
+                  "--out", str(out)])
+        assert rc == 0
+        got = json.load(open(out))
+        for key in ("method", "p", "eps", "gamma_lower", "gamma_upper",
+                    "layers"):
+            assert got[key] == want[key], (want["p"], want["eps"], key)
+
+
+def test_tangent_golden_nets_cover_every_case():
+    tags = set()
+    for act in ("sigmoid", "tanh"):
+        net = load_network(data_path(f"{act}_3_10_10_2.json"))
+        x0, _ = load_sample(data_path("small3_sample.json"))
+        for p in (1.0, 2.0, np.inf):
+            for eps in (1.0, 5e-13):
+                bounds, _ = crown.propagate(net, PerturbationSpec(x0, p, eps))
+                for k in range(1, net.m):
+                    for spaces in relax.layer_line_spaces(
+                            act, *bounds.layer(k)):
+                        tags.update(sp.case_tag for sp in spaces)
+    assert tags == set(relax.CASE_TAGS) - {"l<0<u"}
 
 
 def test_frown_bounds_dominate_golden(tmp_path):

@@ -23,7 +23,7 @@ def single_layer_lines(sl, tl, su, tu):
 def test_backward_single_composition():
     net = toy_relu_net()
     lines = single_layer_lines(0.7, 0.0, 0.5, 0.5)
-    A, c, _ = crown.backward_rows(net, 2, [0], lines, "lower")
+    A, c = crown.backward_rows(net, 2, [0], lines, "lower")
     assert A[0, 0] == pytest.approx(0.7)
     assert c[0] == pytest.approx(0.0)
 
@@ -32,7 +32,7 @@ def test_backward_sign_split_uses_upper_line():
     net = Network((np.array([[1.0]]), np.array([[-1.0]])),
                   (np.zeros(1), np.zeros(1)), "relu")
     lines = single_layer_lines(0.7, 0.0, 0.5, 0.5)
-    A, c, _ = crown.backward_rows(net, 2, [0], lines, "lower")
+    A, c = crown.backward_rows(net, 2, [0], lines, "lower")
     assert A[0, 0] == pytest.approx(-0.5)
     assert c[0] == pytest.approx(-0.5)
 
@@ -190,10 +190,10 @@ def test_intercept_shifts_never_improve():
             for k in range(2, net.m + 1):
                 rows = range(net.layer_width(k))
                 gl = crown.concretize_rows(
-                    *crown.backward_rows(net, k, rows, arrays, "lower")[:2],
+                    *crown.backward_rows(net, k, rows, arrays, "lower"),
                     spec, "lower")
                 gu = crown.concretize_rows(
-                    *crown.backward_rows(net, k, rows, arrays, "upper")[:2],
+                    *crown.backward_rows(net, k, rows, arrays, "upper"),
                     spec, "upper")
                 assert np.all(gl <= bounds.lower[k - 1] + 1e-12)
                 assert np.all(gu >= bounds.upper[k - 1] - 1e-12)

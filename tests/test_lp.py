@@ -150,7 +150,8 @@ def test_toy_lower_lp_matches_closed_form_for_each_slope():
     spec = PerturbationSpec(np.zeros(1), np.inf, 1.0)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     for s in (0.0, 0.5, 1.0):
-        lines = [[([relax.Line(s, 0.0)], [relax.Line(0.5, 0.5)])]]
+        lines = [lp._one_line_each((np.array([s]), np.array([0.0]),
+                                    np.array([0.5]), np.array([0.5])))]
         prob = lp._build_with_lines(net, spec, 2, 0, "lower", bounds, lines)
         value, _ = lp.solve(prob)
         assert value == pytest.approx(-spec.epsilon * s, abs=1e-9)

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import (  # noqa: E402
     Phase, example, given, settings, strategies as st)
 
-from netcert import crown, frown, lp, relax, simplex  # noqa: E402
+from netcert import crown, frown, lp, oracle, relax, simplex  # noqa: E402
 from netcert.model import PerturbationSpec, generate_random_network  # noqa: E402
 
 ACTS = ("relu", "sigmoid", "tanh")
@@ -97,6 +97,24 @@ def test_frown_never_worse_than_crown(act, case, group):
     for k in range(1, net.m + 1):
         assert np.all(fb.lower[k - 1] >= cb.lower[k - 1])
         assert np.all(fb.upper[k - 1] <= cb.upper[k - 1])
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@LP_SETTINGS
+@given(seed=st.integers(0, 2**16), log_eps=st.floats(-3.0, -0.3))
+def test_exact_relu_range_inside_crown_and_frown(p, seed, log_eps):
+    # the exact output range over the ball (every activation pattern solved
+    # as an LP) lies inside each engine's output bounds
+    net, spec = build("relu", seed, p, log_eps)
+    cb, _ = crown.propagate(net, spec)
+    fb, _ = frown.frown_propagate(net, spec,
+                                  frown.OptimizerConfig(max_iters=8))
+    outputs = np.eye(net.layer_width(net.m))
+    for j, unit in enumerate(outputs):
+        exact = oracle.exact_output_functional_range(net, spec, unit)
+        for bounds in (cb, fb):
+            assert bounds.output_lower[j] <= exact.min + 1e-7
+            assert exact.max <= bounds.output_upper[j] + 1e-7
 
 
 @settings(max_examples=300, deadline=None)

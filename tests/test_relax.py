@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from netcert.model import ACTIVATIONS
+from netcert import crown, relax
+from netcert.model import ACTIVATION_JETS, ACTIVATIONS
 from netcert.relax import (
     Line,
     TangentUndefinedError,
@@ -307,3 +308,116 @@ def test_tangent_range_valid_on_tiny_crossing_intervals(act):
                 assert sp.var_lo <= sp.var_hi, (side, l, u)
                 for theta in (sp.var_lo, sp.var_hi):
                     assert validate_line(act, side, l, u, sp.line_at(theta), 201)
+
+
+# --- array relaxation: one record per layer and side --------------------------
+
+def random_layer(rng, count=300):
+    """Intervals of widths 0 to 40: crossing, one-sided, degenerate, and
+    narrow crossing ones where rounding decides the anchored gap's sign."""
+    kind = rng.integers(0, 4, count)
+    width = np.select([kind == 0, kind == 1, kind == 2],
+                      [np.zeros(count), rng.uniform(0.0, 1e-12, count),
+                       10.0 ** rng.uniform(-11, -3, count)],
+                      rng.uniform(0.0, 40.0, count))
+    lower = np.where(kind == 2, -width * rng.uniform(0.02, 0.98, count),
+                     rng.uniform(-30.0, 20.0, count))
+    return lower, lower + width
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_layer_spaces_match_line_space_per_neuron(act):
+    rng = np.random.default_rng(["relu", "sigmoid", "tanh"].index(act))
+    tags = set()
+    for _ in range(3):
+        lower, upper = random_layer(rng)
+        for side, spaces in zip(relax.SIDES,
+                                relax.layer_line_spaces(act, lower, upper)):
+            assert len(spaces) == len(lower)
+            for j, sp in enumerate(spaces):
+                assert sp == line_space(act, side, lower[j], upper[j]), j
+                tags.add(sp.case_tag)
+            family = spaces.family
+            assert np.all(spaces.var_lo[family] <= spaces.var_hi[family])
+            s, t = crown.default_lines(spaces)
+            for theta in (spaces.var_lo, spaces.var_hi):
+                ls, lt = spaces.lines_at(theta)
+                s, t = np.concatenate([s, ls]), np.concatenate([t, lt])
+            ok = validate_line(act, side, np.tile(lower, 3),
+                               np.tile(upper, 3), Line(s, t))
+            assert ok.all(), np.flatnonzero(~ok) % len(lower)
+    expected = {"relu": {"degenerate", "l<u<=0", "l<0<u", "0<=l<u"}}.get(
+        act, {"degenerate", "l<u<=0", "0<=l<u", "case1", "case2", "case3",
+              "case4"})
+    assert tags == expected
+
+
+def test_layer_spaces_views_and_scalar_api():
+    lower, upper = np.array([-1.0, 2.0, -3.0]), np.array([1.0, 2.0, -1.0])
+    low, up = relax.layer_line_spaces("relu", lower, upper)
+    assert [sp.kind for sp in low] == ["one-variable", "fixed", "fixed"]
+    assert low[-1] == low[2] == line_space("relu", "lower", -3.0, -1.0)
+    assert low[0].line_and_grad_at(0.25) == (0.25, 0.0, 1.0, 0.0)
+    assert crown.default_line(low[0]) == Line(1.0, 0.0)
+    with pytest.raises(IndexError):
+        low[3]
+    with pytest.raises(ValueError, match="outside"):
+        low.lines_at(np.array([1.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="bad interval"):
+        relax.layer_line_spaces("tanh", [0.0, 1.0], [1.0, 0.5])
+
+
+def test_validate_line_on_arrays_matches_per_line_calls():
+    rng = np.random.default_rng(8)
+    lower, upper = random_layer(rng, 60)
+    slopes, intercepts = rng.uniform(0, 1, 60), rng.uniform(-0.5, 0.5, 60)
+    for act in ("relu", "sigmoid", "tanh"):
+        for side in relax.SIDES:
+            got = validate_line(act, side, lower, upper,
+                                Line(slopes, intercepts), 101)
+            want = [validate_line(act, side, l, u, Line(s, t), 101)
+                    for l, u, s, t in zip(lower, upper, slopes, intercepts)]
+            assert got.tolist() == want
+            assert got.any() and not got.all()
+
+
+def test_batched_tangent_points_match_one_at_a_time():
+    # the batch mixes left and right anchors, brackets that start at the
+    # other endpoint and ones that expand towards +-1e6
+    rng = np.random.default_rng(21)
+    for act in ("sigmoid", "tanh"):
+        l = -10.0 ** rng.uniform(-6, 1.5, 200)
+        u = 10.0 ** rng.uniform(-6, 1.5, 200)
+        left = rng.uniform(size=200) < 0.5
+        got = relax.tangent_points_through(act, l, u, left)
+        want = [tangent_point_through(act, "left" if a else "right", lo, hi)
+                for lo, hi, a in zip(l, u, left)]
+        assert got.tolist() == want
+
+
+def test_batched_tangent_points_raise_like_the_scalar_one(monkeypatch):
+    with pytest.raises(TangentUndefinedError, match="left anchor"):
+        relax.tangent_points_through("sigmoid", [-1.0, 0.5], [1.0, 2.0],
+                                     [True, True])
+    with pytest.raises(TangentUndefinedError, match="right anchor"):
+        relax.tangent_points_through("tanh", [-1.0, -2.0], [1.0, -0.5],
+                                     [False, False])
+    # a convex stand-in for the activation: every tangent lies below it, the
+    # gap never turns nonnegative and the bracket expansion gives up
+    monkeypatch.setitem(ACTIVATIONS, "sigmoid",
+                        (np.square, lambda z: 2.0 * z, lambda z: 2.0 + 0 * z))
+    monkeypatch.setitem(ACTIVATION_JETS, "sigmoid",
+                        lambda z, order=2: (z * z, 2.0 * z, 2.0 + 0 * z)[
+                            :order + 1])
+    with pytest.raises(TangentUndefinedError, match="expanding"):
+        relax.tangent_points_through("sigmoid", [-1.0, -2.0], [1.0, 0.5],
+                                     [True, True])
+    with pytest.raises(TangentUndefinedError, match="expanding"):
+        tangent_point_through("sigmoid", "left", -2.0, 0.5)
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_activation_jets_match_the_separate_functions(act):
+    z = np.random.default_rng(4).uniform(-40, 40, 500)
+    assert [a.tolist() for a in ACTIVATION_JETS[act](z)] == \
+        [fn(z).tolist() for fn in ACTIVATIONS[act]]
