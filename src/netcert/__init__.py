@@ -12,13 +12,10 @@ from .model import (
     save_sample,
     generate_random_network,
 )
-from .relax import Line, LineSpace, chord, line_space, validate_line
+from .relax import LineSpaces, line_space, validate_line
 from .crown import (
     AffineBound,
     LayerBounds,
-    LineSet,
-    backward_bound,
-    concretize,
     margins,
     propagate,
 )
@@ -31,9 +28,8 @@ __all__ = [
     "Network", "PerturbationSpec", "ModelError",
     "forward", "forward_batch", "load_network", "save_network",
     "load_sample", "save_sample", "generate_random_network",
-    "Line", "LineSpace", "chord", "line_space", "validate_line",
-    "AffineBound", "LayerBounds", "LineSet",
-    "backward_bound", "concretize", "margins", "propagate",
+    "LineSpaces", "line_space", "validate_line",
+    "AffineBound", "LayerBounds", "margins", "propagate",
     "OptimizerConfig", "frown_propagate", "optimize_bounds",
     "RelaxationMenu", "build_lp", "lp_propagate", "solve",
     "ExactRange", "exact_relu_range", "sample_check",

@@ -59,6 +59,8 @@ def _write_report(doc: dict, out: str | None) -> None:
 
 
 def cmd_bounds(args) -> int:
+    if args.dump_lp and args.method != "lp":
+        raise lp.LpUnsupportedError("--dump-lp needs --method lp")
     net = load_network(args.network)
     x0, _ = load_sample(args.sample)
     spec = PerturbationSpec(x0, args.p, args.eps)
@@ -71,11 +73,12 @@ def cmd_bounds(args) -> int:
         menu = lp.RelaxationMenu(args.lines)
         bounds, _ = lp.lp_propagate(net, spec, menu=menu)
         if args.dump_lp:
-            for i in range(net.layer_width(net.m)):
-                for sense in ("lower", "upper"):
-                    prob = lp.build_lp(net, spec, net.m, i, sense, bounds,
-                                       menu)
-                    dumps.append(lp.dump_lp(prob))
+            lines = [menu.layer_lines(net.activation, *bounds.layer(v))
+                     for v in range(1, net.m)]
+            dumps = [lp.dump_lp(lp.build_lp(net, spec, net.m, i, sense,
+                                             bounds, lines))
+                     for i in range(net.layer_width(net.m))
+                     for sense in ("lower", "upper")]
     doc = {
         "network": args.network,
         "sample": args.sample,
@@ -157,11 +160,24 @@ def _bench_norms(config) -> list:
     unknown = sorted(set(config) - set(BENCH_KEYS))
     if unknown:
         raise ModelError(f"unknown bench config keys: {', '.join(unknown)}")
-    methods = config["methods"]
-    if (not isinstance(methods, list) or not methods
-            or any(m not in METHODS for m in methods)):
-        raise ModelError(f"bench methods must be a non-empty list drawn "
-                         f"from {', '.join(METHODS)}, got {methods!r}")
+    for key in BENCH_KEYS[:3]:
+        value = config[key]
+        if (not isinstance(value, list) or not value
+                or not all(isinstance(v, str) for v in value)):
+            raise ModelError(f"bench {key} must be a non-empty list of "
+                             f"strings, got {value!r}")
+    if any(m not in METHODS for m in config["methods"]):
+        raise ModelError(f"bench methods must be drawn from "
+                         f"{', '.join(METHODS)}, got {config['methods']!r}")
+    for key in [key for key in ("rel_tol", "cap") if key in config]:
+        value = config[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (math.isfinite(value) and value > 0)):
+            raise ModelError(f"bench {key} must be a positive finite "
+                             f"number, got {value!r}")
+    if not isinstance(config.get("timing", True), bool):
+        raise ModelError(f"bench timing must be true or false, "
+                         f"got {config['timing']!r}")
     lines = config.get("lp_lines", "multi")
     if lines not in ("single", "multi"):
         raise ModelError(f"lp_lines must be 'single' or 'multi', "
@@ -179,7 +195,7 @@ def cmd_bench(args) -> int:
     networks = config["networks"]
     samples = config["samples"]
     methods = config["methods"]
-    timing = bool(config.get("timing", True))
+    timing = config.get("timing", True)
     tasks = []
     for net_path in networks:
         for p in norms:

@@ -13,7 +13,9 @@ Layer-1 bounds are exact (the first layer is affine in the input); bounds
 for k = 2..m come from the backward pass using the lines of layers < k.
 Each layer gets one set of lines, the default member of every line family
 (``default_lines``), chosen from its bounds and shared by every later layer;
-frown tunes the same families and lp reads the same lines.
+frown tunes the same families and lp reads the same lines.  A layer's lines
+are the four arrays (slope_lower, intercept_lower, slope_upper,
+intercept_upper), one entry per neuron.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .model import Network, PerturbationSpec, check_input
 from . import relax
-from .relax import Line, LineSpace, LineSpaces
+from .relax import LineSpaces
 
 #: elementwise slack allowed when asserting lower <= upper (float noise only)
 _BOUND_ORDER_SLACK = 1e-9
@@ -79,28 +81,6 @@ class AffineBound:
 
 
 @dataclass
-class LayerLines:
-    """Chosen bounding lines for every neuron of one layer."""
-
-    slope_lower: np.ndarray
-    intercept_lower: np.ndarray
-    slope_upper: np.ndarray
-    intercept_upper: np.ndarray
-
-    def arrays(self):
-        return (self.slope_lower, self.intercept_lower,
-                self.slope_upper, self.intercept_upper)
-
-
-@dataclass
-class LineSet:
-    """Bounding lines for layers 1..m-1, shared by every bound computation;
-    ``layers[v-1]`` holds layer v."""
-
-    layers: list
-
-
-@dataclass
 class LayerBounds:
     """Pre-activation bounds l(k) <= z(k) <= u(k); index k-1 holds layer k.
 
@@ -144,16 +124,10 @@ def default_lines(spaces: LineSpaces):
     return spaces.members(default_variables(spaces))
 
 
-def default_line(space: LineSpace) -> Line:
-    """The baseline line of one space."""
-    s, t = default_lines(space.one())
-    return Line(float(s[0]), float(t[0]))
-
-
-def choose_layer_lines(spaces_lower, spaces_upper) -> LayerLines:
-    """One layer's baseline lines, from its lower- and upper-side spaces."""
-    return LayerLines(*default_lines(spaces_lower),
-                      *default_lines(spaces_upper))
+def choose_layer_lines(spaces_lower, spaces_upper):
+    """One layer's baseline lines, (slope_lower, intercept_lower,
+    slope_upper, intercept_upper), from its lower- and upper-side spaces."""
+    return (*default_lines(spaces_lower), *default_lines(spaces_upper))
 
 
 def layer1_bounds(net: Network, spec: PerturbationSpec):
@@ -169,7 +143,7 @@ def oriented(line_arrays, sense: str):
     """One layer's (slope, intercept) arrays ordered for ``sense``: first
     the lines that multiply nonnegative row entries, then those for the
     nonpositive entries (lower lines first for a lower bound)."""
-    sl, tl, su, tu = line_arrays[:4]
+    sl, tl, su, tu = line_arrays
     return (sl, tl, su, tu) if sense == "lower" else (su, tu, sl, tl)
 
 
@@ -199,49 +173,34 @@ def backward_rows(net: Network, k: int, rows, line_arrays, sense: str):
 
 def concretize_rows(coeffs: np.ndarray, offsets: np.ndarray,
                     spec: PerturbationSpec, sense: str) -> np.ndarray:
+    """Extreme value over the ball of each affine row (coeffs, offset): the
+    gamma values."""
     spread = spec.epsilon * dual_norm(coeffs, spec.q)
     base = coeffs @ spec.x0 + offsets
     return base - spread if sense == "lower" else base + spread
 
 
-def backward_bound(net: Network, k: int, i: int, lines: LineSet,
-                   sense: str) -> AffineBound:
-    """Affine bound (coeffs, offset) on z(k)_i in terms of the raw input."""
-    arrays = [ll.arrays() for ll in lines.layers[:k - 1]]
-    A, c = backward_rows(net, k, [i], arrays, sense)
-    return AffineBound(A[0], float(c[0]), sense)
-
-
-def concretize(bound: AffineBound, spec: PerturbationSpec) -> float:
-    """Extreme value of the affine bound over the ball (the gamma scalar)."""
-    if bound.coeffs.shape != (spec.x0.shape[0],):
-        raise ValueError("bound coefficient length does not match the input")
-    return float(concretize_rows(bound.coeffs[None, :],
-                                 np.array([bound.offset]), spec,
-                                 bound.sense)[0])
-
-
 def propagate(net: Network, spec: PerturbationSpec):
-    """Bounds for every layer plus the lines that produced them.
+    """Bounds for every layer plus the lines that produced them: the list
+    whose entry v-1 holds layer v's line arrays.
 
     Each layer's lines are chosen once, from that layer's bounds, and shared
     by every downstream computation.
     """
     low1, up1 = layer1_bounds(net, spec)
     lows, ups = [low1], [up1]
-    layers: list = []
+    lines: list = []
     for k in range(2, net.m + 1):
-        layers.append(choose_layer_lines(
+        lines.append(choose_layer_lines(
             *relax.layer_line_spaces(net.activation, lows[-1], ups[-1])))
-        arrays = [ll.arrays() for ll in layers]
         rows = range(net.layer_width(k))
-        gl, gu = (concretize_rows(*backward_rows(net, k, rows, arrays,
-                                                 sense), spec, sense)
+        gl, gu = (concretize_rows(*backward_rows(net, k, rows, lines, sense),
+                                  spec, sense)
                   for sense in relax.SIDES)
         _check_order(gl, gu, k)
         lows.append(np.minimum(gl, gu))
         ups.append(np.maximum(gl, gu))
-    return LayerBounds(lows, ups), LineSet(layers)
+    return LayerBounds(lows, ups), lines
 
 
 def _check_order(gl: np.ndarray, gu: np.ndarray, k: int) -> None:

@@ -1,7 +1,8 @@
 """Tightening bounds by projected gradient ascent/descent over line variables.
 
-Every one-variable line space in the layers below the target contributes one
-optimization variable (a free ReLU lower slope or a tangency abscissa).  The
+Every one-variable entry of the LineSpaces records of the layers below the
+target contributes one optimization variable (a free ReLU lower slope or a
+tangency abscissa); ``collect_variables`` lays them out once per layer.  The
 target neurons of a layer are split into groups, and each group maximizes
 the sum of its lower bounds (or minimizes the sum of its upper bounds) over
 its own copy of the variables: the values form a (groups, variables) array.
@@ -59,16 +60,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class VarEntry:
-    """One optimization variable: the free parameter of a line space."""
-
-    layer: int
-    neuron: int
-    side: str          # "lower" | "upper"
-    space: relax.LineSpace
-
-
-@dataclass(frozen=True)
 class VariableVector:
     """The free line variables of layers 1..k-1, their values, and where
     their lines sit.
@@ -78,11 +69,9 @@ class VariableVector:
     then the upper-side lines of every neuron; ``slopes``/``intercepts``
     hold the fixed lines there and ``slots`` the place of each variable's
     line.  Every variable of a ReLU net is a slope through the origin and
-    every variable of a sigmoid/tanh net a tangency abscissa.  ``spaces``
-    holds the (lower, upper) LineSpaces of each layer.
+    every variable of a sigmoid/tanh net a tangency abscissa.
     """
 
-    spaces: tuple
     values: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -94,14 +83,6 @@ class VariableVector:
 
     def __len__(self):
         return len(self.slots)
-
-    @property
-    def entries(self) -> tuple:
-        """One VarEntry per variable, in slot order."""
-        return tuple(VarEntry(v, int(j), side, records[j])
-                     for v, layer in enumerate(self.spaces, start=1)
-                     for side, records in zip(relax.SIDES, layer)
-                     for j in np.flatnonzero(records.family))
 
     def at(self, values) -> "VariableVector":
         """The same variables at other values."""
@@ -128,7 +109,6 @@ def collect_variables(layer_spaces) -> VariableVector:
 
     slots = np.flatnonzero(flat(lambda rec: rec.family))
     return VariableVector(
-        tuple(layer_spaces),
         flat(crown.default_variables)[slots],
         flat(lambda rec: rec.var_lo)[slots],
         flat(lambda rec: rec.var_hi)[slots],
@@ -407,9 +387,8 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
 
     for k in range(2, net.m + 1):
         width = net.layer_width(k)
-        base_arrays = [ll.arrays() for ll in base_lines.layers[:k - 1]]
         best = [_Best(sense, gammas.copy(),
-                      *crown.backward_rows(net, k, range(width), base_arrays,
+                      *crown.backward_rows(net, k, range(width), base_lines,
                                            sense))
                 for sense, gammas in zip(relax.SIDES, base_bounds.layer(k))]
         var_vec = collect_variables(layer_spaces)

@@ -12,6 +12,8 @@ Two propagation modes exist: the baseline recursively feeds each layer's LP
 optima into the next layer's constraints, while shared-lines mode imports the
 bounding lines and intervals of a deterministic backward-propagation run
 verbatim so the LP optimum can be compared against the closed-form bound.
+Either way a layer's lines are its four line arrays, made once per layer,
+and ``build_lp`` assembles every LP from them with block array operations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import crown, relax, simplex
 from .model import Network, PerturbationSpec, ball_rows, check_input
-from .relax import Line, LineSpace, LineSpaces
+from .relax import LineSpaces
 
 #: slack for the primal-certificate recheck after a solve
 CERT_TOL = 1e-7
@@ -77,10 +79,10 @@ class RelaxationMenu:
     def multi(cls) -> "RelaxationMenu":
         return cls("multi")
 
-    def layer_lines(self, spaces: LineSpaces):
+    def side_lines(self, spaces: LineSpaces):
         """Every neuron's menu lines for one side of a layer, as (slopes,
-        intercepts, keep), each shaped (neurons, candidates): a neuron's
-        lines are its kept candidates, in order.
+        intercepts), each shaped (neurons, candidates): a neuron's lines are
+        its candidates in order, NaN where a candidate is dropped.
 
         A candidate within 1e-15 of a kept earlier one is dropped, and every
         kept line is checked on a 101-point grid of its interval.
@@ -101,150 +103,100 @@ class RelaxationMenu:
         neuron = np.nonzero(keep)[0]
         valid = relax.validate_line(
             spaces.act, spaces.side, spaces.l[neuron], spaces.u[neuron],
-            Line(slopes[keep], intercepts[keep]), grid_size=101)
+            slopes[keep], intercepts[keep], grid_size=101)
         if not valid.all():
             j = neuron[np.argmin(valid)]
             raise RuntimeError(
                 f"menu produced an invalid {spaces.side} line for "
                 f"{spaces.act} on [{spaces.l[j]}, {spaces.u[j]}]")
-        return slopes, intercepts, keep
+        return (np.where(keep, slopes, np.nan),
+                np.where(keep, intercepts, np.nan))
 
-    def lines_for(self, space: LineSpace) -> list:
-        """One space's menu lines."""
-        slopes, intercepts, keep = self.layer_lines(space.one())
-        return [Line(float(s), float(t))
-                for s, t in zip(slopes[0, keep[0]], intercepts[0, keep[0]])]
-
-
-def _layer_lines_from_menu(act, lower, upper, menu):
-    """One layer's (lower, upper) menu lines, each as
-    ``RelaxationMenu.layer_lines`` gives them."""
-    return tuple(menu.layer_lines(spaces)
-                 for spaces in relax.layer_line_spaces(act, lower, upper))
+    def layer_lines(self, act: str, lower, upper):
+        """One layer's menu lines from its intervals, as (slope_lower,
+        intercept_lower, slope_upper, intercept_upper) ``side_lines``
+        arrays."""
+        low, up = relax.layer_line_spaces(act, lower, upper)
+        return (*self.side_lines(low), *self.side_lines(up))
 
 
-def _one_line_each(line_arrays):
-    """A layer's (lower, upper) lines in menu form, from its LayerLines
-    arrays."""
-    sl, tl, su, tu = line_arrays
-    return tuple((s[:, None], t[:, None], np.ones((len(s), 1), dtype=bool))
-                 for s, t in ((sl, tl), (su, tu)))
+def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
+             bounds: crown.LayerBounds, lines) -> LpProblem:
+    """Assemble the relaxed LP for neuron i of layer k.
 
+    ``bounds`` gives the intervals of layers < k, and ``lines[v-1]`` layer
+    v's lines (slope_lower, intercept_lower, slope_upper, intercept_upper):
+    one per neuron and side as crown chooses them, or shaped (neurons,
+    candidates) with NaN for no line as ``RelaxationMenu.layer_lines``
+    gives them.
 
-class _VarMap:
-    """Variable layout: input x, then z(v) and a(v) per layer, then the
-    absolute-value auxiliaries for the p=1 ball."""
-
-    def __init__(self, net: Network, k: int, p: float):
-        self.n = net.n
-        self.offsets = {}
-        pos = self.n
-        for v in range(1, k):
-            w = net.layer_width(v)
-            self.offsets[("z", v)] = pos
-            pos += w
-            self.offsets[("a", v)] = pos
-            pos += w
-        self.r_offset = pos if p == 1.0 else None
-        if p == 1.0:
-            pos += self.n
-        self.total = pos
-        self.names = [f"x{i}" for i in range(self.n)]
-        for v in range(1, k):
-            self.names += [f"z{v}_{j}" for j in range(net.layer_width(v))]
-            self.names += [f"a{v}_{j}" for j in range(net.layer_width(v))]
-        if p == 1.0:
-            self.names += [f"r{i}" for i in range(self.n)]
-
-    def x(self, i):
-        return i
-
-    def z(self, v, j):
-        return self.offsets[("z", v)] + j
-
-    def a(self, v, j):
-        return self.offsets[("a", v)] + j
-
-
-def _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer):
+    The variables are x, then z(v) and a(v) of every layer v < k, then for
+    p = 1 the absolute-value auxiliaries r.  The equalities are
+    z(v) = W(v) a(v-1) + b(v), with a(0) = x.  The inequalities list, layer
+    by layer and within a layer neuron by neuron, the lower lines
+    a >= s z + t as s z - a <= -t, the upper lines a <= s z + t as
+    a - s z <= t, then z <= u and -z <= -l; the ball rows come last.
+    """
+    check_input(net, spec.x0)
     if spec.p not in (1.0, math.inf):
         raise LpUnsupportedError(
             "the relaxation is a linear program only for p in {1, inf}")
     if k < 2 or k > net.m:
         raise ValueError(f"layer index {k} out of range [2, {net.m}]")
-    vm = _VarMap(net, k, spec.p)
-    eq_rows, eq_rhs = [], []
-    ub_rows, ub_rhs = [], []
+    widths = net.widths[1:k]
+    before = np.cumsum((0,) + widths[:-1])     # neurons in the layers below
+    z_at = net.n + 2 * before                  # first column of each z(v)
+    r_at = net.n + 2 * sum(widths)
+    total = r_at + (net.n if spec.p == 1.0 else 0)
+    names = [f"x{t}" for t in range(net.n)]
+    for v, w in enumerate(widths, start=1):
+        names += [f"z{v}_{j}" for j in range(w)]
+        names += [f"a{v}_{j}" for j in range(w)]
+    if spec.p == 1.0:
+        names += [f"r{t}" for t in range(net.n)]
 
-    def new_row():
-        return np.zeros(vm.total)
+    A_eq = np.zeros((sum(widths), total))
+    ub_blocks, rhs = [], []
+    for v, (w, first, at) in enumerate(zip(widths, before, z_at), start=1):
+        # z(v) - W(v) a(v-1) = b(v), where a(v-1) (or x) sits just before z(v)
+        weights = net.weights[v - 1]
+        A_eq[first:first + w, at:at + w] = np.eye(w)
+        A_eq[first:first + w, at - weights.shape[1]:at] = -weights
+        # per neuron: its lower lines, its upper lines, z <= u, -z <= -l
+        parts = []            # (neuron, z coefficient, a coefficient, rhs)
+        sl, tl, su, tu = (np.reshape(a, (w, -1)) for a in lines[v - 1])
+        for sign, s, t in ((1.0, sl, tl), (-1.0, su, tu)):
+            keep = ~np.isnan(s)
+            parts.append((np.nonzero(keep)[0], sign * s[keep],
+                          np.full(keep.sum(), -sign), -sign * t[keep]))
+        low, up = bounds.layer(v)
+        for sign, bound in ((1.0, up), (-1.0, low)):
+            parts.append((np.arange(w), np.full(w, sign), np.zeros(w),
+                          sign * bound))
+        neuron, z_coef, a_coef, b = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(neuron, kind="stable")
+        block = np.zeros((len(order), total))
+        row = np.arange(len(order))
+        block[row, at + neuron[order]] = z_coef[order]
+        block[row, at + w + neuron[order]] = a_coef[order]
+        ub_blocks.append(block)
+        rhs.append(b[order])
+    ball_A, ball_b = ball_rows(spec, total, r_col=r_at)
 
-    # layer equalities z(v) = W(v) a(v-1) + b(v), with a(0) = x
-    for v in range(1, k):
-        w_mat, b_vec = net.weights[v - 1], net.biases[v - 1]
-        for j in range(net.layer_width(v)):
-            row = new_row()
-            row[vm.z(v, j)] = 1.0
-            for t in range(w_mat.shape[1]):
-                col = vm.x(t) if v == 1 else vm.a(v - 1, t)
-                row[col] = -w_mat[j, t]
-            eq_rows.append(row)
-            eq_rhs.append(b_vec[j])
-
-    # bounding lines, then interval rows; with sign +1 a lower line
-    # a >= s z + t is s z - a <= -t, with sign -1 an upper line
-    # a <= s z + t is a - s z <= t
-    for v in range(1, k):
-        low_v, up_v = bounds.layer(v)
-        for j in range(net.layer_width(v)):
-            for sign, (slopes, intercepts, keep) in zip(
-                    (1.0, -1.0), lines_per_layer[v - 1]):
-                for slope, intercept in zip(slopes[j, keep[j]],
-                                            intercepts[j, keep[j]]):
-                    row = new_row()
-                    row[vm.z(v, j)] = sign * slope
-                    row[vm.a(v, j)] = -sign
-                    ub_rows.append(row)
-                    ub_rhs.append(-sign * intercept)
-            for sign, bound in ((1.0, up_v[j]), (-1.0, low_v[j])):
-                row = new_row()          # z <= u, then -z <= -l
-                row[vm.z(v, j)] = sign
-                ub_rows.append(row)
-                ub_rhs.append(sign * bound)
-
-    ball_A, ball_b = ball_rows(spec, vm.total, r_col=vm.r_offset)
-    ub_rows.extend(ball_A)
-    ub_rhs.extend(ball_b)
-
-    # objective: row i of the layer-k affine map
-    c = np.zeros(vm.total)
-    w_mat = net.weights[k - 1]
-    for t in range(w_mat.shape[1]):
-        col = vm.x(t) if k == 1 else vm.a(k - 1, t)
-        c[col] = w_mat[i, t]
+    # objective: row i of the layer-k affine map, over a(k-1)
+    c = np.zeros(total)
+    c[r_at - widths[-1]:r_at] = net.weights[k - 1][i]
     return LpProblem(
         sense="min" if sense == "lower" else "max",
         c=c,
         c0=float(net.biases[k - 1][i]),
-        A_eq=np.array(eq_rows) if eq_rows else np.zeros((0, vm.total)),
-        b_eq=np.array(eq_rhs),
-        A_ub=np.array(ub_rows),
-        b_ub=np.array(ub_rhs),
-        names=vm.names,
+        A_eq=A_eq,
+        b_eq=np.concatenate(net.biases[:k - 1]),
+        A_ub=np.vstack(ub_blocks + [ball_A]),
+        b_ub=np.concatenate(rhs + [ball_b]),
+        names=names,
         meta={"k": k, "i": i, "sense": sense},
     )
-
-
-def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
-             bounds: crown.LayerBounds, menu: RelaxationMenu) -> LpProblem:
-    """Assemble the relaxed LP for neuron i of layer k."""
-    check_input(net, spec.x0)
-    act = net.activation
-    lines_per_layer = []
-    for v in range(1, k):
-        low_v, up_v = bounds.layer(v)
-        lines_per_layer.append(_layer_lines_from_menu(act, low_v, up_v, menu))
-    return _build_with_lines(net, spec, k, i, sense, bounds, lines_per_layer)
 
 
 def solve(problem: LpProblem):
@@ -283,22 +235,20 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
 
     low1, up1 = crown.layer1_bounds(net, spec)
     bounds = crown.LayerBounds([low1], [up1])
-    if mode == "shared-lines":
-        ref_bounds, ref_lines = crown.propagate(net, spec)
-        shared = [_one_line_each(ll.arrays()) for ll in ref_lines.layers]
-
-        def problem(k, i, sense):
-            return _build_with_lines(net, spec, k, i, sense, ref_bounds, shared)
-    else:
-        def problem(k, i, sense):
-            return build_lp(net, spec, k, i, sense, bounds, menu)
-
+    # the intervals and lines the LPs are built from
+    rows_from, lines = (crown.propagate(net, spec) if mode == "shared-lines"
+                        else (bounds, []))
     for k in range(2, net.m + 1):
+        if mode == "baseline":
+            lines.append(menu.layer_lines(net.activation,
+                                          *bounds.layer(k - 1)))
         gl = np.empty(net.layer_width(k))
         gu = np.empty(net.layer_width(k))
         for i in range(net.layer_width(k)):
-            gl[i] = solve(problem(k, i, "lower"))[0]
-            gu[i] = solve(problem(k, i, "upper"))[0]
+            gl[i] = solve(build_lp(net, spec, k, i, "lower", rows_from,
+                                   lines))[0]
+            gu[i] = solve(build_lp(net, spec, k, i, "upper", rows_from,
+                                   lines))[0]
         bounds.lower.append(gl)
         bounds.upper.append(gu)
     return bounds, (bounds.output_lower, bounds.output_upper)

@@ -27,49 +27,21 @@ def relu(z):
     return np.maximum(np.asarray(z, dtype=float), 0.0)
 
 
-def relu_deriv(z):
-    # subgradient 0 at the kink
-    return (np.asarray(z, dtype=float) > 0.0).astype(float)
-
-
-def relu_deriv2(z):
-    return np.zeros_like(np.asarray(z, dtype=float))
-
-
 def sigmoid(z):
     # exp overflow for very negative z yields inf and a correct 0.0 result
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
-def sigmoid_deriv(z):
-    s = sigmoid(z)
-    return s * (1.0 - s)
-
-
-def sigmoid_deriv2(z):
-    s = sigmoid(z)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
 def tanh(z):
     return np.tanh(np.asarray(z, dtype=float))
 
 
-def tanh_deriv(z):
-    t = np.tanh(np.asarray(z, dtype=float))
-    return 1.0 - t * t
-
-
-def tanh_deriv2(z):
-    t = np.tanh(np.asarray(z, dtype=float))
-    return -2.0 * t * (1.0 - t * t)
-
-
 def relu_jet(z, order=2):
-    if order == 1:
-        return relu(z), relu_deriv(z)
-    return relu(z), relu_deriv(z), relu_deriv2(z)
+    a = relu(z)
+    # subgradient 0 at the kink
+    d1 = (np.asarray(z, dtype=float) > 0.0).astype(float)
+    return (a, d1) if order == 1 else (a, d1, np.zeros_like(d1))
 
 
 def sigmoid_jet(z, order=2):
@@ -84,16 +56,11 @@ def tanh_jet(z, order=2):
     return (t, d1) if order == 1 else (t, d1, -2.0 * t * d1)
 
 
-#: activation name -> (function, first derivative, second derivative)
-ACTIVATIONS = {
-    "relu": (relu, relu_deriv, relu_deriv2),
-    "sigmoid": (sigmoid, sigmoid_deriv, sigmoid_deriv2),
-    "tanh": (tanh, tanh_deriv, tanh_deriv2),
-}
+#: activation name -> function
+ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
 
 #: activation name -> jet(z, order): the function and its first ``order``
-#: derivatives (order 1 or 2) from one evaluation of the activation, with the
-#: same bits as the separate functions above
+#: derivatives (order 1 or 2) from one evaluation of the activation
 ACTIVATION_JETS = {
     "relu": relu_jet,
     "sigmoid": sigmoid_jet,
@@ -243,7 +210,7 @@ def forward(net: Network, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n,):
         raise ModelError(f"input must have shape ({net.n},), got {x.shape}")
-    act = ACTIVATIONS[net.activation][0]
+    act = ACTIVATIONS[net.activation]
     a = x
     for idx, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
         z = w @ a + b
@@ -254,7 +221,7 @@ def forward(net: Network, x) -> np.ndarray:
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network on rows of ``xs`` (N x n). Returns N x n_m."""
     xs = np.asarray(xs, dtype=float)
-    act = ACTIVATIONS[net.activation][0]
+    act = ACTIVATIONS[net.activation]
     a = xs
     for idx, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
         z = a @ w.T + b
@@ -265,7 +232,7 @@ def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
 def preactivations(net: Network, xs: np.ndarray) -> list:
     """Pre-activation matrices z(k) for each layer, for rows of ``xs``."""
     xs = np.asarray(xs, dtype=float)
-    act = ACTIVATIONS[net.activation][0]
+    act = ACTIVATIONS[net.activation]
     a = xs
     out = []
     for idx, (w, b) in enumerate(zip(net.weights, net.biases), start=1):

@@ -23,9 +23,8 @@ A layer's families are one record of arrays per side (``LineSpaces``): the
 case of every neuron, whether it is a family or a fixed line, the family's
 admissible range and the fixed line.  ``layer_line_spaces`` builds both
 records of a layer with array code, and solves every anchored tangent of the
-layer (case1 and case3 alike) in one batched bisection.  The per-neuron API
-(``line_space``, ``LineSpace``, ``chord``, ``tangent_point_through``) is a
-one-element view of the same array code.
+layer (case1 and case3 alike) in one batched bisection; ``line_space`` is the
+record of a single interval.  Lines travel as slope and intercept arrays.
 """
 
 from __future__ import annotations
@@ -62,25 +61,12 @@ class TangentUndefinedError(RuntimeError):
     """No anchored tangent exists on the admissible side of the inflection."""
 
 
-@dataclass(frozen=True)
-class Line:
-    slope: float
-    intercept: float
-
-    def value(self, z):
-        return self.slope * np.asarray(z, dtype=float) + self.intercept
-
-
-def _funcs(act: str):
+def _activation(act: str):
+    """The activation's function and jet."""
     try:
-        return ACTIVATIONS[act]
+        return ACTIVATIONS[act], ACTIVATION_JETS[act]
     except KeyError:
         raise ValueError(f"unknown activation {act!r}") from None
-
-
-def _jet(act: str):
-    _funcs(act)
-    return ACTIVATION_JETS[act]
 
 
 def _intervals(lower, upper):
@@ -99,14 +85,8 @@ def _intervals(lower, upper):
 
 def tangent_lines(act: str, d):
     """Tangents to the activation at abscissas d, as (slopes, intercepts)."""
-    fd, dfd = _jet(act)(d, 1)
+    fd, dfd = _activation(act)[1](d, 1)
     return dfd, fd - dfd * d
-
-
-def tangent_line(act: str, d: float) -> Line:
-    """Tangent to the activation at abscissa d."""
-    s, t = tangent_lines(act, np.array([d], dtype=float))
-    return Line(float(s[0]), float(t[0]))
 
 
 def family_lines(act: str, theta, grads: bool = False):
@@ -124,7 +104,7 @@ def family_lines(act: str, theta, grads: bool = False):
     # slope = f'(d), intercept = f(d) - f'(d) d
     if not grads:
         return tangent_lines(act, theta)
-    f, df, d2f = _jet(act)(theta)
+    f, df, d2f = _activation(act)[1](theta)
     return df, f - df * theta, d2f, -d2f * theta
 
 
@@ -137,14 +117,6 @@ def _chord_lines(act, l, u, fl, fu, degenerate):
     s = (fu - fl) / np.where(degenerate, 1.0, u - l)
     ms, mt = tangent_lines(act, 0.5 * (l + u))
     return np.where(degenerate, ms, s), np.where(degenerate, mt, fl - s * l)
-
-
-def chord(act: str, l: float, u: float) -> Line:
-    """Secant through (l, f(l)) and (u, f(u)); midpoint tangent if degenerate."""
-    l, u = _intervals(l, u)
-    f = _funcs(act)[0]
-    s, t = _chord_lines(act, l, u, f(l), f(u), u - l <= DEGENERATE_WIDTH)
-    return Line(float(s[0]), float(t[0]))
 
 
 def tangent_points_through(act: str, l, u, left):
@@ -174,7 +146,7 @@ def tangent_points_through(act: str, l, u, left):
     about the distance to the root.  The returned end is the one on the
     valid side.
     """
-    jet = _jet(act)
+    f, jet = _activation(act)
     l = np.atleast_1d(np.asarray(l, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     left = np.atleast_1d(np.asarray(left, dtype=bool))
@@ -185,7 +157,7 @@ def tangent_points_through(act: str, l, u, left):
         where = ("left", "below") if left[j] else ("right", "above")
         raise TangentUndefinedError(
             f"{where[0]} anchor {e[j]} not {where[1]} the inflection point")
-    fe = _funcs(act)[0](e)
+    fe = f(e)
 
     def tangent_value(d, e):
         # g(d) = tangent_value(d, e) - f(e); the comparisons below read the
@@ -225,20 +197,6 @@ def tangent_points_through(act: str, l, u, left):
     return np.where(left, hi, lo)
 
 
-def tangent_point_through(act: str, anchor: str, l: float, u: float) -> float:
-    """Abscissa d of the tangent that passes through the anchored endpoint.
-
-    anchor="left" solves f'(d)(l - d) + f(d) = f(l) with d >= 0 (requires
-    l < 0); anchor="right" solves the mirror with d <= 0 (requires u > 0).
-    One interval of ``tangent_points_through``, which documents the rule.
-    """
-    if act == "relu":
-        raise ValueError("anchored tangents only apply to sigmoid/tanh")
-    if anchor not in ("left", "right"):
-        raise ValueError(f"anchor must be 'left' or 'right', got {anchor!r}")
-    return float(tangent_points_through(act, l, u, anchor == "left")[0])
-
-
 @dataclass(eq=False)
 class LineSpaces:
     """The tightest-line families of one side of a layer, one entry per
@@ -249,8 +207,8 @@ class LineSpaces:
     origin; "tangent": the tangency abscissa) makes from a variable in
     [var_lo, var_hi]; the other entries are fixed to the line
     (slope, intercept).  NaN fills the fields an entry does not use.
-    ``case`` indexes CASE_TAGS.  Iterating yields one LineSpace view per
-    neuron, made on demand.
+    ``case`` indexes CASE_TAGS.  Iterating yields one LineSpace per
+    neuron, for per-neuron tallies.
     """
 
     act: str
@@ -273,16 +231,6 @@ class LineSpaces:
 
     def __iter__(self):
         return (LineSpace(self, j) for j in range(len(self)))
-
-    def __getitem__(self, j) -> "LineSpace":
-        return LineSpace(self, range(len(self))[j])
-
-    def take(self, idx) -> "LineSpaces":
-        """The entries ``idx`` as a record of their own."""
-        return LineSpaces(self.act, self.side, self.l[idx], self.u[idx],
-                          self.case[idx], self.family[idx], self.var_lo[idx],
-                          self.var_hi[idx], self.slope[idx],
-                          self.intercept[idx])
 
     def lines_at(self, theta, grads: bool = False):
         """Every entry's line, a family member at variable ``theta`` or the
@@ -312,36 +260,14 @@ class LineSpaces:
 
 
 class LineSpace:
-    """The family of tightest bounding lines for one activation interval:
-    entry ``index`` of a LineSpaces record.
-
-    kind is "fixed" (a unique tightest line) or "one-variable"; one-variable
-    spaces are generated either by a free lower slope through the origin
-    (ReLU on a crossing interval) or by the tangency abscissa of a tangent
-    family (sigmoid/tanh).
-    """
+    """The kind and case of entry ``index`` of a LineSpaces record: "fixed"
+    (a unique tightest line) or "one-variable" (a family)."""
 
     __slots__ = ("spaces", "index")
 
     def __init__(self, spaces: LineSpaces, index: int):
         self.spaces = spaces
         self.index = index
-
-    @property
-    def act(self) -> str:
-        return self.spaces.act
-
-    @property
-    def side(self) -> str:
-        return self.spaces.side
-
-    @property
-    def l(self) -> float:
-        return float(self.spaces.l[self.index])
-
-    @property
-    def u(self) -> float:
-        return float(self.spaces.u[self.index])
 
     @property
     def kind(self) -> str:
@@ -351,69 +277,12 @@ class LineSpace:
     def case_tag(self) -> str:
         return CASE_TAGS[self.spaces.case[self.index]]
 
-    @property
-    def generator(self) -> str:
-        return self.spaces.generator if self.kind == "one-variable" else ""
-
-    @property
-    def var_lo(self) -> float:
-        return float(self.spaces.var_lo[self.index])
-
-    @property
-    def var_hi(self) -> float:
-        return float(self.spaces.var_hi[self.index])
-
-    @property
-    def var_range(self):
-        return (self.var_lo, self.var_hi)
-
-    @property
-    def fixed_line(self) -> Line | None:
-        if self.kind != "fixed":
-            return None
-        return Line(float(self.spaces.slope[self.index]),
-                    float(self.spaces.intercept[self.index]))
-
-    def one(self) -> LineSpaces:
-        """This space as a one-entry record."""
-        return self.spaces.take([self.index])
-
-    def line_at(self, theta: float) -> Line:
-        if self.kind == "fixed":
-            return self.fixed_line
-        s, t = self.one().lines_at(theta)
-        return Line(float(s[0]), float(t[0]))
-
-    def line_and_grad_at(self, theta: float):
-        """(slope, intercept, d slope / d theta, d intercept / d theta)."""
-        return tuple(float(a[0]) for a in self.one().lines_at(theta, True))
-
-    def _key(self):
-        family = self.kind == "one-variable"
-        return (self.act, self.side, self.l, self.u, self.kind, self.case_tag,
-                self.generator, self.var_range if family else None,
-                self.fixed_line)
-
-    def __eq__(self, other):
-        if not isinstance(other, LineSpace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "LineSpace(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(
-                ("act", "side", "l", "u", "kind", "case_tag", "generator",
-                 "var_range", "fixed_line"), self._key())) + ")"
-
 
 def layer_line_spaces(act: str, lower, upper):
     """(lower-side, upper-side) LineSpaces of one layer's intervals; the
     anchored tangents of both sides are solved in one bisection."""
     l, u = _intervals(lower, upper)
-    jet = _jet(act)
+    jet = _activation(act)[1]
     fl, dfl = jet(l, 1)
     fu, dfu = jet(u, 1)
     degenerate = u - l <= DEGENERATE_WIDTH
@@ -466,11 +335,12 @@ def layer_line_spaces(act: str, lower, upper):
     return tuple(records)
 
 
-def line_space(act: str, side: str, l: float, u: float) -> LineSpace:
-    """The tightest-line family for (activation, side, sign case) on [l, u]."""
+def line_space(act: str, side: str, l: float, u: float) -> LineSpaces:
+    """The tightest-line family for (activation, side, sign case) on [l, u],
+    as a one-entry record."""
     if side not in SIDES:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    return layer_line_spaces(act, l, u)[SIDES.index(side)][0]
+    return layer_line_spaces(act, l, u)[SIDES.index(side)]
 
 
 def _grid(l, u, grid_size):
@@ -485,21 +355,21 @@ def _grid(l, u, grid_size):
     return zs
 
 
-def validate_line(act: str, side: str, l, u, line: Line,
+def validate_line(act: str, side: str, l, u, slope, intercept,
                   grid_size: int = 1001):
-    """Check the side inequality on a dense grid including both endpoints.
+    """Check the side inequality of the line (slope, intercept) on a dense
+    grid of [l, u] including both endpoints.
 
-    ``l``, ``u`` and the line's slope and intercept may also be arrays of
-    one shape: each line is then checked on its own interval, and the result
-    is a bool array.
+    The four values may also be arrays of one shape: each line is then
+    checked on its own interval, and the result is a bool array.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    f = _funcs(act)[0]
+    f = _activation(act)[0]
     zs = _grid(np.asarray(l, dtype=float), np.asarray(u, dtype=float),
                grid_size)
-    slope = np.asarray(line.slope, dtype=float)[..., None]
-    intercept = np.asarray(line.intercept, dtype=float)[..., None]
+    slope = np.asarray(slope, dtype=float)[..., None]
+    intercept = np.asarray(intercept, dtype=float)[..., None]
     gap = f(zs) - (slope * zs + intercept)
     if side == "upper":
         gap = -gap

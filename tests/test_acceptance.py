@@ -187,14 +187,12 @@ def test_criterion_5_intercept_shifts_never_improve():
         for delta in (1e-3, 1e-1):
             for subset in (None, rng):
                 arrays = []
-                for ll in lines.layers:
-                    n = len(ll.slope_lower)
+                for sl, tl, su, tu in lines:
+                    n = len(sl)
                     mask = np.ones(n) if subset is None \
                         else (rng.uniform(size=n) < 0.5).astype(float)
-                    arrays.append((ll.slope_lower,
-                                   ll.intercept_lower - delta * mask,
-                                   ll.slope_upper,
-                                   ll.intercept_upper + delta * mask))
+                    arrays.append((sl, tl - delta * mask,
+                                   su, tu + delta * mask))
                 for k in range(2, net.m + 1):
                     rows = range(net.layer_width(k))
                     gl = crown.concretize_rows(

@@ -142,6 +142,22 @@ def test_dump_lp_flag(tmp_path):
     assert "minimize" in text and "maximize" in text and "<=" in text
 
 
+@pytest.mark.parametrize("method", ["crown", "frown"])
+def test_dump_lp_without_lp_exits_2(tmp_path, capsys, monkeypatch, method):
+    # rejected before any bound is computed, and no file is written
+    def no_bounds(*args, **kwargs):
+        raise AssertionError("bounds computed")
+
+    monkeypatch.setattr(cli.crown, "propagate", no_bounds)
+    monkeypatch.setattr(cli.frown, "frown_propagate", no_bounds)
+    dump = tmp_path / "problems.lp"
+    rc = run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
+              "--eps", "0.5", "--method", method, "--dump-lp", str(dump)])
+    assert rc == 2
+    assert "--dump-lp" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def bench_config(tmp_path, timing: bool):
     nets, samples = [], []
     for seed in (0, 1):
@@ -255,8 +271,20 @@ def toy_bench_doc(**changes):
     {"methods": []},
     {"lp_lines": "both"},
     {"norms": ["3"]},
+    # once iterated per character, one error cell per character
+    {"networks": data_path("toy_relu.json")},
+    {"samples": data_path("toy_sample.json")},
+    {"networks": []},
+    # once error cells, or timing turned on
+    {"cap": "10"},
+    {"cap": True},
+    {"rel_tol": -1},
+    {"rel_tol": float("nan")},
+    {"timing": "no"},
 ], ids=["missing-methods", "unknown-key", "unknown-method", "no-methods",
-        "bad-lp-lines", "bad-norm"])
+        "bad-lp-lines", "bad-norm", "string-networks", "string-samples",
+        "no-networks", "string-cap", "bool-cap", "negative-rel-tol",
+        "nan-rel-tol", "string-timing"])
 def test_bench_rejects_malformed_config(tmp_path, capsys, changes):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(toy_bench_doc(**changes)))

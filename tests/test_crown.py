@@ -9,8 +9,6 @@ from netcert.model import (
     forward,
     generate_random_network,
 )
-from netcert.relax import Line
-
 from conftest import positive_bias_relu_net, toy_relu_net
 
 
@@ -18,7 +16,7 @@ def single_layer_lines(sl, tl, su, tu):
     return [(np.array([sl]), np.array([tl]), np.array([su]), np.array([tu]))]
 
 
-# --- backward_bound ----------------------------------------------------------
+# --- backward_rows -----------------------------------------------------------
 
 def test_backward_single_composition():
     net = toy_relu_net()
@@ -45,37 +43,38 @@ def test_backward_affine_bound_valid_under_sampling():
     xs = oracle.ball_samples(spec, 10000, rng)
     from netcert.model import preactivations
     z3 = preactivations(net, xs)[2]
-    for i in range(net.layer_width(3)):
-        low = crown.backward_bound(net, 3, i, lines, "lower")
-        up = crown.backward_bound(net, 3, i, lines, "upper")
-        assert np.all(xs @ low.coeffs + low.offset <= z3[:, i] + 1e-9)
-        assert np.all(xs @ up.coeffs + up.offset >= z3[:, i] - 1e-9)
+    rows = range(net.layer_width(3))
+    low_A, low_c = crown.backward_rows(net, 3, rows, lines, "lower")
+    up_A, up_c = crown.backward_rows(net, 3, rows, lines, "upper")
+    for i in rows:
+        assert np.all(xs @ low_A[i] + low_c[i] <= z3[:, i] + 1e-9)
+        assert np.all(xs @ up_A[i] + up_c[i] >= z3[:, i] - 1e-9)
 
 
 def test_backward_missing_lines():
     net = generate_random_network(2, [3, 4, 4, 2], "relu")
-    lines = crown.LineSet(layers=[])
     with pytest.raises(ValueError):
-        crown.backward_bound(net, 3, 0, lines, "lower")
+        crown.backward_rows(net, 3, [0], [], "lower")
 
 
-# --- concretize ---------------------------------------------------------------
+# --- concretize_rows ----------------------------------------------------------
 
 def test_concretize_examples():
     coeffs = np.array([3.0, -4.0])
     for p, expected in ((np.inf, 0.3), (2, 0.5), (1, 0.6)):
         spec = PerturbationSpec(np.zeros(2), p, 0.1)
-        bound = crown.AffineBound(coeffs, 1.0, "lower")
-        assert crown.concretize(bound, spec) == pytest.approx(expected)
+        low = crown.concretize_rows(coeffs[None], np.array([1.0]), spec,
+                                    "lower")
+        assert low[0] == pytest.approx(expected)
     spec = PerturbationSpec(np.zeros(2), np.inf, 0.1)
-    up = crown.AffineBound(coeffs, 1.0, "upper")
-    assert crown.concretize(up, spec) == pytest.approx(1.7)
+    up = crown.concretize_rows(coeffs[None], np.array([1.0]), spec, "upper")
+    assert up[0] == pytest.approx(1.7)
 
 
 def test_concretize_length_check():
     spec = PerturbationSpec(np.zeros(3), 2, 0.1)
     with pytest.raises(ValueError):
-        crown.concretize(crown.AffineBound(np.ones(2), 0.0, "lower"), spec)
+        crown.concretize_rows(np.ones((1, 2)), np.zeros(1), spec, "lower")
 
 
 # --- propagate -----------------------------------------------------------------
@@ -89,9 +88,9 @@ def test_propagate_toy():
     # default lower slope is 1 (tie towards 1), upper is the chord
     assert bounds.output_lower[0] == pytest.approx(-1.0)
     assert bounds.output_upper[0] == pytest.approx(1.0)
-    ll = lines.layers[0]
-    assert ll.slope_lower[0] == pytest.approx(1.0)
-    assert (ll.slope_upper[0], ll.intercept_upper[0]) == (0.5, 0.5)
+    slope_lower, _, slope_upper, intercept_upper = lines[0]
+    assert slope_lower[0] == pytest.approx(1.0)
+    assert (slope_upper[0], intercept_upper[0]) == (0.5, 0.5)
 
 
 def test_forward_value_inside_output_bounds():
@@ -183,10 +182,8 @@ def test_intercept_shifts_never_improve():
         spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
         bounds, lines = crown.propagate(net, spec)
         for delta in (1e-3, 1e-1):
-            arrays = []
-            for ll in lines.layers:
-                arrays.append((ll.slope_lower, ll.intercept_lower - delta,
-                               ll.slope_upper, ll.intercept_upper + delta))
+            arrays = [(sl, tl - delta, su, tu + delta)
+                      for sl, tl, su, tu in lines]
             for k in range(2, net.m + 1):
                 rows = range(net.layer_width(k))
                 gl = crown.concretize_rows(
@@ -225,15 +222,12 @@ def test_line_set_lines_validate_against_intervals():
     net = generate_random_network(12, [4, 6, 5, 3], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.4)
     bounds, lines = crown.propagate(net, spec)
-    for v, ll in enumerate(lines.layers, start=1):
+    for v, (sl, tl, su, tu) in enumerate(lines, start=1):
         low_v, up_v = bounds.layer(v)
-        for j in range(len(low_v)):
-            assert relax.validate_line(
-                "sigmoid", "lower", low_v[j], up_v[j],
-                Line(ll.slope_lower[j], ll.intercept_lower[j]), 301)
-            assert relax.validate_line(
-                "sigmoid", "upper", low_v[j], up_v[j],
-                Line(ll.slope_upper[j], ll.intercept_upper[j]), 301)
+        assert relax.validate_line("sigmoid", "lower", low_v, up_v, sl, tl,
+                                   301).all()
+        assert relax.validate_line("sigmoid", "upper", low_v, up_v, su, tu,
+                                   301).all()
 
 
 def test_dual_norm_grad_directions():

@@ -17,6 +17,16 @@ def spaces_for(net, bounds, k):
             for v in range(1, k)]
 
 
+def per_record(spaces, var_vec, values):
+    """Each LineSpaces record of ``spaces`` with its entries' variable values
+    (NaN at fixed entries), in the order of the flat line layout."""
+    records = [rec for layer in spaces for rec in layer]
+    theta = np.full(len(var_vec.slopes), np.nan)
+    theta[var_vec.slots] = values
+    ends = np.cumsum([0] + [len(rec) for rec in records])
+    return [(rec, theta[a:b]) for rec, a, b in zip(records, ends, ends[1:])]
+
+
 def toy_setup(eps=1.0):
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, eps)
@@ -103,17 +113,14 @@ def test_materialize_matches_line_space_per_variable(act):
     rng = np.random.default_rng(3)
     values = np.vstack([vv.lo, vv.hi, rng.uniform(vv.lo, vv.hi, (4, len(vv)))])
     slopes, intercepts, dslope, dintercept = frown._materialize(vv.at(values))
-    flat = [sp for layer in spaces for side in layer for sp in side]
     for g, row in enumerate(values):
-        for e, (entry, theta) in enumerate(zip(vv.entries, row)):
-            expected = entry.space.line_and_grad_at(float(theta))
-            got = (slopes[g, vv.slots[e]], intercepts[g, vv.slots[e]],
-                   dslope[g, e], dintercept[g, e])
-            assert got == expected, (g, e)
-        for slot, sp in enumerate(flat):
-            if sp.kind == "fixed":
-                assert (slopes[g, slot], intercepts[g, slot]) == (
-                    sp.fixed_line.slope, sp.fixed_line.intercept)
+        expected = [rec.lines_at(theta, grads=True)
+                    for rec, theta in per_record(spaces, vv, row)]
+        s, t, ds, dt = (np.concatenate(part) for part in zip(*expected))
+        assert slopes[g].tolist() == s.tolist(), g
+        assert intercepts[g].tolist() == t.tolist(), g
+        assert dslope[g].tolist() == ds[vv.slots].tolist(), g
+        assert dintercept[g].tolist() == dt[vv.slots].tolist(), g
 
 
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
@@ -198,10 +205,9 @@ def test_iterates_stay_in_box_and_lines_valid():
         net, spec, 3, [0], "lower", frown.OptimizerConfig(max_iters=50),
         frown.collect_variables(spaces))
     out_vec.check()
-    for entry, theta in zip(out_vec.entries, out_vec.values):
-        sp = entry.space
-        assert relax.validate_line(sp.act, sp.side, sp.l, sp.u,
-                                   sp.line_at(theta), 501)
+    for rec, theta in per_record(spaces, out_vec, out_vec.values):
+        assert relax.validate_line(rec.act, rec.side, rec.l, rec.u,
+                                   *rec.lines_at(theta), 501).all()
 
 
 # --- frown_propagate ---------------------------------------------------------------
@@ -265,6 +271,11 @@ def test_zero_radius_collapses_to_forward_values():
     assert np.allclose(fb.output_upper, out, atol=1e-9)
 
 
+def concretize(bound, spec):
+    return crown.concretize_rows(bound.coeffs[None], np.array([bound.offset]),
+                                 spec, bound.sense)[0]
+
+
 def test_output_affine_bounds_consistent():
     net = generate_random_network(17, [4, 6, 5, 3], "relu", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), 2, 0.3)
@@ -272,9 +283,7 @@ def test_output_affine_bounds_consistent():
         net, spec, frown.OptimizerConfig(max_iters=30))
     for i, bound in enumerate(lo_aff):
         assert bound.gamma == pytest.approx(fb.output_lower[i], abs=1e-12)
-        assert crown.concretize(bound, spec) == pytest.approx(bound.gamma,
-                                                              abs=1e-9)
+        assert concretize(bound, spec) == pytest.approx(bound.gamma, abs=1e-9)
     for i, bound in enumerate(up_aff):
         assert bound.gamma == pytest.approx(fb.output_upper[i], abs=1e-12)
-        assert crown.concretize(bound, spec) == pytest.approx(bound.gamma,
-                                                              abs=1e-9)
+        assert concretize(bound, spec) == pytest.approx(bound.gamma, abs=1e-9)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from netcert import crown, lp, oracle, relax, simplex
-from netcert.model import ModelError, PerturbationSpec, generate_random_network
+from netcert.model import (
+    ModelError,
+    PerturbationSpec,
+    ball_rows,
+    generate_random_network,
+)
 
 from conftest import toy_relu_net
 
@@ -62,12 +67,30 @@ def test_simplex_detects_unbounded():
 
 # --- build_lp -------------------------------------------------------------------
 
+def menu_lines(net, bounds, lines, k):
+    """The menu lines of layers 1..k-1 on the intervals ``bounds``."""
+    menu = lp.RelaxationMenu(lines)
+    return [menu.layer_lines(net.activation, *bounds.layer(v))
+            for v in range(1, k)]
+
+
+def kept(menu, spaces):
+    """The menu lines of a one-entry record, as (slope, intercept) pairs."""
+    s, t = menu.side_lines(spaces)
+    keep = ~np.isnan(s[0])
+    return list(zip(s[0, keep].tolist(), t[0, keep].tolist()))
+
+
+def first(lines):
+    return tuple(float(a[0]) for a in lines)
+
+
 def test_build_lp_counts_for_two_layer_single_menu():
     net = generate_random_network(0, [3, 5, 2], "relu", scale=1.0)
     spec = PerturbationSpec(np.zeros(3), np.inf, 0.2)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
-                       lp.RelaxationMenu.single())
+                       menu_lines(net, bounds, "single", 2))
     n, n1 = 3, 5
     assert prob.n_vars == n + 2 * n1
     assert prob.A_eq.shape[0] == n1
@@ -76,19 +99,87 @@ def test_build_lp_counts_for_two_layer_single_menu():
     assert prob.c0 == pytest.approx(net.biases[1][0])
 
 
+def per_entry_lp(net, spec, k, i, bounds, lines):
+    """The arrays of ``build_lp``'s LP, filled one entry at a time in the
+    same variable and row order: the reference for its block assembly."""
+    widths = net.widths[1:k]
+    z_at, col = {}, net.n
+    for v, w in enumerate(widths, start=1):
+        z_at[v] = col
+        col += 2 * w
+    total = col + (net.n if spec.p == 1.0 else 0)
+
+    def a_col(v, j):          # a(0) is x
+        return j if v == 0 else z_at[v] + widths[v - 1] + j
+
+    eq, eq_rhs, ub, ub_rhs = [], [], [], []
+    for v in range(1, k):
+        for j in range(widths[v - 1]):
+            row = np.zeros(total)
+            row[z_at[v] + j] = 1.0
+            for t in range(net.weights[v - 1].shape[1]):
+                row[a_col(v - 1, t)] = -net.weights[v - 1][j, t]
+            eq.append(row)
+            eq_rhs.append(net.biases[v - 1][j])
+    for v in range(1, k):
+        low, up = bounds.layer(v)
+        sl, tl, su, tu = (np.reshape(x, (widths[v - 1], -1))
+                          for x in lines[v - 1])
+        for j in range(widths[v - 1]):
+            for sign, s, t in ((1.0, sl, tl), (-1.0, su, tu)):
+                for slope, intercept in zip(s[j], t[j]):
+                    if np.isnan(slope):
+                        continue
+                    row = np.zeros(total)
+                    row[z_at[v] + j] = sign * slope
+                    row[a_col(v, j)] = -sign
+                    ub.append(row)
+                    ub_rhs.append(-sign * intercept)
+            for sign, bound in ((1.0, up[j]), (-1.0, low[j])):
+                row = np.zeros(total)
+                row[z_at[v] + j] = sign
+                ub.append(row)
+                ub_rhs.append(sign * bound)
+    ball_A, ball_b = ball_rows(spec, total, r_col=col)
+    c = np.zeros(total)
+    for t in range(widths[-1]):
+        c[a_col(k - 1, t)] = net.weights[k - 1][i, t]
+    return (c, np.array(eq), np.array(eq_rhs), np.vstack(ub + [ball_A]),
+            np.concatenate([ub_rhs, ball_b]))
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_build_lp_matches_per_entry_reference(act, p):
+    net = generate_random_network(4, [3, 5, 4, 2], act, scale=1.5)
+    spec = PerturbationSpec(np.array([0.1, -0.2, 0.3]), p, 0.4)
+    bounds, crown_lines = crown.propagate(net, spec)
+    for k in (2, 3):
+        for lines in (crown_lines, menu_lines(net, bounds, "single", k),
+                      menu_lines(net, bounds, "multi", k)):
+            for i, sense in ((0, "lower"), (1, "upper")):
+                prob = lp.build_lp(net, spec, k, i, sense, bounds, lines)
+                got = (prob.c, prob.A_eq, prob.b_eq, prob.A_ub, prob.b_ub)
+                want = per_entry_lp(net, spec, k, i, bounds, lines)
+                # same bits, so signed zeros too
+                assert [g.tobytes() for g in got] == \
+                    [w.tobytes() for w in want]
+                assert len(prob.names) == prob.n_vars
+
+
 def test_menu_lines_per_space():
     single, multi = lp.RelaxationMenu.single(), lp.RelaxationMenu.multi()
     relu = relax.line_space("relu", "lower", -1.0, 2.0)
-    assert single.lines_for(relu) == [relax.Line(1.0, 0.0)]
-    assert multi.lines_for(relu) == [relax.Line(0.0, 0.0), relax.Line(1.0, 0.0)]
+    assert kept(single, relu) == [(1.0, 0.0)]
+    assert kept(multi, relu) == [(0.0, 0.0), (1.0, 0.0)]
     tangent = relax.line_space("tanh", "lower", -2.0, 2.0)
-    assert single.lines_for(tangent) == [crown.default_line(tangent)]
-    assert multi.lines_for(tangent) == [tangent.line_at(tangent.var_lo),
-                                        tangent.line_at(tangent.var_hi),
-                                        crown.default_line(tangent)]
+    assert kept(single, tangent) == [first(crown.default_lines(tangent))]
+    assert kept(multi, tangent) == [first(tangent.lines_at(tangent.var_lo)),
+                                    first(tangent.lines_at(tangent.var_hi)),
+                                    first(crown.default_lines(tangent))]
     fixed = relax.line_space("sigmoid", "upper", -8.0, 0.1)
     for menu in (single, multi):
-        assert menu.lines_for(fixed) == [fixed.fixed_line]
+        assert kept(menu, fixed) == [(fixed.slope[0], fixed.intercept[0])]
     with pytest.raises(ValueError):
         lp.RelaxationMenu("adaptive")
 
@@ -102,7 +193,7 @@ def test_build_lp_rejects_wrong_length_x0():
         bad = PerturbationSpec(x0, np.inf, 0.2)
         with pytest.raises(ModelError):
             lp.build_lp(net, bad, 2, 0, "lower", bounds,
-                        lp.RelaxationMenu.multi())
+                        menu_lines(net, bounds, "multi", 2))
         with pytest.raises(ModelError):
             lp.lp_propagate(net, bad)
 
@@ -112,7 +203,8 @@ def test_build_lp_rejects_p2():
     spec = PerturbationSpec(np.zeros(1), 2, 0.2)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     with pytest.raises(lp.LpUnsupportedError):
-        lp.build_lp(net, spec, 2, 0, "lower", bounds, lp.RelaxationMenu.multi())
+        lp.build_lp(net, spec, 2, 0, "lower", bounds,
+                    menu_lines(net, bounds, "multi", 2))
     with pytest.raises(lp.LpUnsupportedError):
         lp.lp_propagate(net, spec)
 
@@ -125,10 +217,10 @@ def test_center_point_satisfies_every_constraint(p, act):
     spec = PerturbationSpec(x0, p, 0.3)
     bounds, _ = crown.propagate(net, spec)
     from netcert.model import ACTIVATIONS
-    f = ACTIVATIONS[act][0]
+    f = ACTIVATIONS[act]
     for k in (2, 3):
         prob = lp.build_lp(net, spec, k, 0, "lower", bounds,
-                           lp.RelaxationMenu.multi())
+                           menu_lines(net, bounds, "multi", k))
         assign = np.zeros(prob.n_vars)
         assign[:net.n] = x0
         a = x0
@@ -150,9 +242,9 @@ def test_toy_lower_lp_matches_closed_form_for_each_slope():
     spec = PerturbationSpec(np.zeros(1), np.inf, 1.0)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     for s in (0.0, 0.5, 1.0):
-        lines = [lp._one_line_each((np.array([s]), np.array([0.0]),
-                                    np.array([0.5]), np.array([0.5])))]
-        prob = lp._build_with_lines(net, spec, 2, 0, "lower", bounds, lines)
+        lines = [(np.array([s]), np.array([0.0]),
+                  np.array([0.5]), np.array([0.5]))]
+        prob = lp.build_lp(net, spec, 2, 0, "lower", bounds, lines)
         value, _ = lp.solve(prob)
         assert value == pytest.approx(-spec.epsilon * s, abs=1e-9)
 
@@ -162,10 +254,10 @@ def test_solver_certificate_on_random_instances():
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
     bounds, _ = crown.propagate(net, spec)
     for k in (2, 3):
+        lines = menu_lines(net, bounds, "multi", k)
         for i in (0, 1):
             for sense in ("lower", "upper"):
-                prob = lp.build_lp(net, spec, k, i, sense, bounds,
-                                   lp.RelaxationMenu.multi())
+                prob = lp.build_lp(net, spec, k, i, sense, bounds, lines)
                 value, point = lp.solve(prob)
                 assert np.all(prob.A_ub @ point <= prob.b_ub + 1e-7)
                 if prob.A_eq.shape[0]:
@@ -175,6 +267,22 @@ def test_solver_certificate_on_random_instances():
 
 
 # --- lp_propagate ----------------------------------------------------------------
+
+def test_lp_propagate_makes_each_layers_lines_once(monkeypatch):
+    # every LP of a layer shares the lines of the layers below it
+    calls = []
+    original = relax.layer_line_spaces
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(relax, "layer_line_spaces", counted)
+    net = generate_random_network(0, [6, 10, 10, 10, 4], "relu")
+    spec = PerturbationSpec(np.zeros(6), np.inf, 0.05)
+    lp.lp_propagate(net, spec)
+    assert len(calls) == 3
+
 
 def test_shared_lines_mode_matches_closed_form():
     for seed in range(4):
@@ -212,11 +320,11 @@ def test_adding_valid_rows_never_loosens_the_optimum():
     spec = PerturbationSpec(np.zeros(3), np.inf, 0.4)
     bounds, _ = crown.propagate(net, spec)
     prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
-                       lp.RelaxationMenu.single())
+                       menu_lines(net, bounds, "single", 2))
     base, _ = lp.solve(prob)
     # append the other menu's rows: a feasible-set subset
     prob2 = lp.build_lp(net, spec, 2, 0, "lower", bounds,
-                        lp.RelaxationMenu.multi())
+                        menu_lines(net, bounds, "multi", 2))
     more, _ = lp.solve(prob2)
     assert more >= base - 1e-9
 
@@ -244,7 +352,7 @@ def test_dump_lp_lists_every_row():
     spec = PerturbationSpec(np.zeros(1), np.inf, 0.5)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
-                       lp.RelaxationMenu.multi())
+                       menu_lines(net, bounds, "multi", 2))
     text = lp.dump_lp(prob)
     assert text.count("<=") == prob.A_ub.shape[0]
     assert text.count("=") >= prob.A_eq.shape[0]

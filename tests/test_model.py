@@ -165,17 +165,15 @@ def test_check_input_length():
 
 def test_activation_tables():
     z = np.linspace(-4, 4, 101)
-    f, df, d2f = model.ACTIVATIONS["sigmoid"]
     h = 1e-6
-    fd = (f(z + h) - f(z - h)) / (2 * h)
-    assert np.allclose(df(z), fd, atol=1e-8)
-    fd2 = (df(z + h) - df(z - h)) / (2 * h)
-    assert np.allclose(d2f(z), fd2, atol=1e-6)
-    f, df, d2f = model.ACTIVATIONS["tanh"]
-    fd = (f(z + h) - f(z - h)) / (2 * h)
-    assert np.allclose(df(z), fd, atol=1e-7)
-    fd2 = (df(z + h) - df(z - h)) / (2 * h)
-    assert np.allclose(d2f(z), fd2, atol=1e-5)
+    for act, tol1, tol2 in (("sigmoid", 1e-8, 1e-6), ("tanh", 1e-7, 1e-5)):
+        jet = model.ACTIVATION_JETS[act]
+        f, df, d2f = jet(z)
+        assert np.array_equal(f, model.ACTIVATIONS[act](z))
+        fd = (jet(z + h)[0] - jet(z - h)[0]) / (2 * h)
+        assert np.allclose(df, fd, atol=tol1)
+        fd2 = (jet(z + h)[1] - jet(z - h)[1]) / (2 * h)
+        assert np.allclose(d2f, fd2, atol=tol2)
     # extreme arguments stay finite
     assert model.sigmoid(-1e4) == 0.0
     assert model.sigmoid(1e4) == 1.0

@@ -76,10 +76,11 @@ def test_multi_menu_never_looser_than_single(act, case):
     single, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
     multi = lp.RelaxationMenu.multi()
     for k in range(2, net.m + 1):
+        lines = [multi.layer_lines(act, *single.layer(v)) for v in range(1, k)]
         for sense, bound in zip(relax.SIDES, single.layer(k)):
             for i in range(net.layer_width(k)):
                 value = lp.solve(lp.build_lp(net, spec, k, i, sense, single,
-                                             multi))[0]
+                                             lines))[0]
                 if sense == "lower":
                     assert value >= bound[i] - 1e-7
                 else:
@@ -122,5 +123,5 @@ def test_exact_relu_range_inside_crown_and_frown(p, seed, log_eps):
        l=st.floats(-20.0, 20.0), width=st.floats(0.0, 40.0))
 def test_line_space_range_ordered(act, side, l, width):
     sp = relax.line_space(act, side, l, l + width)
-    if sp.kind == "one-variable":
-        assert sp.var_lo <= sp.var_hi
+    if sp.family[0]:
+        assert sp.var_lo[0] <= sp.var_hi[0]

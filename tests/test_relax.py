@@ -3,59 +3,90 @@ import pytest
 
 from netcert import crown, relax
 from netcert.model import ACTIVATION_JETS, ACTIVATIONS
-from netcert.relax import (
-    Line,
-    TangentUndefinedError,
-    chord,
-    line_space,
-    tangent_line,
-    tangent_point_through,
-    validate_line,
-)
+from netcert.relax import TangentUndefinedError, line_space, validate_line
 
 
 def sigma(act, z):
-    return float(ACTIVATIONS[act][0](z))
+    return float(ACTIVATIONS[act](z))
 
 
 def dsigma(act, z):
-    return float(ACTIVATIONS[act][1](z))
+    return float(ACTIVATION_JETS[act](z, 1)[1])
+
+
+def chord(act, l, u):
+    """(slope, intercept) of the secant through (l, f(l)) and (u, f(u)), or
+    of the midpoint tangent if the interval is degenerate."""
+    f = ACTIVATIONS[act]
+    l, u = np.array([l]), np.array([u])
+    s, t = relax._chord_lines(act, l, u, f(l), f(u),
+                              u - l <= relax.DEGENERATE_WIDTH)
+    return float(s[0]), float(t[0])
+
+
+def tangent_point(act, anchor, l, u):
+    """Abscissa of the tangent through the ``anchor`` endpoint of [l, u]."""
+    return float(relax.tangent_points_through(act, [l], [u],
+                                              [anchor == "left"])[0])
+
+
+def only(sp):
+    """The one entry of a one-entry record, with its kind and case tag."""
+    (entry,) = sp
+    return entry
+
+
+def fixed_line(sp):
+    assert only(sp).kind == "fixed"
+    return float(sp.slope[0]), float(sp.intercept[0])
+
+
+def var_range(sp):
+    return float(sp.var_lo[0]), float(sp.var_hi[0])
+
+
+def line_at(sp, theta):
+    return tuple(float(a[0]) for a in sp.lines_at(theta))
+
+
+def line_and_grad_at(sp, theta):
+    return tuple(float(a[0]) for a in sp.lines_at(theta, grads=True))
 
 
 # --- chord -----------------------------------------------------------------
 
 def test_chord_relu_symmetric():
-    line = chord("relu", -1.0, 1.0)
-    assert line.slope == pytest.approx(0.5)
-    assert line.intercept == pytest.approx(0.5)
+    slope, intercept = chord("relu", -1.0, 1.0)
+    assert slope == pytest.approx(0.5)
+    assert intercept == pytest.approx(0.5)
 
 
 def test_chord_relu_asymmetric():
-    line = chord("relu", -3.0, 1.0)
-    assert line.slope == pytest.approx(0.25)
-    assert line.intercept == pytest.approx(0.75)
+    slope, intercept = chord("relu", -3.0, 1.0)
+    assert slope == pytest.approx(0.25)
+    assert intercept == pytest.approx(0.75)
 
 
 def test_chord_sigmoid():
-    line = chord("sigmoid", -2.0, 2.0)
+    slope, intercept = chord("sigmoid", -2.0, 2.0)
     expected_slope = (sigma("sigmoid", 2.0) - sigma("sigmoid", -2.0)) / 4.0
-    assert line.slope == pytest.approx(expected_slope, abs=1e-12)
-    assert line.slope == pytest.approx(0.19040, abs=1e-5)
-    assert line.intercept == pytest.approx(sigma("sigmoid", -2.0) + 2.0 * line.slope)
+    assert slope == pytest.approx(expected_slope, abs=1e-12)
+    assert slope == pytest.approx(0.19040, abs=1e-5)
+    assert intercept == pytest.approx(sigma("sigmoid", -2.0) + 2.0 * slope)
 
 
 def test_chord_degenerate_uses_midpoint_tangent():
-    line = chord("sigmoid", 0.3, 0.3 + 1e-13)
+    slope, intercept = chord("sigmoid", 0.3, 0.3 + 1e-13)
     mid = 0.3 + 0.5e-13
-    assert line.slope == pytest.approx(dsigma("sigmoid", mid))
-    assert line.value(mid) == pytest.approx(sigma("sigmoid", mid))
+    assert slope == pytest.approx(dsigma("sigmoid", mid))
+    assert slope * mid + intercept == pytest.approx(sigma("sigmoid", mid))
 
 
 # --- anchored tangent points ------------------------------------------------
 
 def bisect_oracle(act, e, lo, hi, iters=200):
     # independent root finder for f'(d)(e-d)+f(d)-f(e) on [lo, hi]
-    f, df, _ = ACTIVATIONS[act]
+    f, df = ACTIVATIONS[act], lambda z: ACTIVATION_JETS[act](z, 1)[1]
 
     def g(d):
         return float(df(d)) * (e - d) + float(f(d)) - float(f(e))
@@ -70,43 +101,44 @@ def bisect_oracle(act, e, lo, hi, iters=200):
 
 
 def test_tangent_point_symmetry_sigmoid():
-    ld = tangent_point_through("sigmoid", "left", -2.0, 2.0)
-    ud = tangent_point_through("sigmoid", "right", -2.0, 2.0)
+    ld = tangent_point("sigmoid", "left", -2.0, 2.0)
+    ud = tangent_point("sigmoid", "right", -2.0, 2.0)
     # sigmoid - 1/2 is odd, so the anchored tangency points mirror
     assert ud == pytest.approx(-ld, abs=1e-9)
 
 
 def test_tangent_point_matches_bisection_oracle():
-    ld = tangent_point_through("sigmoid", "left", -2.0, 2.0)
+    ld = tangent_point("sigmoid", "left", -2.0, 2.0)
     assert ld == pytest.approx(bisect_oracle("sigmoid", -2.0, 0.0, 2.0), abs=1e-9)
     g = dsigma("sigmoid", ld) * (-2.0 - ld) + sigma("sigmoid", ld) - sigma("sigmoid", -2.0)
     assert abs(g) <= 1e-10
 
 
 def test_tangent_point_tanh_right_anchor():
-    ud = tangent_point_through("tanh", "right", -1.0, 3.0)
+    ud = tangent_point("tanh", "right", -1.0, 3.0)
     assert ud < 0.0
-    line = tangent_line("tanh", ud)
-    assert line.value(3.0) == pytest.approx(sigma("tanh", 3.0), abs=1e-9)
+    slope, intercept = relax.tangent_lines("tanh", ud)
+    assert slope * 3.0 + intercept == pytest.approx(sigma("tanh", 3.0),
+                                                    abs=1e-9)
 
 
 def test_tangent_point_undefined_when_same_side():
     with pytest.raises(TangentUndefinedError):
-        tangent_point_through("sigmoid", "left", 0.5, 2.0)
+        tangent_point("sigmoid", "left", 0.5, 2.0)
     with pytest.raises(TangentUndefinedError):
-        tangent_point_through("tanh", "right", -2.0, -0.5)
+        tangent_point("tanh", "right", -2.0, -0.5)
 
 
 def test_tangent_residuals_random():
     rng = np.random.default_rng(5)
     for act in ("sigmoid", "tanh"):
-        f, df, _ = ACTIVATIONS[act]
+        f, df = ACTIVATIONS[act], lambda z: ACTIVATION_JETS[act](z, 1)[1]
         for _ in range(50):
             l = -rng.uniform(0.05, 8.0)
             u = rng.uniform(0.05, 8.0)
-            d = tangent_point_through(act, "left", l, u)
+            d = tangent_point(act, "left", l, u)
             assert abs(float(df(d)) * (l - d) + float(f(d)) - float(f(l))) <= 1e-10
-            d = tangent_point_through(act, "right", l, u)
+            d = tangent_point(act, "right", l, u)
             assert abs(float(df(d)) * (u - d) + float(f(d)) - float(f(u))) <= 1e-10
 
 
@@ -114,23 +146,23 @@ def test_tangent_residuals_random():
 
 def test_relu_lower_positive_interval_fixed_identity():
     sp = line_space("relu", "lower", 2.0, 5.0)
-    assert sp.kind == "fixed"
-    assert sp.fixed_line == Line(1.0, 0.0)
+    assert only(sp).kind == "fixed"
+    assert fixed_line(sp) == (1.0, 0.0)
 
 
 def test_relu_lower_crossing_is_slope_family():
     sp = line_space("relu", "lower", -1.0, 1.0)
-    assert sp.kind == "one-variable"
-    assert sp.var_range == (0.0, 1.0)
-    assert sp.line_at(0.3) == Line(0.3, 0.0)
+    assert only(sp).kind == "one-variable"
+    assert var_range(sp) == (0.0, 1.0)
+    assert line_at(sp, 0.3) == (0.3, 0.0)
 
 
 def test_relu_negative_interval_fixed_zero():
     sp = line_space("relu", "lower", -4.0, -1.0)
-    assert sp.fixed_line == Line(0.0, 0.0)
+    assert fixed_line(sp) == (0.0, 0.0)
     up = line_space("relu", "upper", -4.0, -1.0)
-    assert up.fixed_line.slope == pytest.approx(0.0)
-    assert up.fixed_line.intercept == pytest.approx(0.0)
+    assert fixed_line(up)[0] == pytest.approx(0.0)
+    assert fixed_line(up)[1] == pytest.approx(0.0)
 
 
 def test_sigmoid_upper_crossing_case1():
@@ -139,39 +171,40 @@ def test_sigmoid_upper_crossing_case1():
     assert check == pytest.approx(0.4608, abs=1e-4)
     assert check >= sigma("sigmoid", l) == pytest.approx(0.1192, abs=1e-4)
     sp = line_space("sigmoid", "upper", l, u)
-    assert sp.case_tag == "case1"
-    assert sp.kind == "one-variable"
-    ld = tangent_point_through("sigmoid", "left", l, u)
-    assert sp.var_range == (ld, u)
+    assert only(sp).case_tag == "case1"
+    assert only(sp).kind == "one-variable"
+    ld = tangent_point("sigmoid", "left", l, u)
+    assert var_range(sp) == (ld, u)
 
 
 def test_sigmoid_upper_crossing_case2_uses_chord():
     # very negative left end with small u: the tangent at u undershoots f(l)
     l, u = -8.0, 0.1
     sp = line_space("sigmoid", "upper", l, u)
-    assert sp.case_tag == "case2"
-    assert sp.kind == "fixed"
-    assert sp.fixed_line == chord("sigmoid", l, u)
+    assert only(sp).case_tag == "case2"
+    assert only(sp).kind == "fixed"
+    assert fixed_line(sp) == chord("sigmoid", l, u)
 
 
 def test_tanh_lower_crossing_cases():
     sp = line_space("tanh", "lower", -2.0, 2.0)
-    assert sp.case_tag == "case3"
-    ud = tangent_point_through("tanh", "right", -2.0, 2.0)
-    assert sp.var_range == (-2.0, ud)
+    assert only(sp).case_tag == "case3"
+    ud = tangent_point("tanh", "right", -2.0, 2.0)
+    assert var_range(sp) == (-2.0, ud)
     sp = line_space("tanh", "lower", -0.1, 8.0)
-    assert sp.case_tag == "case4"
-    assert sp.fixed_line == chord("tanh", -0.1, 8.0)
+    assert only(sp).case_tag == "case4"
+    assert fixed_line(sp) == chord("tanh", -0.1, 8.0)
 
 
 def test_degenerate_interval_routes_to_midpoint_tangent():
     for act in ("relu", "sigmoid", "tanh"):
         for side in ("lower", "upper"):
             sp = line_space(act, side, 1.0, 1.0)
-            assert sp.case_tag == "degenerate"
-            assert sp.kind == "fixed"
+            assert only(sp).case_tag == "degenerate"
+            assert only(sp).kind == "fixed"
             mid = 1.0
-            assert sp.fixed_line.value(mid) == pytest.approx(sigma(act, mid))
+            slope, intercept = fixed_line(sp)
+            assert slope * mid + intercept == pytest.approx(sigma(act, mid))
 
 
 def test_case_classification_exhaustive_exclusive():
@@ -189,24 +222,24 @@ def test_case_classification_exhaustive_exclusive():
             for side in ("lower", "upper"):
                 sp = line_space(act, side, l, u)
                 if u <= 0:
-                    assert sp.case_tag == "l<u<=0"
+                    assert only(sp).case_tag == "l<u<=0"
                 elif l >= 0:
-                    assert sp.case_tag == "0<=l<u"
+                    assert only(sp).case_tag == "0<=l<u"
                 else:
-                    assert sp.case_tag in crossing_tags[(act, side)]
+                    assert only(sp).case_tag in crossing_tags[(act, side)]
 
 
 # --- validate_line -----------------------------------------------------------
 
 def test_validate_line_trivials():
-    assert validate_line("relu", "upper", -1.0, 1.0, Line(0.5, 0.5))
-    assert validate_line("relu", "lower", -1.0, 1.0, Line(1.0, 0.0))
-    assert not validate_line("relu", "lower", -1.0, 1.0, Line(0.0, 0.1))
+    assert validate_line("relu", "upper", -1.0, 1.0, 0.5, 0.5)
+    assert validate_line("relu", "lower", -1.0, 1.0, 1.0, 0.0)
+    assert not validate_line("relu", "lower", -1.0, 1.0, 0.0, 0.1)
 
 
 def test_validate_line_grid_size_guard():
     with pytest.raises(ValueError):
-        validate_line("relu", "lower", -1.0, 1.0, Line(0.0, 0.0), grid_size=1)
+        validate_line("relu", "lower", -1.0, 1.0, 0.0, 0.0, grid_size=1)
 
 
 # --- fuzz: every generated line is valid -------------------------------------
@@ -215,24 +248,24 @@ def test_validate_line_grid_size_guard():
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_every_generated_line_is_valid(act, side):
     rng = np.random.default_rng(hash((act, side)) % (2**32))
-    f = ACTIVATIONS[act][0]
+    f = ACTIVATIONS[act]
     for trial in range(1000):
         l = rng.uniform(-8.0, 6.0)
         width = rng.uniform(0.0, 10.0) if trial % 7 else rng.uniform(0, 1e-10)
         u = l + width
         sp = line_space(act, side, l, u)
-        if sp.kind == "fixed":
-            lines = [sp.fixed_line]
+        if only(sp).kind == "fixed":
+            lines = [fixed_line(sp)]
         else:
-            thetas = np.linspace(sp.var_lo, sp.var_hi, 50)
-            lines = [sp.line_at(t) for t in thetas]
+            thetas = np.linspace(sp.var_lo[0], sp.var_hi[0], 50)
+            lines = [line_at(sp, t) for t in thetas]
         zs = np.linspace(l, u, 1001)
         fz = f(zs)
-        slopes = np.array([ln.slope for ln in lines])
-        inters = np.array([ln.intercept for ln in lines])
+        slopes = np.array([ln[0] for ln in lines])
+        inters = np.array([ln[1] for ln in lines])
         vals = slopes[:, None] * zs[None, :] + inters[:, None]
         gap = fz[None, :] - vals if side == "lower" else vals - fz[None, :]
-        assert gap.min() >= -1e-9, (act, side, l, u, sp.case_tag)
+        assert gap.min() >= -1e-9, (act, side, l, u, only(sp).case_tag)
 
 
 def test_validate_line_agrees_with_vectorized_path():
@@ -243,11 +276,11 @@ def test_validate_line_agrees_with_vectorized_path():
         for act in ("sigmoid", "tanh", "relu"):
             for side in ("lower", "upper"):
                 sp = line_space(act, side, l, u)
-                if sp.kind == "fixed":
-                    assert validate_line(act, side, l, u, sp.fixed_line)
+                if only(sp).kind == "fixed":
+                    assert validate_line(act, side, l, u, *fixed_line(sp))
                 else:
-                    for t in np.linspace(sp.var_lo, sp.var_hi, 7):
-                        assert validate_line(act, side, l, u, sp.line_at(t))
+                    for t in np.linspace(sp.var_lo[0], sp.var_hi[0], 7):
+                        assert validate_line(act, side, l, u, *line_at(sp, t))
 
 
 def test_tangent_family_touches_activation():
@@ -258,10 +291,10 @@ def test_tangent_family_touches_activation():
             u = l + rng.uniform(0.5, 7)
             for side in ("lower", "upper"):
                 sp = line_space(act, side, l, u)
-                if sp.kind == "one-variable" and sp.generator == "tangent":
-                    d = rng.uniform(sp.var_lo, sp.var_hi)
-                    line = sp.line_at(d)
-                    assert abs(line.value(d) - sigma(act, d)) <= 1e-9
+                if only(sp).kind == "one-variable" and sp.generator == "tangent":
+                    d = rng.uniform(sp.var_lo[0], sp.var_hi[0])
+                    slope, intercept = line_at(sp, d)
+                    assert abs(slope * d + intercept - sigma(act, d)) <= 1e-9
 
 
 def test_line_and_grad_matches_finite_differences():
@@ -269,25 +302,25 @@ def test_line_and_grad_matches_finite_differences():
     for act in ("sigmoid", "tanh"):
         sp = line_space(act, "lower", -3.0, -0.5)
         assert sp.generator == "tangent"
-        for d in np.linspace(sp.var_lo + 1e-3, sp.var_hi - 1e-3, 9):
-            s, t, ds, dt = sp.line_and_grad_at(d)
-            lp = sp.line_at(d + h)
-            lm = sp.line_at(d - h)
-            assert ds == pytest.approx((lp.slope - lm.slope) / (2 * h), abs=1e-5)
-            assert dt == pytest.approx((lp.intercept - lm.intercept) / (2 * h), abs=1e-5)
+        for d in np.linspace(sp.var_lo[0] + 1e-3, sp.var_hi[0] - 1e-3, 9):
+            s, t, ds, dt = line_and_grad_at(sp, d)
+            lp = line_at(sp, d + h)
+            lm = line_at(sp, d - h)
+            assert ds == pytest.approx((lp[0] - lm[0]) / (2 * h), abs=1e-5)
+            assert dt == pytest.approx((lp[1] - lm[1]) / (2 * h), abs=1e-5)
     sp = line_space("relu", "lower", -1.0, 2.0)
-    assert sp.line_and_grad_at(0.5) == (0.5, 0.0, 1.0, 0.0)
+    assert line_and_grad_at(sp, 0.5) == (0.5, 0.0, 1.0, 0.0)
 
 
 # --- narrow crossing intervals -------------------------------------------------
 
 def test_tangent_range_on_reported_narrow_intervals():
     sp = line_space("sigmoid", "upper", -1e-6, 1e-6)
-    assert sp.case_tag == "case1"
-    assert sp.var_lo <= sp.var_hi == 1e-6
+    assert only(sp).case_tag == "case1"
+    assert sp.var_lo[0] <= sp.var_hi[0] == 1e-6
     sp = line_space("tanh", "lower", -1e-5, 1e-5)
-    assert sp.case_tag == "case3"
-    assert -1e-5 == sp.var_lo <= sp.var_hi
+    assert only(sp).case_tag == "case3"
+    assert -1e-5 == sp.var_lo[0] <= sp.var_hi[0]
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "tanh"])
@@ -303,11 +336,12 @@ def test_tangent_range_valid_on_tiny_crossing_intervals(act):
             u = l + width
             for side in ("lower", "upper"):
                 sp = line_space(act, side, l, u)
-                if sp.kind != "one-variable":
+                if only(sp).kind != "one-variable":
                     continue
-                assert sp.var_lo <= sp.var_hi, (side, l, u)
-                for theta in (sp.var_lo, sp.var_hi):
-                    assert validate_line(act, side, l, u, sp.line_at(theta), 201)
+                assert sp.var_lo[0] <= sp.var_hi[0], (side, l, u)
+                for theta in (sp.var_lo[0], sp.var_hi[0]):
+                    assert validate_line(act, side, l, u, *line_at(sp, theta),
+                                         201)
 
 
 # --- array relaxation: one record per layer and side --------------------------
@@ -334,9 +368,14 @@ def test_layer_spaces_match_line_space_per_neuron(act):
         for side, spaces in zip(relax.SIDES,
                                 relax.layer_line_spaces(act, lower, upper)):
             assert len(spaces) == len(lower)
-            for j, sp in enumerate(spaces):
-                assert sp == line_space(act, side, lower[j], upper[j]), j
-                tags.add(sp.case_tag)
+            tags.update(sp.case_tag for sp in spaces)
+            one = [line_space(act, side, l, u) for l, u in zip(lower, upper)]
+            for field in ("l", "u", "case", "family", "var_lo", "var_hi",
+                          "slope", "intercept"):
+                np.testing.assert_array_equal(
+                    getattr(spaces, field),
+                    np.concatenate([getattr(sp, field) for sp in one]),
+                    err_msg=field)
             family = spaces.family
             assert np.all(spaces.var_lo[family] <= spaces.var_hi[family])
             s, t = crown.default_lines(spaces)
@@ -344,7 +383,7 @@ def test_layer_spaces_match_line_space_per_neuron(act):
                 ls, lt = spaces.lines_at(theta)
                 s, t = np.concatenate([s, ls]), np.concatenate([t, lt])
             ok = validate_line(act, side, np.tile(lower, 3),
-                               np.tile(upper, 3), Line(s, t))
+                               np.tile(upper, 3), s, t)
             assert ok.all(), np.flatnonzero(~ok) % len(lower)
     expected = {"relu": {"degenerate", "l<u<=0", "l<0<u", "0<=l<u"}}.get(
         act, {"degenerate", "l<u<=0", "0<=l<u", "case1", "case2", "case3",
@@ -356,11 +395,14 @@ def test_layer_spaces_views_and_scalar_api():
     lower, upper = np.array([-1.0, 2.0, -3.0]), np.array([1.0, 2.0, -1.0])
     low, up = relax.layer_line_spaces("relu", lower, upper)
     assert [sp.kind for sp in low] == ["one-variable", "fixed", "fixed"]
-    assert low[-1] == low[2] == line_space("relu", "lower", -3.0, -1.0)
-    assert low[0].line_and_grad_at(0.25) == (0.25, 0.0, 1.0, 0.0)
-    assert crown.default_line(low[0]) == Line(1.0, 0.0)
-    with pytest.raises(IndexError):
-        low[3]
+    assert [sp.case_tag for sp in low] == ["l<0<u", "degenerate", "l<u<=0"]
+    third = line_space("relu", "lower", -3.0, -1.0)
+    assert (low.slope[2], low.intercept[2]) == (third.slope[0],
+                                                third.intercept[0])
+    got = low.lines_at(np.array([0.25, np.nan, np.nan]), grads=True)
+    assert [a[0] for a in got] == [0.25, 0.0, 1.0, 0.0]
+    s, t = crown.default_lines(low)
+    assert (s[0], t[0]) == (1.0, 0.0)
     with pytest.raises(ValueError, match="outside"):
         low.lines_at(np.array([1.5, 0.0, 0.0]))
     with pytest.raises(ValueError, match="bad interval"):
@@ -373,9 +415,9 @@ def test_validate_line_on_arrays_matches_per_line_calls():
     slopes, intercepts = rng.uniform(0, 1, 60), rng.uniform(-0.5, 0.5, 60)
     for act in ("relu", "sigmoid", "tanh"):
         for side in relax.SIDES:
-            got = validate_line(act, side, lower, upper,
-                                Line(slopes, intercepts), 101)
-            want = [validate_line(act, side, l, u, Line(s, t), 101)
+            got = validate_line(act, side, lower, upper, slopes, intercepts,
+                                101)
+            want = [validate_line(act, side, l, u, s, t, 101)
                     for l, u, s, t in zip(lower, upper, slopes, intercepts)]
             assert got.tolist() == want
             assert got.any() and not got.all()
@@ -390,7 +432,7 @@ def test_batched_tangent_points_match_one_at_a_time():
         u = 10.0 ** rng.uniform(-6, 1.5, 200)
         left = rng.uniform(size=200) < 0.5
         got = relax.tangent_points_through(act, l, u, left)
-        want = [tangent_point_through(act, "left" if a else "right", lo, hi)
+        want = [tangent_point(act, "left" if a else "right", lo, hi)
                 for lo, hi, a in zip(l, u, left)]
         assert got.tolist() == want
 
@@ -404,8 +446,7 @@ def test_batched_tangent_points_raise_like_the_scalar_one(monkeypatch):
                                      [False, False])
     # a convex stand-in for the activation: every tangent lies below it, the
     # gap never turns nonnegative and the bracket expansion gives up
-    monkeypatch.setitem(ACTIVATIONS, "sigmoid",
-                        (np.square, lambda z: 2.0 * z, lambda z: 2.0 + 0 * z))
+    monkeypatch.setitem(ACTIVATIONS, "sigmoid", np.square)
     monkeypatch.setitem(ACTIVATION_JETS, "sigmoid",
                         lambda z, order=2: (z * z, 2.0 * z, 2.0 + 0 * z)[
                             :order + 1])
@@ -413,11 +454,24 @@ def test_batched_tangent_points_raise_like_the_scalar_one(monkeypatch):
         relax.tangent_points_through("sigmoid", [-1.0, -2.0], [1.0, 0.5],
                                      [True, True])
     with pytest.raises(TangentUndefinedError, match="expanding"):
-        tangent_point_through("sigmoid", "left", -2.0, 0.5)
+        tangent_point("sigmoid", "left", -2.0, 0.5)
+
+
+#: the first and second derivatives in closed form, given z and f(z)
+DERIVATIVES = {
+    "relu": (lambda z, a: (z > 0.0).astype(float),
+             lambda z, a: np.zeros_like(z)),
+    "sigmoid": (lambda z, a: a * (1.0 - a),
+                lambda z, a: a * (1.0 - a) * (1.0 - 2.0 * a)),
+    "tanh": (lambda z, a: 1.0 - a * a,
+             lambda z, a: -2.0 * a * (1.0 - a * a)),
+}
 
 
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 def test_activation_jets_match_the_separate_functions(act):
     z = np.random.default_rng(4).uniform(-40, 40, 500)
-    assert [a.tolist() for a in ACTIVATION_JETS[act](z)] == \
-        [fn(z).tolist() for fn in ACTIVATIONS[act]]
+    a = ACTIVATIONS[act](z)
+    want = [a.tolist()] + [d(z, a).tolist() for d in DERIVATIVES[act]]
+    assert [x.tolist() for x in ACTIVATION_JETS[act](z)] == want
+    assert [x.tolist() for x in ACTIVATION_JETS[act](z, 1)] == want[:2]
