@@ -6,6 +6,13 @@ ball.  The largest certifiable radius is found by exponential bracketing
 followed by bisection; every probe re-derives all bounds from scratch at the
 probed radius (the admissible line families depend on the intervals, which
 depend on eps, so reusing state across probes would not be sound).
+
+A frown probe first asks crown (the crown screen).  frown folds crown's
+bounds into every layer, so a margin crown certifies frown certifies too,
+and such a probe is answered without running the optimizer: the probes and
+the radius are the ones frown alone would give.  A probe answered by crown
+keeps no margins, so the certificate's margins are frown's, computed at the
+final radius if its probe was screened.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class Certificate:
     target: int | None
     margins: np.ndarray          # margin trace at the certified radius
     wall_time: float
-    iterations: int              # certified_at evaluations spent
+    iterations: int              # radii probed
     cap_hit: bool = False
     never_certified: bool = False
     rel_tol: float = 1e-3
@@ -116,6 +123,9 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
 
     def probe(eps: float) -> bool:
         state["count"] += 1
+        if method == "frown" and certified_at(net, x0, label, eps, p,
+                                              "crown", target)[0]:
+            return True
         ok, marg = certified_at(net, x0, label, eps, p, method, target,
                                 frown_config, lp_menu)
         state["margins"][eps] = marg

@@ -1,21 +1,26 @@
-"""Tightening bounds by projected gradient ascent/descent over line variables.
+"""Tightening bounds by projected gradient ascent over line variables.
 
 Every one-variable entry of the LineSpaces records of the layers below the
 target contributes one optimization variable (a free ReLU lower slope or a
 tangency abscissa); ``collect_variables`` lays them out once per layer.  The
-target neurons of a layer are split into groups, and each group maximizes
-the sum of its lower bounds (or minimizes the sum of its upper bounds) over
-its own copy of the variables: the values form a (groups, variables) array.
-One evaluation serves every group of the batch:
+target neurons of a layer are split into groups, each with a sense, and
+each group tunes its own copy of the variables: the values form a (groups,
+variables) array.  The optimizer works in one sense only, on signed rows:
+an upper bound of a row is minus the lower bound of the negated row, and
+negation is exact in floating point, so an upper-sense group is the same
+neurons with their weight and bias rows negated.  Every group maximizes the
+sum of its signed rows' lower bounds, and the gammas, coefficients and
+offsets it returns are those of the signed rows.  One evaluation serves
+every group of the batch, whatever its sense:
 
   lines     each group's slopes and intercepts, with one array evaluation of
             f, f' and f'' for all tangent generators
-  forward   the backward recursion over all target rows at once, each row
-            composing with the lines of its own group
-  reverse   seed      dgamma/dcoeffs = x0 -/+ eps * d||coeffs||_q
+  forward   the backward recursion over all signed target rows at once, each
+            row composing with the lines of its own group
+  reverse   seed      dgamma/dcoeffs = x0 - eps * d||coeffs||_q
             per layer Dbar = Abar_next @ W(v).T + b(v)
-                      sbar = Dbar * relu(A)   tbar = relu(A)   (positive split)
-                      sbar = Dbar * neg(A)    tbar = neg(A)    (negative split)
+                      sbar = Dbar * relu(A)   tbar = relu(A)   (lower lines)
+                      sbar = Dbar * neg(A)    tbar = neg(A)    (upper lines)
                       Abar = Dbar * s_selected + t_selected    (by sign of A)
   per group sbar and tbar summed over the group's rows, chained through the
             generators (d slope / d theta, d intercept / d theta)
@@ -24,8 +29,8 @@ Each group steps along its own gradient, normalized by its largest entry,
 and stops on its own once its objective stalls; a stopped group leaves the
 batch.  Projection clamps each variable to its admissible interval after
 every step, so every iterate generates valid lines and every visited gamma
-is a sound bound; the returned value per neuron is the best one ever
-visited.
+is a sound bound; the returned value per row is the best one ever visited.
+``frown_propagate`` runs both senses of a layer as one batch.
 """
 
 from __future__ import annotations
@@ -64,12 +69,12 @@ class VariableVector:
     """The free line variables of layers 1..k-1, their values, and where
     their lines sit.
 
-    ``values`` is (variables,) for one group or (groups, variables), one row
-    per group.  The flat line layout stacks, layer by layer, the lower-side
-    then the upper-side lines of every neuron; ``slopes``/``intercepts``
-    hold the fixed lines there and ``slots`` the place of each variable's
-    line.  Every variable of a ReLU net is a slope through the origin and
-    every variable of a sigmoid/tanh net a tangency abscissa.
+    ``values`` is (groups, variables), one row per group.  The flat line
+    layout stacks, layer by layer, the lower-side then the upper-side lines
+    of every neuron; ``slopes``/``intercepts`` hold the fixed lines there
+    and ``slots`` the place of each variable's line.  Every variable of a
+    ReLU net is a slope through the origin and every variable of a
+    sigmoid/tanh net a tangency abscissa.
     """
 
     values: np.ndarray
@@ -100,7 +105,7 @@ class VariableVector:
 def collect_variables(layer_spaces) -> VariableVector:
     """Gather the one-variable spaces of ``layer_spaces`` (the (lower,
     upper) LineSpaces of layers 1..k-1), initialized at the deterministic
-    baseline choice."""
+    baseline choice: one row of values, the start of every group."""
     records = [rec for layer in layer_spaces for rec in layer]
 
     def flat(field):
@@ -109,7 +114,7 @@ def collect_variables(layer_spaces) -> VariableVector:
 
     slots = np.flatnonzero(flat(lambda rec: rec.family))
     return VariableVector(
-        flat(crown.default_variables)[slots],
+        flat(crown.default_variables)[None, slots],
         flat(lambda rec: rec.var_lo)[slots],
         flat(lambda rec: rec.var_hi)[slots],
         records[0].act if records else "relu",
@@ -124,9 +129,9 @@ def _materialize(var_vec: VariableVector):
 
     Returns (slopes, intercepts) over the flat line layout, shaped
     (groups, lines), and (d slope, d intercept) per variable, shaped
-    (groups, variables); one-dimensional values count as one group.
+    (groups, variables).
     """
-    theta = np.atleast_2d(var_vec.clipped(var_vec.values))
+    theta = var_vec.clipped(var_vec.values)
     slope, intercept, dslope, dintercept = relax.family_lines(
         var_vec.act, theta, grads=True)
     slopes = np.repeat(var_vec.slopes[None, :], len(theta), axis=0)
@@ -138,29 +143,38 @@ def _materialize(var_vec: VariableVector):
 
 @dataclass(frozen=True)
 class RowGroups:
-    """Target rows of one layer, split into groups.
+    """Signed target rows of one layer, split into groups.
 
     ``rows`` lists the neuron of every row, group by group, so each group's
-    rows are contiguous; ``starts`` holds each group's first row and
-    ``group`` each row's group.
+    rows are contiguous; ``starts`` holds each group's first row, ``group``
+    each row's group and ``sign`` each row's sign: 1 in a lower-sense group,
+    -1 in an upper-sense group.
     """
 
     rows: np.ndarray
     starts: np.ndarray
     group: np.ndarray
+    sign: np.ndarray
 
     @classmethod
-    def of(cls, groups) -> "RowGroups":
-        """From a list of neuron lists, or one flat neuron list (one group)."""
+    def of(cls, groups, senses) -> "RowGroups":
+        """From a list of neuron lists and the sense of each; a RowGroups
+        carries its own senses (pass None)."""
         if isinstance(groups, cls):
             return groups
-        groups = [np.atleast_1d(np.asarray(g, dtype=int)) for g in
-                  ([groups] if _is_flat(groups) else groups)]
+        groups = [np.asarray(g, dtype=int) for g in groups]
+        if not groups or any(g.ndim != 1 or len(g) == 0 for g in groups):
+            raise ValueError("every group is a list of at least one neuron")
         sizes = [len(g) for g in groups]
-        if not groups or min(sizes) == 0:
-            raise ValueError("every group needs at least one neuron")
+        if len(senses) != len(groups):
+            raise ValueError("need one sense per group")
+        if not set(senses) <= set(relax.SIDES):
+            raise ValueError(
+                f"senses must be 'lower' or 'upper', got {senses!r}")
+        signs = [1.0 if sense == "lower" else -1.0 for sense in senses]
         return cls(np.concatenate(groups), np.cumsum([0] + sizes[:-1]),
-                   np.repeat(np.arange(len(groups)), sizes))
+                   np.repeat(np.arange(len(groups)), sizes),
+                   np.repeat(signs, sizes))
 
     def __len__(self):
         return len(self.starts)
@@ -173,94 +187,81 @@ class RowGroups:
                               for g in keep])
         sizes = ends[keep] - self.starts[keep]
         return (RowGroups(self.rows[pos], np.cumsum(sizes) - sizes,
-                          np.repeat(np.arange(len(keep)), sizes)), pos)
-
-
-def _is_flat(groups) -> bool:
-    """Whether ``groups`` is one flat neuron list rather than a list of
-    groups."""
-    if isinstance(groups, RowGroups):
-        return False
-    groups = list(groups)
-    return len(groups) == 0 or np.ndim(groups[0]) == 0
+                          np.repeat(np.arange(len(keep)), sizes),
+                          self.sign[pos]), pos)
 
 
 def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
-                           groups, sense: str, var_vec: VariableVector):
+                           groups, senses, var_vec: VariableVector):
     """Per-row gamma values and, per group, the gradient of the group's sum.
 
-    ``groups`` is a flat neuron list (one group) or a list of neuron lists
-    (or a RowGroups), with one row of ``var_vec.values`` per group; the
-    gradient has the shape of ``var_vec.values``.  Returns (gammas,
-    gradient, coeffs, offsets); ``coeffs``/``offsets`` are the affine bounds
-    of the rows, which run group by group.
+    ``groups`` is a list of neuron lists with one sense per group in
+    ``senses`` (or a RowGroups), with one row of ``var_vec.values`` per
+    group; the gradient has the shape of ``var_vec.values``.  Returns
+    (gammas, gradient, coeffs, offsets); ``coeffs``/``offsets`` are the
+    affine lower bounds of the signed rows, which run group by group, and
+    ``gammas`` their values over the ball (minus the upper bound of the
+    neuron for an upper-sense row).
     """
-    if sense not in relax.SIDES:
-        raise ValueError(f"sense must be 'lower' or 'upper', got {sense!r}")
     var_vec.check()
-    batch = RowGroups.of(groups)
+    batch = RowGroups.of(groups, senses)
     if len(var_vec.widths) != k - 1:
         raise ValueError(f"variables cover {len(var_vec.widths)} layers, "
                          f"layer {k} needs {k - 1}")
-    if len(np.atleast_2d(var_vec.values)) != len(batch):
+    if np.ndim(var_vec.values) != 2 or len(var_vec.values) != len(batch):
         raise ValueError("need one row of variable values per group")
     slopes, intercepts, dslope, dintercept = _materialize(var_vec)
     row_s, row_t = slopes[batch.group], intercepts[batch.group]
     starts = np.cumsum((0,) + tuple(2 * w for w in var_vec.widths))
 
-    A = net.weights[k - 1][batch.rows]
-    c = net.biases[k - 1][batch.rows]
+    A = batch.sign[:, None] * net.weights[k - 1][batch.rows]
+    c = batch.sign * net.biases[k - 1][batch.rows]
     tape = []
     for v in range(k - 1, 0, -1):
         a, w = starts[v - 1], var_vec.widths[v - 1]
-        s_pos, t_pos, s_neg, t_neg = crown.oriented(
-            (row_s[:, a:a + w], row_t[:, a:a + w],
-             row_s[:, a + w:a + 2 * w], row_t[:, a + w:a + 2 * w]), sense)
-        # each entry composes with the line its sign selects; a zero entry
-        # with neither
+        # each entry composes with the lower line when positive, the upper
+        # line when negative, and neither when zero
         pos, neg = A > 0, A < 0
-        s_sel = np.where(pos, s_pos, np.where(neg, s_neg, 0.0))
-        t_sel = np.where(pos, t_pos, np.where(neg, t_neg, 0.0))
+        s_sel = np.where(pos, row_s[:, a:a + w],
+                         np.where(neg, row_s[:, a + w:a + 2 * w], 0.0))
+        t_sel = np.where(pos, row_t[:, a:a + w],
+                         np.where(neg, row_t[:, a + w:a + 2 * w], 0.0))
         tape.append((np.maximum(A, 0.0), np.minimum(A, 0.0), s_sel, t_sel))
         D = A * s_sel
         c = c + (A * t_sel).sum(axis=1) + D @ net.biases[v - 1]
         A = D @ net.weights[v - 1]
-    gammas = crown.concretize_rows(A, c, spec, sense)
+    gammas = crown.concretize_rows(A, c, spec, "lower")
 
-    sign = -1.0 if sense == "lower" else 1.0
-    Abar = spec.x0[None, :] + sign * spec.epsilon * crown.dual_norm_grad(A, spec.q)
+    Abar = spec.x0[None, :] - spec.epsilon * crown.dual_norm_grad(A, spec.q)
     # per-row adjoints of every slope and intercept in the flat layout; the
-    # lines of ``sense``'s own side multiply the nonnegative row entries
+    # lower lines multiply the nonnegative row entries
     sbar, tbar = [], []
     for v, (Ap, An, s_sel, t_sel) in zip(range(1, k), reversed(tape)):
         Dbar = Abar @ net.weights[v - 1].T + net.biases[v - 1]
-        parts = (Ap, An) if sense == "lower" else (An, Ap)
-        sbar.extend(Dbar * part for part in parts)
-        tbar.extend(parts)
+        sbar.extend((Dbar * Ap, Dbar * An))
+        tbar.extend((Ap, An))
         Abar = Dbar * s_sel + t_sel
 
     sbar = np.add.reduceat(np.concatenate(sbar, axis=1), batch.starts, axis=0)
     tbar = np.add.reduceat(np.concatenate(tbar, axis=1), batch.starts, axis=0)
     grad = (sbar[:, var_vec.slots] * dslope
             + tbar[:, var_vec.slots] * dintercept)
-    return gammas, grad.reshape(np.shape(var_vec.values)), A, c
+    return gammas, grad, A, c
 
 
 @dataclass
 class _Best:
-    """Per-row best bound seen so far (each iterate is individually sound,
-    so the pointwise best over iterates is a valid bound)."""
+    """Per-row best lower bound seen so far (each iterate is individually
+    sound, so the pointwise best over iterates is a valid bound)."""
 
-    sense: str
     gammas: np.ndarray
     coeffs: np.ndarray
     offsets: np.ndarray
 
     def fold(self, pos, gammas, coeffs, offsets):
-        """Keep, at each row ``pos``, the tighter of the stored bound and
-        the given one."""
-        better = (gammas > self.gammas[pos]) if self.sense == "lower" \
-            else (gammas < self.gammas[pos])
+        """Keep, at each row ``pos``, the higher of the stored bound and the
+        given one."""
+        better = gammas > self.gammas[pos]
         if better.any():
             at = pos[better]
             self.gammas[at] = gammas[better]
@@ -269,35 +270,33 @@ class _Best:
 
 
 def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
-                    sense: str, config: OptimizerConfig,
+                    senses, config: OptimizerConfig,
                     var_vec: VariableVector, seeds=None):
-    """Projected gradient ascent (lower) / descent (upper) over the line
-    variables, one copy of them per group, all groups in one batch; never
-    worse than the initialization, per neuron.
+    """Projected gradient ascent over the line variables of signed rows, one
+    copy of them per group, all groups in one batch; never worse than the
+    initialization, per neuron.
 
-    ``groups`` is a list of neuron lists, or one flat neuron list for a
-    single group.  Every group starts from ``var_vec.values``; restarts draw
-    from ``default_rng(seed)`` with the group's entry of ``seeds`` (default:
-    ``config.seed`` for every group).
+    ``groups`` is a list of neuron lists and ``senses`` the sense of each.
+    Every group starts from ``var_vec.values`` (one row, or one per group);
+    restarts draw from ``default_rng(seed)`` with the group's entry of
+    ``seeds`` (default: ``config.seed`` for every group).
 
     Returns (best variables of each group's objective, with values shaped
-    (variables,) for a flat neuron list and (groups, variables) otherwise;
-    per-row best gammas; per-row best affine bounds as (coeffs, offsets)),
-    the rows running group by group.
+    (groups, variables); per-row best gammas; per-row best affine bounds as
+    (coeffs, offsets)), the rows running group by group, all of the signed
+    rows: an upper-sense row's are the negated upper bound.
     """
-    flat = _is_flat(groups)
-    batch = RowGroups.of(groups)
+    batch = RowGroups.of(groups, senses)
     n_groups = len(batch)
     rngs = None
-    sign = 1.0 if sense == "lower" else -1.0
     everyone = np.arange(n_groups)
     all_rows = np.arange(len(batch.rows))
 
     def evaluate(values, part, pos):
-        g, grad, A, c = objective_and_gradient(net, spec, k, part, sense,
+        g, grad, A, c = objective_and_gradient(net, spec, k, part, None,
                                                var_vec.at(values))
         best.fold(pos, g, A, c)
-        return sign * np.add.reduceat(g, part.starts), grad
+        return np.add.reduceat(g, part.starts), grad
 
     def keep_best(active, obj, values):
         better = obj > best_obj[active]
@@ -305,10 +304,10 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
         best_values[active[better]] = values[active[better]]
 
     init = np.broadcast_to(var_vec.values, (n_groups, len(var_vec))).copy()
-    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch, sense,
+    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch, None,
                                                var_vec.at(init))
-    best = _Best(sense, g0.copy(), A0.copy(), c0.copy())
-    obj0 = sign * np.add.reduceat(g0, batch.starts)
+    best = _Best(g0.copy(), A0.copy(), c0.copy())
+    obj0 = np.add.reduceat(g0, batch.starts)
     best_obj = obj0.copy()
     best_values = init.copy()
 
@@ -339,7 +338,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
             gmax = np.abs(grad).max(axis=1, keepdims=True)
             direction = grad / np.where(gmax > 0, gmax, 1.0)
             values[active] = var_vec.clipped(
-                values[active] + sign * step * scale * direction)
+                values[active] + step * scale * direction)
             scale *= decay
             obj, grad = evaluate(values[active], part, pos)
             keep_best(active, obj, values)
@@ -352,8 +351,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                 if stalled.any():
                     active, grad = active[~stalled], grad[~stalled]
                     part, pos = batch.take(active)
-    best_vec = var_vec.at(best_values[0] if flat else best_values)
-    return best_vec, best.gammas, (best.coeffs, best.offsets)
+    return var_vec.at(best_values), best.gammas, (best.coeffs, best.offsets)
 
 
 def _groups(width: int, group_size: int):
@@ -366,14 +364,14 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
                     config: OptimizerConfig | None = None):
     """Layer-by-layer optimized bounds.
 
-    Each layer runs two batched optimizations over all its groups: a
-    maximization of each group's summed lower bounds and a minimization of
-    each group's summed upper bounds.  The deterministic baseline bounds are
-    folded into the per-neuron best so the result weakly dominates them
-    everywhere (the refreshed intermediate intervals mean the initialization
-    alone does not reproduce the baseline bound beyond layer 2).  Refreshed
-    bounds regenerate the layer's line spaces before the next layer is
-    processed.
+    Each layer runs one batched optimization in which every group appears
+    twice: with lower-sense rows, maximizing the group's summed lower
+    bounds, and with upper-sense (negated) rows, minimizing its summed upper
+    bounds.  The deterministic baseline bounds are folded into the
+    per-neuron best so the result weakly dominates them everywhere (the
+    refreshed intermediate intervals mean the initialization alone does not
+    reproduce the baseline bound beyond layer 2).  Refreshed bounds
+    regenerate the layer's line spaces before the next layer is processed.
 
     Returns (LayerBounds, (lower AffineBounds, upper AffineBounds)) with the
     affine output bounds carrying their concretized gamma.
@@ -387,32 +385,38 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
 
     for k in range(2, net.m + 1):
         width = net.layer_width(k)
-        best = [_Best(sense, gammas.copy(),
-                      *crown.backward_rows(net, k, range(width), base_lines,
-                                           sense))
-                for sense, gammas in zip(relax.SIDES, base_bounds.layer(k))]
+        # the best of every signed row: lower rows, then negated upper rows
+        (cl, ol), (cu, ou) = (crown.backward_rows(net, k, range(width),
+                                                  base_lines, sense)
+                              for sense in relax.SIDES)
+        gl, gu = base_bounds.layer(k)
+        best = _Best(np.concatenate([gl, -gu]), np.concatenate([cl, -cu]),
+                     np.concatenate([ol, -ou]))
         var_vec = collect_variables(layer_spaces)
         groups = _groups(width, config.group_size)
-        rows = np.concatenate(groups)
-        for s_idx, (sense, tgt) in enumerate(zip(relax.SIDES, best)):
-            seeds = [[config.seed, k, g_idx, s_idx]
-                     for g_idx in range(len(groups))]
-            _, gammas, (coeffs, offsets) = optimize_bounds(
-                net, spec, k, groups, sense, config, var_vec, seeds)
-            tgt.fold(rows, gammas, coeffs, offsets)
-        bestL, bestU = best
-        if np.any(bestL.gammas > bestU.gammas + 1e-9):
+        seeds = [[config.seed, k, g_idx, s_idx] for s_idx in range(2)
+                 for g_idx in range(len(groups))]
+        _, gammas, (coeffs, offsets) = optimize_bounds(
+            net, spec, k, groups + groups,
+            [sense for sense in relax.SIDES for _ in groups], config,
+            var_vec, seeds)
+        best.fold(np.arange(2 * width), gammas, coeffs, offsets)
+        lower, upper = best.gammas[:width], -best.gammas[width:]
+        if np.any(lower > upper + 1e-9):
             raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
         # the two senses fold over different iterates, so allow float-noise
         # crossings of degenerate intervals
-        lows.append(np.minimum(bestL.gammas, bestU.gammas))
-        ups.append(np.maximum(bestL.gammas, bestU.gammas))
+        lows.append(np.minimum(lower, upper))
+        ups.append(np.maximum(lower, upper))
         if k < net.m:
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))
         else:
             out_affine = tuple(
-                [crown.AffineBound(b.coeffs[i], float(b.offsets[i]), b.sense,
-                                   float(b.gammas[i])) for i in range(width)]
-                for b in best)
+                [crown.AffineBound(sign * best.coeffs[r],
+                                   float(sign * best.offsets[r]), sense,
+                                   float(sign * best.gammas[r]))
+                 for r in range(first, first + width)]
+                for sense, sign, first in (("lower", 1.0, 0),
+                                           ("upper", -1.0, width)))
     return crown.LayerBounds(lows, ups), out_affine

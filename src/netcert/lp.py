@@ -266,13 +266,14 @@ def dump_lp(problem: LpProblem) -> str:
                  + (f" + {problem.c0!r}" if problem.c0 else ""))
     parts.append("subject to:")
     for row, rhs in zip(problem.A_eq, problem.b_eq):
-        parts.append(f"  {_poly(row, problem.names)} = {rhs!r}")
+        parts.append(f"  {_poly(row, problem.names)} = {float(rhs)!r}")
     for row, rhs in zip(problem.A_ub, problem.b_ub):
-        parts.append(f"  {_poly(row, problem.names)} <= {rhs!r}")
+        parts.append(f"  {_poly(row, problem.names)} <= {float(rhs)!r}")
     parts.append("free: " + " ".join(problem.names))
     return "\n".join(parts) + "\n"
 
 
 def _poly(coeffs, names) -> str:
-    terms = [f"{c!r} {name}" for c, name in zip(coeffs, names) if c != 0.0]
+    terms = [f"{float(c)!r} {name}" for c, name in zip(coeffs, names)
+             if c != 0.0]
     return " + ".join(terms) if terms else "0"

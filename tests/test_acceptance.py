@@ -229,23 +229,23 @@ def test_criterion_6_gradients_match_finite_differences():
                 vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                                    vv.hi - 0.1 * (vv.hi - vv.lo))
                 sense = ("lower", "upper")[points % 2]
-                vvt = vv.at(vals.copy())
+                vvt = vv.at(vals[None].copy())
                 _, grad, _, _ = frown.objective_and_gradient(
-                    net, spec, 3, [0], sense, vvt)
+                    net, spec, 3, [[0]], [sense], vvt)
                 points += 1
                 for e in range(len(vv)):
                     vp, vm = vals.copy(), vals.copy()
                     vp[e] += h
                     vm[e] -= h
                     gp = frown.objective_and_gradient(
-                        net, spec, 3, [0], sense,
-                        vv.at(vp))[0][0]
+                        net, spec, 3, [[0]], [sense],
+                        vv.at(vp[None]))[0][0]
                     gm = frown.objective_and_gradient(
-                        net, spec, 3, [0], sense,
-                        vv.at(vm))[0][0]
+                        net, spec, 3, [[0]], [sense],
+                        vv.at(vm[None]))[0][0]
                     fd = (gp - gm) / (2 * h)
                     worst = max(worst,
-                                abs(grad[e] - fd) / max(abs(fd), 1e-8))
+                                abs(grad[0, e] - fd) / max(abs(fd), 1e-8))
     report(6, "analytic gradients match central differences",
            worst <= 1e-4, f"{points} points, worst rel err {worst:.2e}")
 

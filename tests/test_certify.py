@@ -80,6 +80,56 @@ def test_radius_ordering_crown_frown():
         assert cc.epsilon_certified <= cf.epsilon_certified + 1e-9
 
 
+def test_frown_search_runs_no_frown_on_probes_crown_certifies(monkeypatch):
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    real = frown.frown_propagate
+    for seed in range(2):
+        net = generate_random_network(seed, [6, 8, 8, 4], "sigmoid", scale=2.0)
+        x0, label = boundary_sample(net, 40 + seed)
+        radii = []
+
+        def counting(net, spec, config=None):
+            radii.append(spec.epsilon)
+            return real(net, spec, config)
+
+        monkeypatch.setattr(certify.frown, "frown_propagate", counting)
+        cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
+                                      cap=2.0, frown_config=cfg)
+        monkeypatch.setattr(certify.frown, "frown_propagate", real)
+        assert 0 < len(radii) < cert.iterations
+        # when crown answered the last probe, frown runs once more after the
+        # search, for the certificate's margins
+        if certify.certified_at(net, x0, label, cert.epsilon_certified,
+                                np.inf, "crown")[0]:
+            assert radii.pop() == cert.epsilon_certified
+        for eps in radii:
+            assert not certify.certified_at(net, x0, label, eps, np.inf,
+                                            "crown")[0], (seed, eps)
+
+
+def test_certificate_margins_are_frowns_at_the_radius():
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    for seed in range(3):
+        net = generate_random_network(seed, [6, 8, 8, 4], "sigmoid", scale=2.0)
+        x0, label = boundary_sample(net, 40 + seed)
+        crown_radius = certify.search_epsilon(net, x0, label, np.inf, "crown",
+                                              cap=2.0).epsilon_certified
+        # below crown's radius the search ends at the cap, a probe crown
+        # answers, so the margins come from the run after the search
+        for cap in (2.0, 0.5 * crown_radius):
+            cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
+                                          cap=cap, frown_config=cfg)
+            eps = cert.epsilon_certified
+            ok, marg = certify.certified_at(net, x0, label, eps, np.inf,
+                                            "frown", frown_config=cfg)
+            assert ok
+            assert np.asarray(cert.margins).tobytes() == marg.tobytes()
+        assert cert.cap_hit
+        ok, crown_marg = certify.certified_at(net, x0, label, eps, np.inf,
+                                              "crown")
+        assert ok and crown_marg.tobytes() != marg.tobytes()
+
+
 def test_certified_radius_below_exact_adversarial_distortion():
     for seed in (1, 3):
         net = generate_random_network(seed, [3, 4, 4, 3], "relu", scale=1.0)

@@ -39,21 +39,21 @@ def toy_setup(eps=1.0):
 def test_toy_closed_form_objective():
     net, spec, spaces = toy_setup()
     vv = frown.collect_variables(spaces)
-    assert len(vv) == 1 and vv.values[0] == 1.0
+    assert len(vv) == 1 and vv.values[0, 0] == 1.0
     for s in (0.2, 0.5, 0.9):
-        vv2 = vv.at(np.array([s]))
+        vv2 = vv.at(np.array([[s]]))
         g, grad, _, _ = frown.objective_and_gradient(
-            net, spec, 2, [0], "lower", vv2)
+            net, spec, 2, [[0]], ["lower"], vv2)
         assert g[0] == pytest.approx(-spec.epsilon * s)
-        assert grad[0] == pytest.approx(-spec.epsilon)
+        assert grad[0, 0] == pytest.approx(-spec.epsilon)
 
 
 def test_variable_outside_interval_rejected():
     net, spec, spaces = toy_setup()
     vv = frown.collect_variables(spaces)
-    bad = vv.at(np.array([1.5]))
+    bad = vv.at(np.array([[1.5]]))
     with pytest.raises(ValueError):
-        frown.objective_and_gradient(net, spec, 2, [0], "lower", bad)
+        frown.objective_and_gradient(net, spec, 2, [[0]], ["lower"], bad)
 
 
 def test_no_variables_matches_baseline():
@@ -65,8 +65,8 @@ def test_no_variables_matches_baseline():
     vv = frown.collect_variables(spaces)
     assert len(vv) == 0
     g, grad, _, _ = frown.objective_and_gradient(
-        net, spec, net.m, [0], "lower", vv)
-    assert grad.shape == (0,)
+        net, spec, net.m, [[0]], ["lower"], vv)
+    assert grad.shape == (1, 0)
     assert g[0] == pytest.approx(bounds.output_lower[0])
 
 
@@ -84,21 +84,21 @@ def test_gradient_matches_central_differences(act, p):
         vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                            vv.hi - 0.1 * (vv.hi - vv.lo))
         for sense in ("lower", "upper"):
-            vvt = vv.at(vals.copy())
+            vvt = vv.at(vals[None].copy())
             g, grad, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [0, 1], sense, vvt)
+                net, spec, 3, [[0, 1]], [sense], vvt)
             for e in range(len(vv)):
                 vp, vm = vals.copy(), vals.copy()
                 vp[e] += h
                 vm[e] -= h
                 gp = frown.objective_and_gradient(
-                    net, spec, 3, [0, 1], sense,
-                    vv.at(vp))[0].sum()
+                    net, spec, 3, [[0, 1]], [sense],
+                    vv.at(vp[None]))[0].sum()
                 gm = frown.objective_and_gradient(
-                    net, spec, 3, [0, 1], sense,
-                    vv.at(vm))[0].sum()
+                    net, spec, 3, [[0, 1]], [sense],
+                    vv.at(vm[None]))[0].sum()
                 fd = (gp - gm) / (2 * h)
-                assert abs(grad[e] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
+                assert abs(grad[0, e] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
                     act, p, sense, e)
 
 
@@ -134,19 +134,32 @@ def test_batched_groups_match_one_group_at_a_time(act, p):
         groups = frown._groups(6, group_size)
         for restarts in (1, 3):
             config = frown.OptimizerConfig(max_iters=20, restarts=restarts)
-            for sense in ("lower", "upper"):
-                seeds = [[9, g] for g in range(len(groups))]
+            per_sense = []
+            for s_idx, sense in enumerate(("lower", "upper")):
+                seeds = [[9, g, s_idx] for g in range(len(groups))]
                 batch_vec, batch, (batch_c, batch_o) = frown.optimize_bounds(
-                    net, spec, 3, groups, sense, config, vv, seeds)
+                    net, spec, 3, groups, [sense] * len(groups), config, vv,
+                    seeds)
                 assert batch_vec.values.shape == (len(groups), len(vv))
+                per_sense.append((seeds, batch, batch_c, batch_o))
                 for g, (group, seed) in enumerate(zip(groups, seeds)):
                     _, one, (one_c, one_o) = frown.optimize_bounds(
-                        net, spec, 3, group, sense, config, vv, [seed])
+                        net, spec, 3, [group], [sense], config, vv, [seed])
                     for got, want in ((batch[group], one),
                                       (batch_c[group], one_c),
                                       (batch_o[group], one_o)):
                         assert np.allclose(got, want, rtol=1e-9, atol=0), (
                             group_size, restarts, sense, g)
+            # one batch mixing the lower and the upper groups
+            (seeds_l, *lower), (seeds_u, *upper) = per_sense
+            _, mixed, (mixed_c, mixed_o) = frown.optimize_bounds(
+                net, spec, 3, groups + groups,
+                ["lower"] * len(groups) + ["upper"] * len(groups), config,
+                vv, seeds_l + seeds_u)
+            for got, want in zip((mixed, mixed_c, mixed_o),
+                                 zip(lower, upper)):
+                assert np.allclose(got, np.concatenate(want), rtol=1e-9,
+                                   atol=0), (group_size, restarts)
 
 
 # --- optimize_bounds -------------------------------------------------------------
@@ -157,7 +170,7 @@ def test_toy_recovers_flat_lower_line():
     grid = np.linspace(0, 1, 1001)
     assert (-spec.epsilon * grid).max() == 0.0
     _, best, _ = frown.optimize_bounds(
-        net, spec, 2, [0], "lower", frown.OptimizerConfig(),
+        net, spec, 2, [[0]], ["lower"], frown.OptimizerConfig(),
         frown.collect_variables(spaces))
     assert best[0] == pytest.approx(0.0, abs=1e-3)
 
@@ -172,14 +185,13 @@ def test_best_iterate_never_worse_than_init():
         vv = frown.collect_variables(spaces)
         for sense in ("lower", "upper"):
             g0, _, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [0, 1, 2], sense, vv)
+                net, spec, 3, [[0, 1, 2]], [sense], vv)
             _, best, _ = frown.optimize_bounds(
-                net, spec, 3, [0, 1, 2], sense,
+                net, spec, 3, [[0, 1, 2]], [sense],
                 frown.OptimizerConfig(max_iters=40), vv)
-            if sense == "lower":
-                assert np.all(best >= g0 - 1e-12)
-            else:
-                assert np.all(best <= g0 + 1e-12)
+            # both are lower bounds of the signed rows: an upper-sense
+            # row's gamma is minus the neuron's upper bound
+            assert np.all(best >= g0 - 1e-12)
 
 
 def test_restarts_only_help():
@@ -188,10 +200,10 @@ def test_restarts_only_help():
     bounds, _ = crown.propagate(net, spec)
     vv = frown.collect_variables(spaces_for(net, bounds, 4))
     one = frown.optimize_bounds(
-        net, spec, 4, [0], "lower",
+        net, spec, 4, [[0]], ["lower"],
         frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)[1]
     three = frown.optimize_bounds(
-        net, spec, 4, [0], "lower",
+        net, spec, 4, [[0]], ["lower"],
         frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)[1]
     assert three[0] >= one[0] - 1e-12
 
@@ -202,10 +214,10 @@ def test_iterates_stay_in_box_and_lines_valid():
     bounds, _ = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
     out_vec, _, _ = frown.optimize_bounds(
-        net, spec, 3, [0], "lower", frown.OptimizerConfig(max_iters=50),
+        net, spec, 3, [[0]], ["lower"], frown.OptimizerConfig(max_iters=50),
         frown.collect_variables(spaces))
     out_vec.check()
-    for rec, theta in per_record(spaces, out_vec, out_vec.values):
+    for rec, theta in per_record(spaces, out_vec, out_vec.values[0]):
         assert relax.validate_line(rec.act, rec.side, rec.l, rec.u,
                                    *rec.lines_at(theta), 501).all()
 

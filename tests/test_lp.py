@@ -358,3 +358,28 @@ def test_dump_lp_lists_every_row():
     assert text.count("=") >= prob.A_eq.shape[0]
     assert "minimize" in text
     assert "z1_0" in text and "a1_0" in text
+
+
+def test_dump_lp_writes_plain_floats():
+    net = toy_relu_net()
+    spec = PerturbationSpec(np.zeros(1), np.inf, 0.5)
+    bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
+    lines = menu_lines(net, bounds, "multi", 2)
+    for sense in ("lower", "upper"):
+        text = lp.dump_lp(lp.build_lp(net, spec, 2, 0, sense, bounds, lines))
+        assert "np." not in text
+        numbers = 0
+        for line in text.splitlines():
+            if line.startswith(("minimize: ", "maximize: ")):
+                lhs, rhs = line.split(": ", 1)[1], None
+            elif " <= " in line or " = " in line:
+                lhs, rhs = line.replace(" <= ", " = ").split(" = ")
+            else:
+                continue
+            for term in lhs.split(" + "):
+                float(term.split()[0])
+                numbers += 1
+            if rhs is not None:
+                float(rhs)
+                numbers += 1
+        assert numbers > 0

@@ -247,7 +247,9 @@ def test_validate_line_grid_size_guard():
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_every_generated_line_is_valid(act, side):
-    rng = np.random.default_rng(hash((act, side)) % (2**32))
+    # a fixed seed per case, so a failure reproduces
+    rng = np.random.default_rng(
+        [("relu", "sigmoid", "tanh").index(act), relax.SIDES.index(side)])
     f = ACTIVATIONS[act]
     for trial in range(1000):
         l = rng.uniform(-8.0, 6.0)
