@@ -15,6 +15,14 @@ import numpy as np
 
 #: pivot / reduced-cost tolerance
 PIVOT_TOL = 1e-9
+#: smallest direction entry accepted as a pivot in the ratio test; a pivot
+#: just above PIVOT_TOL leaves a numerically singular basis
+RATIO_TOL = 1e-7
+#: rounding error of a reduced cost, relative to |multipliers| @ |column|
+ROUNDING = 1e-13
+#: largest residual of B xB = b at which optimality is accepted without
+#: refactorizing the basis inverse
+DRIFT_TOL = 1e-9
 #: phase-1 objective above this value means infeasible
 FEAS_TOL = 1e-7
 #: refactorize the basis inverse every this many pivots
@@ -37,16 +45,30 @@ class IterationLimitError(SimplexError):
     pass
 
 
+def _refactor(A, b, basis, B_inv, xB):
+    """Recompute the basis inverse and the basic values from scratch."""
+    B_inv[:, :] = np.linalg.inv(A[:, basis])
+    xB[:] = np.maximum(B_inv @ b, 0.0)
+
+
 def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
     """Run Bland-rule pivots to optimality; mutates basis/B_inv/xB in place.
 
     ``allowed`` masks the columns that may enter (used to lock out
     artificials in phase 2).  Returns the number of iterations spent.
+
+    The updated basis inverse drifts, and an ill-conditioned basis gives
+    multipliers large enough for the rounding error of a reduced cost to
+    pass PIVOT_TOL.  So optimality is concluded only when the basic values
+    still solve B xB = b, and a direction without a positive entry first
+    refactorizes the inverse, then discards an entering reduced cost that
+    lies within its own rounding error, before it is taken as unbounded.
     """
     m, n = A.shape
     used = 0
     since_refactor = 0
     col_idx = np.arange(n)
+    eligible = allowed.copy()      # allowed, less columns priced as noise
     while True:
         if used >= iter_budget:
             raise IterationLimitError("simplex iteration cap exceeded")
@@ -54,14 +76,27 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
         lam = c[basis] @ B_inv
         reduced = c - lam @ A
         reduced[basis] = 0.0
-        candidates = col_idx[(reduced < -PIVOT_TOL) & allowed]
+        candidates = col_idx[(reduced < -PIVOT_TOL) & eligible]
         if candidates.size == 0:
-            return used
+            residual = np.abs(A[:, basis] @ xB - b).max()
+            if since_refactor == 0 or residual <= DRIFT_TOL:
+                return used
+            since_refactor = 0
+            _refactor(A, b, basis, B_inv, xB)
+            continue
         enter = int(candidates[0])  # Bland: smallest index
         d = B_inv @ A[:, enter]
-        pos = d > PIVOT_TOL
+        pos = d > RATIO_TOL
         if not pos.any():
-            raise UnboundedError("unbounded direction encountered")
+            if since_refactor:
+                since_refactor = 0
+                _refactor(A, b, basis, B_inv, xB)
+                continue
+            noise = ROUNDING * (np.abs(lam) @ np.abs(A[:, enter]))
+            if reduced[enter] < -noise:
+                raise UnboundedError("unbounded direction encountered")
+            eligible[enter] = False
+            continue
         ratios = np.full(m, np.inf)
         ratios[pos] = xB[pos] / d[pos]
         theta = ratios.min()
@@ -76,11 +111,11 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
         others = np.arange(m) != leave_row
         B_inv[others, :] -= np.outer(d[others], B_inv[leave_row, :])
         basis[leave_row] = enter
+        eligible[:] = allowed
         since_refactor += 1
         if since_refactor >= REFACTOR_EVERY:
             since_refactor = 0
-            B_inv[:, :] = np.linalg.inv(A[:, basis])
-            xB[:] = np.maximum(B_inv @ b, 0.0)
+            _refactor(A, b, basis, B_inv, xB)
 
 
 def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
