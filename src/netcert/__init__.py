@@ -21,7 +21,7 @@ from .crown import (
 )
 from .frown import OptimizerConfig, frown_propagate, optimize_bounds
 from .lp import RelaxationMenu, build_lp, lp_propagate, solve
-from .oracle import ExactRange, exact_relu_range, sample_check
+from .oracle import ExactRange, exact_output_functional_range, sample_check
 from .certify import Certificate, certified_at, search_epsilon
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
     "AffineBound", "LayerBounds", "margins", "propagate",
     "OptimizerConfig", "frown_propagate", "optimize_bounds",
     "RelaxationMenu", "build_lp", "lp_propagate", "solve",
-    "ExactRange", "exact_relu_range", "sample_check",
+    "ExactRange", "exact_output_functional_range", "sample_check",
     "Certificate", "certified_at", "search_epsilon",
 ]

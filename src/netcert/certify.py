@@ -17,6 +17,7 @@ final radius if its probe was screened.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
@@ -49,35 +50,23 @@ class Certificate:
     rel_tol: float = 1e-3
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_certified": self.epsilon_certified,
-            "mode": self.mode,
-            "method": self.method,
-            "p": "inf" if self.p == math.inf else self.p,
-            "label": self.label,
-            "target": self.target,
-            "margins": np.asarray(self.margins).tolist(),
-            "wall_time": self.wall_time,
-            "iterations": self.iterations,
-            "cap_hit": self.cap_hit,
-            "never_certified": self.never_certified,
-            "rel_tol": self.rel_tol,
-        }
+        doc = dataclasses.asdict(self)
+        doc["p"] = "inf" if self.p == math.inf else self.p
+        doc["margins"] = np.asarray(self.margins).tolist()
+        return doc
 
 
 def output_bounds(net: Network, spec: PerturbationSpec, method: str,
                   frown_config: frown.OptimizerConfig | None = None,
-                  lp_menu: lp.RelaxationMenu | None = None):
-    """Output-layer (lower, upper) bound vectors under the chosen method."""
+                  lp_menu: lp.RelaxationMenu | None = None
+                  ) -> crown.LayerBounds:
+    """Every layer's bounds under the chosen method."""
     if method == "crown":
-        bounds, _ = crown.propagate(net, spec)
-        return bounds.output_lower, bounds.output_upper
+        return crown.propagate(net, spec)[0]
     if method == "frown":
-        bounds, _ = frown.frown_propagate(net, spec, frown_config)
-        return bounds.output_lower, bounds.output_upper
+        return frown.frown_propagate(net, spec, frown_config)[0]
     if method == "lp":
-        _, (low, up) = lp.lp_propagate(net, spec, menu=lp_menu)
-        return low, up
+        return lp.lp_propagate(net, spec, menu=lp_menu)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -96,12 +85,12 @@ def certified_at(net: Network, x0, label: int, epsilon: float, p,
             f"label {label} is not the network's prediction "
             f"{int(np.argmax(logits))}; the certificate is vacuous")
     spec = PerturbationSpec(x0, p, epsilon)
-    low, up = output_bounds(net, spec, method, frown_config, lp_menu)
-    marg = crown.margins(low, up, label)
+    bounds = output_bounds(net, spec, method, frown_config, lp_menu)
+    marg = crown.margins(bounds.output_lower, bounds.output_upper, label)
     if target is None:
         ok = bool(marg.size == 0 or marg.min() >= 0.0)
     else:
-        n_out = len(low)
+        n_out = len(bounds.output_lower)
         if not 0 <= target < n_out or target == label:
             raise ValueError(f"bad target class {target}")
         pos = target if target < label else target - 1
@@ -147,6 +136,8 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
 
     start = min(BRACKET_START, cap)
     if probe(start):
+        if start == cap:
+            return done(cap, cap_hit=True)
         lo = start
         hi = None
         while hi is None:

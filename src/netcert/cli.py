@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import certify, crown, frown, lp
+from . import certify, frown, lp
 from .model import ModelError, PerturbationSpec, load_network, load_sample
 
 WORKERS_ENV = "NETCERT_WORKERS"
@@ -64,21 +64,18 @@ def cmd_bounds(args) -> int:
     net = load_network(args.network)
     x0, _ = load_sample(args.sample)
     spec = PerturbationSpec(x0, args.p, args.eps)
+    menu = lp.RelaxationMenu(args.lines)
+    # only frown builds (and so validates) the optimizer settings
+    config = _frown_config(args, args.seed) if args.method == "frown" else None
+    bounds = certify.output_bounds(net, spec, args.method, config, menu)
     dumps = []
-    if args.method == "crown":
-        bounds, _ = crown.propagate(net, spec)
-    elif args.method == "frown":
-        bounds, _ = frown.frown_propagate(net, spec, _frown_config(args, args.seed))
-    else:
-        menu = lp.RelaxationMenu(args.lines)
-        bounds, _ = lp.lp_propagate(net, spec, menu=menu)
-        if args.dump_lp:
-            lines = [menu.layer_lines(net.activation, *bounds.layer(v))
-                     for v in range(1, net.m)]
-            dumps = [lp.dump_lp(lp.build_lp(net, spec, net.m, i, sense,
-                                             bounds, lines))
-                     for i in range(net.layer_width(net.m))
-                     for sense in ("lower", "upper")]
+    if args.dump_lp:
+        lines = [menu.layer_lines(net.activation, *bounds.layer(v))
+                 for v in range(1, net.m)]
+        dumps = [lp.dump_lp(lp.build_lp(net, spec, net.m, i, sense, bounds,
+                                         lines))
+                 for i in range(net.layer_width(net.m))
+                 for sense in ("lower", "upper")]
     doc = {
         "network": args.network,
         "sample": args.sample,

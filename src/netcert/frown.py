@@ -158,10 +158,7 @@ class RowGroups:
 
     @classmethod
     def of(cls, groups, senses) -> "RowGroups":
-        """From a list of neuron lists and the sense of each; a RowGroups
-        carries its own senses (pass None)."""
-        if isinstance(groups, cls):
-            return groups
+        """From a list of neuron lists and the sense of each."""
         groups = [np.asarray(g, dtype=int) for g in groups]
         if not groups or any(g.ndim != 1 or len(g) == 0 for g in groups):
             raise ValueError("every group is a list of at least one neuron")
@@ -192,19 +189,18 @@ class RowGroups:
 
 
 def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
-                           groups, senses, var_vec: VariableVector):
+                           batch: RowGroups, var_vec: VariableVector):
     """Per-row gamma values and, per group, the gradient of the group's sum.
 
-    ``groups`` is a list of neuron lists with one sense per group in
-    ``senses`` (or a RowGroups), with one row of ``var_vec.values`` per
-    group; the gradient has the shape of ``var_vec.values``.  Returns
+    ``batch`` holds the signed rows of the groups, with one row of
+    ``var_vec.values`` per group; the gradient has the shape of
+    ``var_vec.values``.  Returns
     (gammas, gradient, coeffs, offsets); ``coeffs``/``offsets`` are the
     affine lower bounds of the signed rows, which run group by group, and
     ``gammas`` their values over the ball (minus the upper bound of the
     neuron for an upper-sense row).
     """
     var_vec.check()
-    batch = RowGroups.of(groups, senses)
     if len(var_vec.widths) != k - 1:
         raise ValueError(f"variables cover {len(var_vec.widths)} layers, "
                          f"layer {k} needs {k - 1}")
@@ -281,35 +277,28 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     restarts draw from ``default_rng(seed)`` with the group's entry of
     ``seeds`` (default: ``config.seed`` for every group).
 
-    Returns (best variables of each group's objective, with values shaped
-    (groups, variables); per-row best gammas; per-row best affine bounds as
-    (coeffs, offsets)), the rows running group by group, all of the signed
-    rows: an upper-sense row's are the negated upper bound.
+    Returns (per-row best gammas, per-row best affine bounds as (coeffs,
+    offsets)), the rows running group by group, all of the signed rows: an
+    upper-sense row's are the negated upper bound.  The best of a row is
+    taken over every iterate of its group, so the rows of one group may
+    keep bounds of different iterates.
     """
     batch = RowGroups.of(groups, senses)
     n_groups = len(batch)
     rngs = None
-    everyone = np.arange(n_groups)
     all_rows = np.arange(len(batch.rows))
 
     def evaluate(values, part, pos):
-        g, grad, A, c = objective_and_gradient(net, spec, k, part, None,
+        g, grad, A, c = objective_and_gradient(net, spec, k, part,
                                                var_vec.at(values))
         best.fold(pos, g, A, c)
         return np.add.reduceat(g, part.starts), grad
 
-    def keep_best(active, obj, values):
-        better = obj > best_obj[active]
-        best_obj[active[better]] = obj[better]
-        best_values[active[better]] = values[active[better]]
-
     init = np.broadcast_to(var_vec.values, (n_groups, len(var_vec))).copy()
-    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch, None,
+    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch,
                                                var_vec.at(init))
     best = _Best(g0.copy(), A0.copy(), c0.copy())
     obj0 = np.add.reduceat(g0, batch.starts)
-    best_obj = obj0.copy()
-    best_values = init.copy()
 
     # normalizing each group's direction by its largest entry makes the
     # travel speed independent of the objective scale (and so of the group
@@ -327,8 +316,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
             values = np.stack([rng.uniform(var_vec.lo, var_vec.hi)
                                for rng in rngs])
             obj, grad = evaluate(values, batch, all_rows)
-            keep_best(everyone, obj, values)
-        active, part, pos = everyone, batch, all_rows
+        active, part, pos = np.arange(n_groups), batch, all_rows
         # running best objective per group; a group stops once it gained
         # less than improvement_tol over 5 steps
         history = np.empty((config.max_iters + 1, n_groups))
@@ -341,7 +329,6 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                 values[active] + step * scale * direction)
             scale *= decay
             obj, grad = evaluate(values[active], part, pos)
-            keep_best(active, obj, values)
             history[it + 1, active] = np.maximum(history[it, active], obj)
             if it >= 4:
                 stalled = (history[it + 1, active] - history[it - 4, active]
@@ -351,7 +338,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                 if stalled.any():
                     active, grad = active[~stalled], grad[~stalled]
                     part, pos = batch.take(active)
-    return var_vec.at(best_values), best.gammas, (best.coeffs, best.offsets)
+    return best.gammas, (best.coeffs, best.offsets)
 
 
 def _groups(width: int, group_size: int):
@@ -396,7 +383,7 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
         groups = _groups(width, config.group_size)
         seeds = [[config.seed, k, g_idx, s_idx] for s_idx in range(2)
                  for g_idx in range(len(groups))]
-        _, gammas, (coeffs, offsets) = optimize_bounds(
+        gammas, (coeffs, offsets) = optimize_bounds(
             net, spec, k, groups + groups,
             [sense for sense in relax.SIDES for _ in groups], config,
             var_vec, seeds)

@@ -220,13 +220,7 @@ def forward(net: Network, x) -> np.ndarray:
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network on rows of ``xs`` (N x n). Returns N x n_m."""
-    xs = np.asarray(xs, dtype=float)
-    act = ACTIVATIONS[net.activation]
-    a = xs
-    for idx, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
-        z = a @ w.T + b
-        a = act(z) if idx < net.m else z
-    return a
+    return preactivations(net, xs)[-1]
 
 
 def preactivations(net: Network, xs: np.ndarray) -> list:

@@ -1,10 +1,11 @@
 """Ground-truth machinery: sampling falsification and exact ReLU ranges.
 
 ``sample_check`` hunts for bound violations with uniform draws from the input
-ball.  ``exact_relu_range`` computes the exact output range of a tiny ReLU
-network by activation-pattern enumeration: once the active set of every
-hidden neuron is fixed the network is affine, so each pattern region reduces
-to a small LP over the ball intersected with the sign constraints.  The
+ball.  ``exact_output_functional_range`` computes the exact range of a linear
+functional of the outputs of a tiny ReLU network (a unit vector gives one
+output's range) by activation-pattern enumeration: once the active set of
+every hidden neuron is fixed the network is affine, so each pattern region
+reduces to a small LP over the ball intersected with the sign constraints.  The
 enumeration walks patterns depth-first and prunes subtrees whose sign-
 constraint prefix is already infeasible, which visits every feasible pattern
 while skipping infeasible ones wholesale.
@@ -123,6 +124,11 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         raise ValueError("exact enumeration supports p in {1, inf} only")
     check_input(net, spec.x0)
     out_weights = np.asarray(out_weights, dtype=float)
+    if (out_weights.shape != (net.layer_width(net.m),)
+            or not np.isfinite(out_weights).all()):
+        raise ValueError(f"out_weights must be a finite vector of "
+                         f"{net.layer_width(net.m)} entries, got "
+                         f"{out_weights.tolist()!r}")
 
     n = net.n
     n_vars = n + (n if spec.p == 1.0 else 0)
@@ -201,13 +207,3 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         raise RuntimeError("no feasible activation pattern found")
     return ExactRange(float(state["best_min"]), float(state["best_max"]),
                       state["argmin"], state["argmax"], state["patterns"])
-
-
-def exact_relu_range(net: Network, spec: PerturbationSpec,
-                     output_neuron: int) -> ExactRange:
-    """Exact range of output neuron ``output_neuron`` over the ball."""
-    if not 0 <= output_neuron < net.layer_width(net.m):
-        raise ValueError(f"output neuron {output_neuron} out of range")
-    e = np.zeros(net.layer_width(net.m))
-    e[output_neuron] = 1.0
-    return exact_output_functional_range(net, spec, e)

@@ -23,12 +23,17 @@ A layer's families are one record of arrays per side (``LineSpaces``): the
 case of every neuron, whether it is a family or a fixed line, the family's
 admissible range and the fixed line.  ``layer_line_spaces`` builds both
 records of a layer with array code, and solves every anchored tangent of the
-layer (case1 and case3 alike) in one batched bisection; ``line_space`` is the
-record of a single interval.  Lines travel as slope and intercept arrays.
+layer (case1 and case3 alike) in one batched bisection.  The case test is
+what brackets each tangency abscissa between the inflection point and the
+far endpoint; ``tangent_points_through`` rejects any other interval.
+``line_space`` is the record of a single interval.  Lines travel as slope
+and intercept arrays; iterating a record yields each entry's (kind,
+case_tag), for per-neuron tallies.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +61,14 @@ CASE_TAGS = ("degenerate", "l<u<=0", "l<0<u", "0<=l<u",
 _DEGENERATE, _NEGATIVE, _CROSSING, _POSITIVE = 0, 1, 2, 3
 _CASE1, _CASE2, _CASE3, _CASE4 = 4, 5, 6, 7
 
+#: one entry of a LineSpaces record: its kind, "fixed" (a unique tightest
+#: line) or "one-variable" (a family), and its case tag
+Entry = namedtuple("Entry", "kind case_tag")
+
 
 class TangentUndefinedError(RuntimeError):
-    """No anchored tangent exists on the admissible side of the inflection."""
+    """No anchored tangent touches the activation inside the interval, on
+    the admissible side of the inflection point."""
 
 
 def _activation(act: str):
@@ -129,22 +139,21 @@ def tangent_points_through(act: str, l, u, left):
         g(d) = f'(d)(e - d) + f(d) - f(e),    e the anchored endpoint,
 
     the tangent-at-d value at e minus f(e), which is nondecreasing in d on
-    each side of the inflection point (g'(d) = f''(d)(e - d)).  Raises
+    each side of the inflection point (g'(d) = f''(d)(e - d)).  The tangent
+    is defined on [l, u] exactly when the other endpoint already lies on
+    the valid side (g >= 0 for a left anchor, g <= 0 for a right one): that
+    is the case1/case3 test, computed with the same bits.  Raises
     TangentUndefinedError when an anchored endpoint does not sit strictly on
-    the other side of the inflection point, which happens when both
-    endpoints share a side.
+    the other side of the inflection point, or when the other endpoint is
+    not on the valid side.
 
-    All intervals are solved in one bisection.  Its bracket starts at the
-    inflection point and the other endpoint when that endpoint already is on
-    the valid side (g >= 0 for a left anchor, g <= 0 for a right one: the
-    case1/case3 test), so on intervals so narrow that rounding decides the
-    sign of g the result still stays inside [l, u].  Otherwise the far end
-    starts at +-1 (or the endpoint, if farther) and doubles until it reaches
-    the valid side, up to 1e6.  The bracket is then halved a fixed number of
-    times instead of stopping at a small |g|: near the inflection point g
-    shrinks like the cube of the interval width, so a small |g| says nothing
-    about the distance to the root.  The returned end is the one on the
-    valid side.
+    All intervals are solved in one bisection of the bracket between the
+    inflection point and the other endpoint, so on intervals so narrow that
+    rounding decides the sign of g the result still stays inside [l, u].
+    The bracket is halved a fixed number of times instead of stopping at a
+    small |g|: near the inflection point g shrinks like the cube of the
+    interval width, so a small |g| says nothing about the distance to the
+    root.  The returned end is the one on the valid side.
     """
     f, jet = _activation(act)
     l = np.atleast_1d(np.asarray(l, dtype=float))
@@ -172,21 +181,10 @@ def tangent_points_through(act: str, l, u, left):
     ready = np.where(left, (far > 0.0) & (t_far >= fe),
                      (far < 0.0) & (t_far <= fe))
     if not ready.all():
-        at = np.flatnonzero(~ready)
-        far = np.where(left[at], np.maximum(u[at], 1.0),
-                       np.minimum(l[at], -1.0))
-        todo = np.arange(len(at))
-        while True:
-            j = at[todo]
-            t = tangent_value(far[todo], e[j])
-            todo = todo[np.where(left[j], t < fe[j], t > fe[j])]
-            if not len(todo):
-                break
-            far[todo] *= 2.0
-            if np.any(np.abs(far[todo]) > 1e6):
-                raise TangentUndefinedError("no sign change while expanding")
-        hi[at] = np.where(left[at], far, hi[at])
-        lo[at] = np.where(left[at], lo[at], far)
+        j = int(np.argmin(ready))
+        raise TangentUndefinedError(
+            f"the tangent through the {'left' if left[j] else 'right'} end "
+            f"of [{l[j]}, {u[j]}] touches outside it")
     # invariant: g(lo) <= 0 <= g(hi); g monotone on the bracketed side
     half = np.array(0.5)
     for _ in range(TANGENT_BISECTIONS):
@@ -207,8 +205,7 @@ class LineSpaces:
     origin; "tangent": the tangency abscissa) makes from a variable in
     [var_lo, var_hi]; the other entries are fixed to the line
     (slope, intercept).  NaN fills the fields an entry does not use.
-    ``case`` indexes CASE_TAGS.  Iterating yields one LineSpace per
-    neuron, for per-neuron tallies.
+    ``case`` indexes CASE_TAGS.  Iterating yields one Entry per neuron.
     """
 
     act: str
@@ -230,7 +227,8 @@ class LineSpaces:
         return len(self.l)
 
     def __iter__(self):
-        return (LineSpace(self, j) for j in range(len(self)))
+        return (Entry("one-variable" if fam else "fixed", CASE_TAGS[c])
+                for fam, c in zip(self.family, self.case))
 
     def lines_at(self, theta, grads: bool = False):
         """Every entry's line, a family member at variable ``theta`` or the
@@ -257,25 +255,6 @@ class LineSpaces:
         fixed = (self.slope, self.intercept, 0.0, 0.0)
         return tuple(np.where(self.family, gen, fix)
                      for gen, fix in zip(out, fixed))
-
-
-class LineSpace:
-    """The kind and case of entry ``index`` of a LineSpaces record: "fixed"
-    (a unique tightest line) or "one-variable" (a family)."""
-
-    __slots__ = ("spaces", "index")
-
-    def __init__(self, spaces: LineSpaces, index: int):
-        self.spaces = spaces
-        self.index = index
-
-    @property
-    def kind(self) -> str:
-        return "one-variable" if self.spaces.family[self.index] else "fixed"
-
-    @property
-    def case_tag(self) -> str:
-        return CASE_TAGS[self.spaces.case[self.index]]
 
 
 def layer_line_spaces(act: str, lower, upper):

@@ -136,7 +136,8 @@ def test_criterion_3_exact_oracle_dominates_certified_radii():
         fb, _ = frown.frown_propagate(net, spec, cfg)
         lpb, _ = lp.lp_propagate(net, spec)
         for neuron in range(3):
-            er = oracle.exact_relu_range(net, spec, neuron)
+            er = oracle.exact_output_functional_range(net, spec,
+                                                      np.eye(3)[neuron])
             for bounds in (cb, fb, lpb):
                 if not (bounds.output_lower[neuron] <= er.min + 1e-7
                         and bounds.output_upper[neuron] >= er.max - 1e-7):
@@ -229,20 +230,19 @@ def test_criterion_6_gradients_match_finite_differences():
                 vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                                    vv.hi - 0.1 * (vv.hi - vv.lo))
                 sense = ("lower", "upper")[points % 2]
+                rows = frown.RowGroups.of([[0]], [sense])
                 vvt = vv.at(vals[None].copy())
                 _, grad, _, _ = frown.objective_and_gradient(
-                    net, spec, 3, [[0]], [sense], vvt)
+                    net, spec, 3, rows, vvt)
                 points += 1
                 for e in range(len(vv)):
                     vp, vm = vals.copy(), vals.copy()
                     vp[e] += h
                     vm[e] -= h
                     gp = frown.objective_and_gradient(
-                        net, spec, 3, [[0]], [sense],
-                        vv.at(vp[None]))[0][0]
+                        net, spec, 3, rows, vv.at(vp[None]))[0][0]
                     gm = frown.objective_and_gradient(
-                        net, spec, 3, [[0]], [sense],
-                        vv.at(vm[None]))[0][0]
+                        net, spec, 3, rows, vv.at(vm[None]))[0][0]
                     fd = (gp - gm) / (2 * h)
                     worst = max(worst,
                                 abs(grad[0, e] - fd) / max(abs(fd), 1e-8))

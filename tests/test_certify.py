@@ -7,9 +7,11 @@ from netcert.model import (
     Network,
     PerturbationSpec,
     generate_random_network,
+    load_network,
+    load_sample,
 )
 
-from conftest import boundary_sample, linear_two_class_net
+from conftest import boundary_sample, data_path, linear_two_class_net
 
 
 def test_certified_at_linear_net():
@@ -58,6 +60,24 @@ def test_constant_gap_net_hits_cap():
     cert = certify.search_epsilon(net, [0.5], 0, np.inf, cap=10.0)
     assert cert.cap_hit
     assert cert.epsilon_certified == 10.0
+
+
+@pytest.mark.parametrize("cap", [5e-4, certify.BRACKET_START])
+def test_cap_at_or_below_bracket_start_is_probed_once(cap, monkeypatch):
+    net = load_network(data_path("linear2.json"))
+    x0, label = load_sample(data_path("linear2_sample.json"))
+    probes = []
+    original = certify.certified_at
+
+    def counting(*args, **kwargs):
+        probes.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "certified_at", counting)
+    cert = certify.search_epsilon(net, x0, label, np.inf, "crown", cap=cap)
+    assert probes == [cap]
+    assert cert.iterations == 1
+    assert cert.cap_hit and cert.epsilon_certified == cap
 
 
 def test_never_certified_flag():

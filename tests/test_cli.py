@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from netcert import cli, crown, relax
+from netcert import cli, crown, frown, relax
 from netcert.model import (
     PerturbationSpec,
     generate_random_network,
@@ -32,6 +32,22 @@ def test_bounds_matches_golden(tmp_path):
     golden = json.load(open(data_path("golden_toy_crown_bounds.json")))
     for key in ("method", "p", "eps", "gamma_lower", "gamma_upper", "layers"):
         assert got[key] == golden[key]
+
+
+def test_crown_bounds_ignore_frown_flags(tmp_path):
+    # settings that frown rejects leave a crown query untouched
+    out = tmp_path / "bounds.json"
+    rc = run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
+              "--eps", "0.5", "--method", "crown", "--iters", "0", "--step",
+              "-1", "--group-size", "0", "--restarts", "0", "--out", str(out)])
+    assert rc == 0
+    golden = json.load(open(data_path("golden_toy_crown_bounds.json")))
+    got = json.load(open(out))
+    assert (got["gamma_lower"], got["gamma_upper"]) == (
+        golden["gamma_lower"], golden["gamma_upper"])
+    rc = run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
+              "--eps", "0.5", "--method", "frown", "--iters", "0"])
+    assert rc == 1
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "tanh"])
@@ -148,8 +164,8 @@ def test_dump_lp_without_lp_exits_2(tmp_path, capsys, monkeypatch, method):
     def no_bounds(*args, **kwargs):
         raise AssertionError("bounds computed")
 
-    monkeypatch.setattr(cli.crown, "propagate", no_bounds)
-    monkeypatch.setattr(cli.frown, "frown_propagate", no_bounds)
+    monkeypatch.setattr(crown, "propagate", no_bounds)
+    monkeypatch.setattr(frown, "frown_propagate", no_bounds)
     dump = tmp_path / "problems.lp"
     rc = run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),
               "--eps", "0.5", "--method", method, "--dump-lp", str(dump)])

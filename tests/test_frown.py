@@ -43,7 +43,7 @@ def test_toy_closed_form_objective():
     for s in (0.2, 0.5, 0.9):
         vv2 = vv.at(np.array([[s]]))
         g, grad, _, _ = frown.objective_and_gradient(
-            net, spec, 2, [[0]], ["lower"], vv2)
+            net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), vv2)
         assert g[0] == pytest.approx(-spec.epsilon * s)
         assert grad[0, 0] == pytest.approx(-spec.epsilon)
 
@@ -53,7 +53,8 @@ def test_variable_outside_interval_rejected():
     vv = frown.collect_variables(spaces)
     bad = vv.at(np.array([[1.5]]))
     with pytest.raises(ValueError):
-        frown.objective_and_gradient(net, spec, 2, [[0]], ["lower"], bad)
+        frown.objective_and_gradient(
+            net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), bad)
 
 
 def test_no_variables_matches_baseline():
@@ -65,7 +66,7 @@ def test_no_variables_matches_baseline():
     vv = frown.collect_variables(spaces)
     assert len(vv) == 0
     g, grad, _, _ = frown.objective_and_gradient(
-        net, spec, net.m, [[0]], ["lower"], vv)
+        net, spec, net.m, frown.RowGroups.of([[0]], ["lower"]), vv)
     assert grad.shape == (1, 0)
     assert g[0] == pytest.approx(bounds.output_lower[0])
 
@@ -84,19 +85,18 @@ def test_gradient_matches_central_differences(act, p):
         vals = rng.uniform(vv.lo + 0.1 * (vv.hi - vv.lo),
                            vv.hi - 0.1 * (vv.hi - vv.lo))
         for sense in ("lower", "upper"):
+            rows = frown.RowGroups.of([[0, 1]], [sense])
             vvt = vv.at(vals[None].copy())
             g, grad, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [[0, 1]], [sense], vvt)
+                net, spec, 3, rows, vvt)
             for e in range(len(vv)):
                 vp, vm = vals.copy(), vals.copy()
                 vp[e] += h
                 vm[e] -= h
                 gp = frown.objective_and_gradient(
-                    net, spec, 3, [[0, 1]], [sense],
-                    vv.at(vp[None]))[0].sum()
+                    net, spec, 3, rows, vv.at(vp[None]))[0].sum()
                 gm = frown.objective_and_gradient(
-                    net, spec, 3, [[0, 1]], [sense],
-                    vv.at(vm[None]))[0].sum()
+                    net, spec, 3, rows, vv.at(vm[None]))[0].sum()
                 fd = (gp - gm) / (2 * h)
                 assert abs(grad[0, e] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
                     act, p, sense, e)
@@ -137,13 +137,13 @@ def test_batched_groups_match_one_group_at_a_time(act, p):
             per_sense = []
             for s_idx, sense in enumerate(("lower", "upper")):
                 seeds = [[9, g, s_idx] for g in range(len(groups))]
-                batch_vec, batch, (batch_c, batch_o) = frown.optimize_bounds(
+                batch, (batch_c, batch_o) = frown.optimize_bounds(
                     net, spec, 3, groups, [sense] * len(groups), config, vv,
                     seeds)
-                assert batch_vec.values.shape == (len(groups), len(vv))
+                assert batch.shape == (6,)
                 per_sense.append((seeds, batch, batch_c, batch_o))
                 for g, (group, seed) in enumerate(zip(groups, seeds)):
-                    _, one, (one_c, one_o) = frown.optimize_bounds(
+                    one, (one_c, one_o) = frown.optimize_bounds(
                         net, spec, 3, [group], [sense], config, vv, [seed])
                     for got, want in ((batch[group], one),
                                       (batch_c[group], one_c),
@@ -152,7 +152,7 @@ def test_batched_groups_match_one_group_at_a_time(act, p):
                             group_size, restarts, sense, g)
             # one batch mixing the lower and the upper groups
             (seeds_l, *lower), (seeds_u, *upper) = per_sense
-            _, mixed, (mixed_c, mixed_o) = frown.optimize_bounds(
+            mixed, (mixed_c, mixed_o) = frown.optimize_bounds(
                 net, spec, 3, groups + groups,
                 ["lower"] * len(groups) + ["upper"] * len(groups), config,
                 vv, seeds_l + seeds_u)
@@ -169,7 +169,7 @@ def test_toy_recovers_flat_lower_line():
     # exhaustive grid oracle over s in [0, 1]: gamma(s) = -eps*s, best at 0
     grid = np.linspace(0, 1, 1001)
     assert (-spec.epsilon * grid).max() == 0.0
-    _, best, _ = frown.optimize_bounds(
+    best, _ = frown.optimize_bounds(
         net, spec, 2, [[0]], ["lower"], frown.OptimizerConfig(),
         frown.collect_variables(spaces))
     assert best[0] == pytest.approx(0.0, abs=1e-3)
@@ -185,8 +185,8 @@ def test_best_iterate_never_worse_than_init():
         vv = frown.collect_variables(spaces)
         for sense in ("lower", "upper"):
             g0, _, _, _ = frown.objective_and_gradient(
-                net, spec, 3, [[0, 1, 2]], [sense], vv)
-            _, best, _ = frown.optimize_bounds(
+                net, spec, 3, frown.RowGroups.of([[0, 1, 2]], [sense]), vv)
+            best, _ = frown.optimize_bounds(
                 net, spec, 3, [[0, 1, 2]], [sense],
                 frown.OptimizerConfig(max_iters=40), vv)
             # both are lower bounds of the signed rows: an upper-sense
@@ -201,25 +201,38 @@ def test_restarts_only_help():
     vv = frown.collect_variables(spaces_for(net, bounds, 4))
     one = frown.optimize_bounds(
         net, spec, 4, [[0]], ["lower"],
-        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)[1]
+        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)[0]
     three = frown.optimize_bounds(
         net, spec, 4, [[0]], ["lower"],
-        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)[1]
+        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)[0]
     assert three[0] >= one[0] - 1e-12
 
 
-def test_iterates_stay_in_box_and_lines_valid():
+def test_iterates_stay_in_box_and_lines_valid(monkeypatch):
     net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
     bounds, _ = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
-    out_vec, _, _ = frown.optimize_bounds(
-        net, spec, 3, [[0]], ["lower"], frown.OptimizerConfig(max_iters=50),
+    evaluated = []
+    original = frown.objective_and_gradient
+
+    def recording(net, spec, k, batch, var_vec):
+        evaluated.append(var_vec)
+        return original(net, spec, k, batch, var_vec)
+
+    monkeypatch.setattr(frown, "objective_and_gradient", recording)
+    frown.optimize_bounds(
+        net, spec, 3, [[0]], ["lower"],
+        frown.OptimizerConfig(max_iters=50, restarts=2),
         frown.collect_variables(spaces))
-    out_vec.check()
-    for rec, theta in per_record(spaces, out_vec, out_vec.values[0]):
-        assert relax.validate_line(rec.act, rec.side, rec.l, rec.u,
-                                   *rec.lines_at(theta), 501).all()
+    assert len(evaluated) > 50
+    for var_vec in evaluated:
+        values = var_vec.values
+        assert np.all((var_vec.lo <= values) & (values <= var_vec.hi))
+        for row in values:
+            for rec, theta in per_record(spaces, var_vec, row):
+                assert relax.validate_line(rec.act, rec.side, rec.l, rec.u,
+                                           *rec.lines_at(theta), 501).all()
 
 
 # --- frown_propagate ---------------------------------------------------------------

@@ -79,12 +79,12 @@ def test_sample_count_validation():
         oracle.sample_check(net, spec, bounds, 0)
 
 
-# --- exact_relu_range -------------------------------------------------------------
+# --- exact_output_functional_range -------------------------------------------
 
 def test_toy_exact_range():
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, 1.0)
-    er = oracle.exact_relu_range(net, spec, 0)
+    er = oracle.exact_output_functional_range(net, spec, [1.0])
     assert er.min == pytest.approx(0.0, abs=1e-9)
     assert er.max == pytest.approx(1.0, abs=1e-9)
     assert er.patterns_searched == 2
@@ -98,7 +98,8 @@ def test_exact_range_brackets_heavy_sampling(p):
     net = generate_random_network(5, [3, 4, 2], "relu", scale=1.0)
     spec = PerturbationSpec(np.array([0.1, -0.2, 0.3]), p, 0.5)
     for neuron in range(2):
-        er = oracle.exact_relu_range(net, spec, neuron)
+        er = oracle.exact_output_functional_range(net, spec,
+                                                  np.eye(2)[neuron])
         xs = oracle.ball_samples(spec, 1000000, np.random.default_rng(neuron))
         outs = forward_batch(net, xs)[:, neuron]
         assert er.min <= outs.min() + 1e-9
@@ -121,7 +122,8 @@ def test_exact_range_affine_case_is_closed_form():
         b_eff = w @ b_eff + b
         w_eff = w @ w_eff
     for neuron in range(2):
-        er = oracle.exact_relu_range(net, spec, neuron)
+        er = oracle.exact_output_functional_range(net, spec,
+                                                  np.eye(2)[neuron])
         center = w_eff[neuron] @ spec.x0 + b_eff[neuron]
         spread = spec.epsilon * np.abs(w_eff[neuron]).sum()
         assert er.min == pytest.approx(center - spread, abs=1e-9)
@@ -138,7 +140,8 @@ def test_dominance_of_certified_methods():
                                       frown.OptimizerConfig(max_iters=30))
         lpb, _ = lp.lp_propagate(net, spec)
         for neuron in range(2):
-            er = oracle.exact_relu_range(net, spec, neuron)
+            er = oracle.exact_output_functional_range(net, spec,
+                                                      np.eye(2)[neuron])
             for bounds in (cb, fb, lpb):
                 assert bounds.output_lower[neuron] <= er.min + 1e-7
                 assert bounds.output_upper[neuron] >= er.max - 1e-7
@@ -154,19 +157,28 @@ def test_functional_range_margin():
     assert er.max >= diffs.max() - 1e-9
 
 
-def test_guardrails():
+def test_guardrails(monkeypatch):
     net = generate_random_network(0, [4, 17, 2], "relu")
     spec = PerturbationSpec(np.zeros(4), np.inf, 0.1)
+    first = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        oracle.exact_relu_range(net, spec, 0)  # 17 hidden > cap
+        oracle.exact_output_functional_range(net, spec, first)  # 17 > cap
     net = generate_random_network(0, [4, 6, 2], "sigmoid")
     with pytest.raises(ValueError):
-        oracle.exact_relu_range(net, spec, 0)
+        oracle.exact_output_functional_range(net, spec, first)
     net = generate_random_network(0, [4, 6, 2], "relu")
     with pytest.raises(ValueError):
-        oracle.exact_relu_range(net, PerturbationSpec(np.zeros(4), 2, 0.1), 0)
-    with pytest.raises(ValueError):
-        oracle.exact_relu_range(net, spec, 5)
+        oracle.exact_output_functional_range(
+            net, PerturbationSpec(np.zeros(4), 2, 0.1), first)
+    # out_weights must be a finite vector of the output width, which is
+    # checked before any activation pattern's LP is solved
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(oracle.simplex, "solve_inequality_form", no_lp)
+    for bad in ([1.0, np.nan], [1.0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="out_weights"):
+            oracle.exact_output_functional_range(net, spec, bad)
 
 
 def test_wrong_length_x0_rejected():
@@ -177,4 +189,4 @@ def test_wrong_length_x0_rejected():
         with pytest.raises(ModelError):
             oracle.sample_check(net, spec, bounds, 10)
         with pytest.raises(ModelError):
-            oracle.exact_relu_range(net, spec, 0)
+            oracle.exact_output_functional_range(net, spec, [1.0, 0.0])

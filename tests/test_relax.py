@@ -30,6 +30,14 @@ def tangent_point(act, anchor, l, u):
                                               [anchor == "left"])[0])
 
 
+def anchored(act, anchor, l, u):
+    """Whether the tangent through the ``anchor`` endpoint of [l, u] is
+    defined: the case test (case1 for a left anchor, case3 for a right one),
+    which brackets its tangency abscissa."""
+    side, tag = ("upper", "case1") if anchor == "left" else ("lower", "case3")
+    return only(line_space(act, side, l, u)).case_tag == tag
+
+
 def only(sp):
     """The one entry of a one-entry record, with its kind and case tag."""
     (entry,) = sp
@@ -133,13 +141,21 @@ def test_tangent_residuals_random():
     rng = np.random.default_rng(5)
     for act in ("sigmoid", "tanh"):
         f, df = ACTIVATIONS[act], lambda z: ACTIVATION_JETS[act](z, 1)[1]
-        for _ in range(50):
+        # 50 intervals per anchor on which its tangent is defined
+        left = right = 0
+        while left < 50 or right < 50:
             l = -rng.uniform(0.05, 8.0)
             u = rng.uniform(0.05, 8.0)
-            d = tangent_point(act, "left", l, u)
-            assert abs(float(df(d)) * (l - d) + float(f(d)) - float(f(l))) <= 1e-10
-            d = tangent_point(act, "right", l, u)
-            assert abs(float(df(d)) * (u - d) + float(f(d)) - float(f(u))) <= 1e-10
+            if left < 50 and anchored(act, "left", l, u):
+                left += 1
+                d = tangent_point(act, "left", l, u)
+                assert abs(float(df(d)) * (l - d) + float(f(d))
+                           - float(f(l))) <= 1e-10
+            if right < 50 and anchored(act, "right", l, u):
+                right += 1
+                d = tangent_point(act, "right", l, u)
+                assert abs(float(df(d)) * (u - d) + float(f(d))
+                           - float(f(u))) <= 1e-10
 
 
 # --- line_space case analysis ------------------------------------------------
@@ -426,37 +442,48 @@ def test_validate_line_on_arrays_matches_per_line_calls():
 
 
 def test_batched_tangent_points_match_one_at_a_time():
-    # the batch mixes left and right anchors, brackets that start at the
-    # other endpoint and ones that expand towards +-1e6
+    # the batch mixes left and right anchors on intervals whose ends lie
+    # 1e-6 to 30 from 0, drawn until 200 of them pass their anchor's case
+    # test
     rng = np.random.default_rng(21)
     for act in ("sigmoid", "tanh"):
-        l = -10.0 ** rng.uniform(-6, 1.5, 200)
-        u = 10.0 ** rng.uniform(-6, 1.5, 200)
-        left = rng.uniform(size=200) < 0.5
+        l, u, left = [], [], []
+        while len(l) < 200:
+            lo = -10.0 ** rng.uniform(-6, 1.5)
+            hi = 10.0 ** rng.uniform(-6, 1.5)
+            anchor = rng.choice(["left", "right"])
+            if anchored(act, anchor, lo, hi):
+                l.append(lo)
+                u.append(hi)
+                left.append(anchor == "left")
         got = relax.tangent_points_through(act, l, u, left)
         want = [tangent_point(act, "left" if a else "right", lo, hi)
                 for lo, hi, a in zip(l, u, left)]
         assert got.tolist() == want
 
 
-def test_batched_tangent_points_raise_like_the_scalar_one(monkeypatch):
+def test_batched_tangent_points_raise_like_the_scalar_one():
     with pytest.raises(TangentUndefinedError, match="left anchor"):
         relax.tangent_points_through("sigmoid", [-1.0, 0.5], [1.0, 2.0],
                                      [True, True])
     with pytest.raises(TangentUndefinedError, match="right anchor"):
         relax.tangent_points_through("tanh", [-1.0, -2.0], [1.0, -0.5],
                                      [False, False])
-    # a convex stand-in for the activation: every tangent lies below it, the
-    # gap never turns nonnegative and the bracket expansion gives up
-    monkeypatch.setitem(ACTIVATIONS, "sigmoid", np.square)
-    monkeypatch.setitem(ACTIVATION_JETS, "sigmoid",
-                        lambda z, order=2: (z * z, 2.0 * z, 2.0 + 0 * z)[
-                            :order + 1])
-    with pytest.raises(TangentUndefinedError, match="expanding"):
-        relax.tangent_points_through("sigmoid", [-1.0, -2.0], [1.0, 0.5],
-                                     [True, True])
-    with pytest.raises(TangentUndefinedError, match="expanding"):
-        tangent_point("sigmoid", "left", -2.0, 0.5)
+
+
+@pytest.mark.parametrize("act, anchor, l, u", [("sigmoid", "left", -8.0, 0.1),
+                                               ("tanh", "right", -0.1, 8.0)])
+def test_tangent_points_need_the_case_test(act, anchor, l, u):
+    # case2 / case4 intervals: the far endpoint is not on the valid side, so
+    # the tangent through the anchor touches outside [l, u]
+    assert not anchored(act, anchor, l, u)
+    want = rf"{anchor} end of \[{l}, {u}\]"
+    with pytest.raises(TangentUndefinedError, match=want):
+        tangent_point(act, anchor, l, u)
+    # in a batch behind an interval whose tangent is defined
+    with pytest.raises(TangentUndefinedError, match=want):
+        relax.tangent_points_through(act, [-2.0, l], [2.0, u],
+                                     [anchor == "left"] * 2)
 
 
 #: the first and second derivatives in closed form, given z and f(z)
