@@ -6,7 +6,10 @@ positive and negative parts, slacks added to the inequalities) and phase 1
 starts from an all-artificial basis.  Bland's smallest-index rule is used
 for both the entering and the leaving choice, which rules out cycling; the
 basis inverse is maintained by elementary row updates and refactorized
-periodically to keep drift down.
+periodically to keep drift down.  A solve that still ends off its rows, or
+on a singular basis, is repeated in a careful mode that refactorizes at
+every pivot and leaves the tied row with the largest pivot; Bland's
+guarantee against cycling then holds for the first attempt only.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import numpy as np
 
 #: pivot / reduced-cost tolerance
 PIVOT_TOL = 1e-9
-#: smallest direction entry accepted as a pivot in the ratio test; a pivot
-#: just above PIVOT_TOL leaves a numerically singular basis
+#: smallest direction entry accepted as a pivot in the ratio test, relative
+#: to the largest entry of the direction when that exceeds 1; a pivot just
+#: above PIVOT_TOL leaves a numerically singular basis, and so does an entry
+#: that is the rounding noise of a direction with entries near 1e4
 RATIO_TOL = 1e-7
 #: rounding error of a reduced cost, relative to |multipliers| @ |column|
 ROUNDING = 1e-13
@@ -51,11 +56,25 @@ def _refactor(A, b, basis, B_inv, xB):
     xB[:] = np.maximum(B_inv @ b, 0.0)
 
 
-def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
+def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
+                 careful=False):
     """Run Bland-rule pivots to optimality; mutates basis/B_inv/xB in place.
 
     ``allowed`` masks the columns that may enter (used to lock out
-    artificials in phase 2).  Returns the number of iterations spent.
+    artificials in phase 2).  ``twin[j]`` is the column that is the negation
+    of column j, cost included (the other part of a split free variable), or
+    j itself.  Returns the number of iterations spent.
+
+    The twin of a basic column has reduced cost exactly zero and direction
+    minus a unit vector, so it is never priced: on an ill-conditioned basis
+    its rounding noise can pass PIVOT_TOL and RATIO_TOL, and the pivot then
+    puts both parts of a variable in the basis, which is singular.
+
+    ``careful`` refactorizes the inverse at every pivot and, among the rows
+    tied in the ratio test, leaves the one with the largest pivot in place
+    of the smallest index.  On the near-parallel lines of sigmoid LPs a
+    basic value a little below 0 is clamped to 0, and a pivot of 1e-5 on
+    its row then moves the entering variable 1e5 times as far below 0.
 
     The updated basis inverse drifts, and an ill-conditioned basis gives
     multipliers large enough for the rounding error of a reduced cost to
@@ -76,6 +95,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
         lam = c[basis] @ B_inv
         reduced = c - lam @ A
         reduced[basis] = 0.0
+        reduced[twin[basis]] = 0.0
         candidates = col_idx[(reduced < -PIVOT_TOL) & eligible]
         if candidates.size == 0:
             residual = np.abs(A[:, basis] @ xB - b).max()
@@ -86,7 +106,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
             continue
         enter = int(candidates[0])  # Bland: smallest index
         d = B_inv @ A[:, enter]
-        pos = d > RATIO_TOL
+        pos = d > RATIO_TOL * max(1.0, d.max(), -d.min())
         if not pos.any():
             if since_refactor:
                 since_refactor = 0
@@ -101,8 +121,11 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
         ratios[pos] = xB[pos] / d[pos]
         theta = ratios.min()
         ties = np.flatnonzero(ratios <= theta + 1e-12)
-        # Bland tie-break: leave the variable with the smallest index
-        leave_row = int(ties[np.argmin(np.asarray(basis)[ties])])
+        if careful:
+            leave_row = int(ties[np.argmax(d[ties])])
+        else:
+            # Bland tie-break: leave the variable with the smallest index
+            leave_row = int(ties[np.argmin(basis[ties])])
         piv = d[leave_row]
         xB -= theta * d
         xB[leave_row] = theta
@@ -113,7 +136,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget):
         basis[leave_row] = enter
         eligible[:] = allowed
         since_refactor += 1
-        if since_refactor >= REFACTOR_EVERY:
+        if careful or since_refactor >= REFACTOR_EVERY:
             since_refactor = 0
             _refactor(A, b, basis, B_inv, xB)
 
@@ -147,13 +170,39 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
 
     n_std = A.shape[1]
     full = np.hstack([A, np.eye(m)])
+    cost2 = np.zeros(n_std + m)
+    cost2[:nv] = obj
+    cost2[nv:2 * nv] = -obj
+    twin = np.arange(n_std + m)
+    twin[:nv] = np.arange(nv, 2 * nv)
+    twin[nv:2 * nv] = np.arange(nv)
+
+    try:
+        y = _two_phase(full, b, cost2, n_std, twin, max_iter)
+        off_rows = np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL
+    except (np.linalg.LinAlgError, UnboundedError):
+        off_rows = True
+    if off_rows:
+        y = _two_phase(full, b, cost2, n_std, twin, max_iter, careful=True)
+    v = y[:nv] - y[nv:2 * nv]
+    value = float(obj @ v)
+    if sense == "max":
+        value = -value
+    return value, v
+
+
+def _two_phase(full, b, cost2, n_std, twin, max_iter, careful=False):
+    """Phase 1 from the all-artificial basis of ``full`` = [A, I], then
+    phase 2 on ``cost2``; returns the optimal point y of A y = b, y >= 0."""
+    m = full.shape[0]
     cost1 = np.concatenate([np.zeros(n_std), np.ones(m)])
-    basis = list(range(n_std, n_std + m))
+    basis = np.arange(n_std, n_std + m)
     B_inv = np.eye(m)
     xB = b.copy()
     allowed = np.ones(n_std + m, dtype=bool)
 
-    used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, max_iter)
+    used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, twin,
+                        max_iter, careful)
     phase1_val = float(cost1[basis] @ xB)
     if phase1_val > FEAS_TOL:
         raise InfeasibleError(f"phase-1 objective {phase1_val:.3e}")
@@ -164,6 +213,8 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
         if basis[row] < n_std:
             continue
         tableau_row = B_inv[row, :] @ full[:, :n_std]
+        basic_twins = twin[basis]
+        tableau_row[basic_twins[basic_twins < n_std]] = 0.0
         cands = np.flatnonzero(np.abs(tableau_row) > 1e-7)
         if cands.size == 0:
             continue
@@ -176,17 +227,10 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
         basis[row] = enter
         xB = np.maximum(B_inv @ b, 0.0)
 
-    cost2 = np.zeros(n_std + m)
-    cost2[:nv] = obj
-    cost2[nv:2 * nv] = -obj
     allowed[n_std:] = False  # artificials may never re-enter
-    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed,
-                 max_iter - used)
+    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, twin,
+                 max_iter - used, careful)
 
     y = np.zeros(n_std + m)
-    y[np.asarray(basis)] = xB
-    v = y[:nv] - y[nv:2 * nv]
-    value = float(obj @ v)
-    if sense == "max":
-        value = -value
-    return value, v
+    y[basis] = xB
+    return y

@@ -68,8 +68,10 @@ def test_shared_lines_lp_equals_crown(act, case):
 @pytest.mark.parametrize("act", LP_ACTS)
 @LP_SETTINGS
 @given(case=cases)
-# tanh net on which the two family ends alone were looser than single
+# tanh net on which the two family ends alone were looser than single, and
+# a sigmoid net whose LPs once put both parts of a free variable in a basis
 @example(case=(0, math.inf, -1.0))
+@example(case=(5020, 1.0, -1.4166899772147816))
 def test_multi_menu_never_looser_than_single(act, case):
     # on the same intervals the multi menu offers every line of the single
     # menu (crown's default line besides the family ends), so its LP has
