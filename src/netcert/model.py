@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,21 +221,21 @@ def forward(net: Network, x) -> np.ndarray:
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network on rows of ``xs`` (N x n). Returns N x n_m."""
-    return preactivations(net, xs)[-1]
+    for z in preactivations(net, xs):
+        pass
+    return z
 
 
-def preactivations(net: Network, xs: np.ndarray) -> list:
-    """Pre-activation matrices z(k) for each layer, for rows of ``xs``."""
-    xs = np.asarray(xs, dtype=float)
+def preactivations(net: Network, xs: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the pre-activation matrix z(k) of each layer in turn, for rows
+    of ``xs``; a caller that keeps only the last one holds one layer."""
+    a = np.asarray(xs, dtype=float)
     act = ACTIVATIONS[net.activation]
-    a = xs
-    out = []
     for idx, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
         z = a @ w.T + b
-        out.append(z)
+        yield z
         if idx < net.m:
             a = act(z)
-    return out
 
 
 def save_network(net: Network, path) -> None:

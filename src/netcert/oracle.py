@@ -93,7 +93,7 @@ def sample_check(net: Network, spec: PerturbationSpec, claimed, samples: int,
     while done < samples:
         take = min(chunk, samples - done)
         xs = ball_samples(spec, take, rng)
-        zs = preactivations(net, xs)
+        zs = list(preactivations(net, xs))
         for k, low, up in per_layer:
             z = zs[k - 1]
             _collect(violations, k, "lower", low, z.min(axis=0))

@@ -3,13 +3,15 @@
 Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  with free
 variables v.  Internally the problem moves to standard form (v split into
 positive and negative parts, slacks added to the inequalities) and phase 1
-starts from an all-artificial basis.  Bland's smallest-index rule is used
-for both the entering and the leaving choice, which rules out cycling; the
-basis inverse is maintained by elementary row updates and refactorized
-periodically to keep drift down.  A solve that still ends off its rows, or
-on a singular basis, is repeated in a careful mode that refactorizes at
-every pivot and leaves the tied row with the largest pivot; Bland's
-guarantee against cycling then holds for the first attempt only.
+starts from an all-artificial basis.  The entering column is the eligible
+one of smallest index.  Among the rows tied in the ratio test the one with
+the largest pivot leaves, except on a degenerate pivot (a step of 0), where
+the one with the smallest basic index leaves.  A cycle is made of degenerate
+pivots only, so it would follow Bland's smallest-index rule throughout,
+which cannot cycle.  The basis inverse is maintained by elementary row
+updates and refactorized periodically to keep drift down; a solve that
+still ends off its rows, or on a singular basis, is repeated with a
+refactorization at every pivot.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import numpy as np
 
 #: pivot / reduced-cost tolerance
 PIVOT_TOL = 1e-9
-#: smallest direction entry accepted as a pivot in the ratio test, relative
-#: to the largest entry of the direction when that exceeds 1; a pivot just
-#: above PIVOT_TOL leaves a numerically singular basis, and so does an entry
-#: that is the rounding noise of a direction with entries near 1e4
+#: smallest direction entry accepted as a pivot in the ratio test; a pivot
+#: just above PIVOT_TOL leaves a numerically singular basis
 RATIO_TOL = 1e-7
 #: rounding error of a reduced cost, relative to |multipliers| @ |column|
 ROUNDING = 1e-13
@@ -57,8 +57,8 @@ def _refactor(A, b, basis, B_inv, xB):
 
 
 def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
-                 careful=False):
-    """Run Bland-rule pivots to optimality; mutates basis/B_inv/xB in place.
+                 refactor_every):
+    """Pivot to optimality; mutates basis/B_inv/xB in place.
 
     ``allowed`` masks the columns that may enter (used to lock out
     artificials in phase 2).  ``twin[j]`` is the column that is the negation
@@ -70,11 +70,11 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
     its rounding noise can pass PIVOT_TOL and RATIO_TOL, and the pivot then
     puts both parts of a variable in the basis, which is singular.
 
-    ``careful`` refactorizes the inverse at every pivot and, among the rows
-    tied in the ratio test, leaves the one with the largest pivot in place
-    of the smallest index.  On the near-parallel lines of sigmoid LPs a
-    basic value a little below 0 is clamped to 0, and a pivot of 1e-5 on
-    its row then moves the entering variable 1e5 times as far below 0.
+    A step above 0 leaves the tied row with the largest pivot, and the
+    inverse is refactorized every ``refactor_every`` pivots.  On the
+    near-parallel lines of sigmoid LPs a basic value a little below 0 is
+    clamped to 0, and a pivot of 1e-5 on its row then moves the entering
+    variable 1e5 times as far below 0.
 
     The updated basis inverse drifts, and an ill-conditioned basis gives
     multipliers large enough for the rounding error of a reduced cost to
@@ -106,7 +106,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
             continue
         enter = int(candidates[0])  # Bland: smallest index
         d = B_inv @ A[:, enter]
-        pos = d > RATIO_TOL * max(1.0, d.max(), -d.min())
+        pos = d > RATIO_TOL
         if not pos.any():
             if since_refactor:
                 since_refactor = 0
@@ -121,11 +121,11 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         ratios[pos] = xB[pos] / d[pos]
         theta = ratios.min()
         ties = np.flatnonzero(ratios <= theta + 1e-12)
-        if careful:
-            leave_row = int(ties[np.argmax(d[ties])])
-        else:
+        if theta == 0.0:
             # Bland tie-break: leave the variable with the smallest index
             leave_row = int(ties[np.argmin(basis[ties])])
+        else:
+            leave_row = int(ties[np.argmax(d[ties])])
         piv = d[leave_row]
         xB -= theta * d
         xB[leave_row] = theta
@@ -136,7 +136,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         basis[leave_row] = enter
         eligible[:] = allowed
         since_refactor += 1
-        if careful or since_refactor >= REFACTOR_EVERY:
+        if since_refactor >= refactor_every:
             since_refactor = 0
             _refactor(A, b, basis, B_inv, xB)
 
@@ -178,12 +178,12 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
     twin[nv:2 * nv] = np.arange(nv)
 
     try:
-        y = _two_phase(full, b, cost2, n_std, twin, max_iter)
+        y = _two_phase(full, b, cost2, n_std, twin, max_iter, REFACTOR_EVERY)
         off_rows = np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL
     except (np.linalg.LinAlgError, UnboundedError):
         off_rows = True
     if off_rows:
-        y = _two_phase(full, b, cost2, n_std, twin, max_iter, careful=True)
+        y = _two_phase(full, b, cost2, n_std, twin, max_iter, 1)
     v = y[:nv] - y[nv:2 * nv]
     value = float(obj @ v)
     if sense == "max":
@@ -191,7 +191,7 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
     return value, v
 
 
-def _two_phase(full, b, cost2, n_std, twin, max_iter, careful=False):
+def _two_phase(full, b, cost2, n_std, twin, max_iter, refactor_every):
     """Phase 1 from the all-artificial basis of ``full`` = [A, I], then
     phase 2 on ``cost2``; returns the optimal point y of A y = b, y >= 0."""
     m = full.shape[0]
@@ -202,7 +202,7 @@ def _two_phase(full, b, cost2, n_std, twin, max_iter, careful=False):
     allowed = np.ones(n_std + m, dtype=bool)
 
     used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, twin,
-                        max_iter, careful)
+                        max_iter, refactor_every)
     phase1_val = float(cost1[basis] @ xB)
     if phase1_val > FEAS_TOL:
         raise InfeasibleError(f"phase-1 objective {phase1_val:.3e}")
@@ -213,8 +213,6 @@ def _two_phase(full, b, cost2, n_std, twin, max_iter, careful=False):
         if basis[row] < n_std:
             continue
         tableau_row = B_inv[row, :] @ full[:, :n_std]
-        basic_twins = twin[basis]
-        tableau_row[basic_twins[basic_twins < n_std]] = 0.0
         cands = np.flatnonzero(np.abs(tableau_row) > 1e-7)
         if cands.size == 0:
             continue
@@ -229,7 +227,7 @@ def _two_phase(full, b, cost2, n_std, twin, max_iter, careful=False):
 
     allowed[n_std:] = False  # artificials may never re-enter
     _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, twin,
-                 max_iter - used, careful)
+                 max_iter - used, refactor_every)
 
     y = np.zeros(n_std + m)
     y[basis] = xB

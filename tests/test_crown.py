@@ -42,7 +42,7 @@ def test_backward_affine_bound_valid_under_sampling():
     rng = np.random.default_rng(0)
     xs = oracle.ball_samples(spec, 10000, rng)
     from netcert.model import preactivations
-    z3 = preactivations(net, xs)[2]
+    z3 = list(preactivations(net, xs))[2]
     rows = range(net.layer_width(3))
     low_A, low_c = crown.backward_rows(net, 3, rows, lines, "lower")
     up_A, up_c = crown.backward_rows(net, 3, rows, lines, "upper")

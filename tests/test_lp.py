@@ -65,6 +65,24 @@ def test_simplex_detects_unbounded():
         simplex.solve_inequality_form(np.array([-1.0]), None, None, A, b)
 
 
+def test_simplex_never_prices_the_twin_of_a_basic_column():
+    # one free variable v <= 1, min -v, split as [v+, v-, slack] with v+
+    # basic.  A drifted inverse gives v-, whose column and cost negate
+    # those of v+, a reduced cost of -1e-6 in place of 0; priced, it has no
+    # positive direction entry and the optimum at v = 1 read as unbounded
+    A = np.array([[1.0, -1.0, 1.0]])
+    b = np.array([1.0])
+    c = np.array([-1.0, 1.0, 0.0])
+    basis = np.array([0])
+    B_inv = np.array([[1.0 + 1e-6]])
+    xB = np.array([1.0])
+    used = simplex._bland_pivot(A, b, c, basis, B_inv, xB,
+                                np.ones(3, dtype=bool), np.array([1, 0, 2]),
+                                10, simplex.REFACTOR_EVERY)
+    assert used == 1
+    assert basis.tolist() == [0] and xB.tolist() == [1.0]
+
+
 # --- build_lp -------------------------------------------------------------------
 
 def menu_lines(net, bounds, lines, k):

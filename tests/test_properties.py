@@ -47,14 +47,7 @@ def build(act, seed, p, log_eps, widths=(3, 4, 3, 2)):
     return net, PerturbationSpec(x0, p, 10.0 ** log_eps)
 
 
-@pytest.mark.parametrize("act", LP_ACTS)
-@LP_SETTINGS
-@given(case=cases)
-# a sigmoid net whose LP once reached a singular basis after a pivot of
-# 2e-9, and a net whose sigmoid and tanh LPs gave a spurious unbounded ray
-@example(case=(1719, 1.0, -3.0))
-@example(case=(38359, math.inf, -2.995899273104552))
-def test_shared_lines_lp_equals_crown(act, case):
+def shared_lines_lp_equals_crown(act, case):
     net, spec = build(act, *case)
     cb, _ = crown.propagate(net, spec)
     lb, _ = lp.lp_propagate(net, spec, mode="shared-lines")
@@ -65,14 +58,7 @@ def test_shared_lines_lp_equals_crown(act, case):
                           <= 1e-7 * np.maximum(1.0, np.abs(c_arr)))
 
 
-@pytest.mark.parametrize("act", LP_ACTS)
-@LP_SETTINGS
-@given(case=cases)
-# tanh net on which the two family ends alone were looser than single, and
-# a sigmoid net whose LPs once put both parts of a free variable in a basis
-@example(case=(0, math.inf, -1.0))
-@example(case=(5020, 1.0, -1.4166899772147816))
-def test_multi_menu_never_looser_than_single(act, case):
+def multi_menu_never_looser_than_single(act, case):
     # on the same intervals the multi menu offers every line of the single
     # menu (crown's default line besides the family ends), so its LP has
     # every row of the single LP.  Both LPs are built on the single menu's
@@ -91,6 +77,69 @@ def test_multi_menu_never_looser_than_single(act, case):
                     assert value >= bound[i] - 1e-7
                 else:
                     assert value <= bound[i] + 1e-7
+
+
+@pytest.mark.parametrize("act", LP_ACTS)
+@LP_SETTINGS
+@given(case=cases)
+# a sigmoid net whose LP once reached a singular basis after a pivot of
+# 2e-9, and a net whose sigmoid and tanh LPs gave a spurious unbounded ray
+@example(case=(1719, 1.0, -3.0))
+@example(case=(38359, math.inf, -2.995899273104552))
+def test_shared_lines_lp_equals_crown(act, case):
+    shared_lines_lp_equals_crown(act, case)
+
+
+@pytest.mark.parametrize("act", LP_ACTS)
+@LP_SETTINGS
+@given(case=cases)
+# tanh net on which the two family ends alone were looser than single
+@example(case=(0, math.inf, -1.0))
+def test_multi_menu_never_looser_than_single(act, case):
+    multi_menu_never_looser_than_single(act, case)
+
+
+# sigmoid/tanh cases on which the simplex once failed; unlike the random
+# draws above they run without the SMOOTH_LP marker, so they must solve
+@pytest.mark.parametrize("prop, act, case", [
+    # a singular basis after a pivot of 2e-9
+    pytest.param(shared_lines_lp_equals_crown, "sigmoid", (1719, 1.0, -3.0),
+                 id="shared-sigmoid-1719"),
+    # a spurious unbounded ray
+    pytest.param(shared_lines_lp_equals_crown, "tanh",
+                 (38359, math.inf, -2.995899273104552), id="shared-tanh-38359"),
+    # both parts of a split free variable in one basis
+    pytest.param(multi_menu_never_looser_than_single, "sigmoid",
+                 (5020, 1.0, -1.4166899772147816), id="multi-sigmoid-5020"),
+    # an optimum 3e-3 off an inequality row
+    pytest.param(multi_menu_never_looser_than_single, "sigmoid",
+                 (882, 1.0, -2.5543708336815585), id="multi-sigmoid-882"),
+    # off its rows, even refactorized at every pivot, while ties on a step
+    # above 0 went by the smallest basic index
+    pytest.param(multi_menu_never_looser_than_single, "sigmoid",
+                 (20643, 1.0, -2.7553909444413884), id="multi-sigmoid-20643"),
+])
+def test_lps_the_simplex_once_failed_solve(prop, act, case):
+    prop(act, case)
+
+
+def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
+        monkeypatch):
+    # two of this net's multi-menu LPs end 3e-7 and 4e-6 off their rows with
+    # the inverse refactorized every REFACTOR_EVERY pivots; the repeat, with
+    # a refactorization at every pivot, ends on them
+    two_phase = simplex._two_phase
+    refactor_every = []
+
+    def spy(*args):
+        refactor_every.append(args[-1])
+        return two_phase(*args)
+
+    monkeypatch.setattr(simplex, "_two_phase", spy)
+    multi_menu_never_looser_than_single(
+        "sigmoid", (35393, 1.0, -2.465343079249466))
+    assert refactor_every.count(simplex.REFACTOR_EVERY) == 20
+    assert refactor_every.count(1) == 2
 
 
 @pytest.mark.parametrize("act", ACTS)
