@@ -13,12 +13,7 @@ from .model import (
     generate_random_network,
 )
 from .relax import LineSpaces, line_space, validate_line
-from .crown import (
-    AffineBound,
-    LayerBounds,
-    margins,
-    propagate,
-)
+from .crown import LayerBounds, margins, propagate
 from .frown import OptimizerConfig, frown_propagate, optimize_bounds
 from .lp import RelaxationMenu, build_lp, lp_propagate, solve
 from .oracle import ExactRange, exact_output_functional_range, sample_check
@@ -29,7 +24,7 @@ __all__ = [
     "forward", "forward_batch", "load_network", "save_network",
     "load_sample", "save_sample", "generate_random_network",
     "LineSpaces", "line_space", "validate_line",
-    "AffineBound", "LayerBounds", "margins", "propagate",
+    "LayerBounds", "margins", "propagate",
     "OptimizerConfig", "frown_propagate", "optimize_bounds",
     "RelaxationMenu", "build_lp", "lp_propagate", "solve",
     "ExactRange", "exact_output_functional_range", "sample_check",

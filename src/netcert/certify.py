@@ -62,11 +62,11 @@ def output_bounds(net: Network, spec: PerturbationSpec, method: str,
                   ) -> crown.LayerBounds:
     """Every layer's bounds under the chosen method."""
     if method == "crown":
-        return crown.propagate(net, spec)[0]
+        return crown.propagate(net, spec)
     if method == "frown":
-        return frown.frown_propagate(net, spec, frown_config)[0]
+        return frown.frown_propagate(net, spec, frown_config)
     if method == "lp":
-        return lp.lp_propagate(net, spec, menu=lp_menu)[0]
+        return lp.lp_propagate(net, spec, menu=lp_menu)
     raise ValueError(f"unknown method {method!r}")
 
 

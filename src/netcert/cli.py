@@ -43,10 +43,13 @@ def _p_str(p: float) -> str:
     return "inf" if p == math.inf else str(int(p))
 
 
-def _frown_config(args, seed: int = 0) -> frown.OptimizerConfig:
+def _frown_config(args) -> frown.OptimizerConfig | None:
+    """Optimizer settings for ``--method frown`` (validated only there)."""
+    if args.method != "frown":
+        return None
     return frown.OptimizerConfig(
         step_size=args.step, max_iters=args.iters, restarts=args.restarts,
-        group_size=args.group_size, seed=seed)
+        group_size=args.group_size, seed=args.seed)
 
 
 def _write_report(doc: dict, out: str | None) -> None:
@@ -65,9 +68,8 @@ def cmd_bounds(args) -> int:
     x0, _ = load_sample(args.sample)
     spec = PerturbationSpec(x0, args.p, args.eps)
     menu = lp.RelaxationMenu(args.lines)
-    # only frown builds (and so validates) the optimizer settings
-    config = _frown_config(args, args.seed) if args.method == "frown" else None
-    bounds = certify.output_bounds(net, spec, args.method, config, menu)
+    bounds = certify.output_bounds(net, spec, args.method, _frown_config(args),
+                                   menu)
     dumps = []
     if args.dump_lp:
         lines = [menu.layer_lines(net.activation, *bounds.layer(v))
@@ -105,7 +107,7 @@ def cmd_certify(args) -> int:
     cert = certify.search_epsilon(
         net, x0, label, args.p, method=args.method, target=args.targeted,
         rel_tol=args.rel_tol, cap=args.cap,
-        frown_config=_frown_config(args, args.seed),
+        frown_config=_frown_config(args),
         lp_menu=lp.RelaxationMenu(args.lines))
     doc = cert.to_dict()
     doc["network"] = args.network

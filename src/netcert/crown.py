@@ -13,8 +13,8 @@ Layer-1 bounds are exact (the first layer is affine in the input); bounds
 for k = 2..m come from the backward pass using the lines of layers < k.
 Each layer gets one set of lines, the default member of every line family
 (``default_lines``), chosen from its bounds and shared by every later layer;
-frown tunes the same families and lp reads the same lines.  A layer's lines
-are the four arrays (slope_lower, intercept_lower, slope_upper,
+frown starts from the same members and every lp menu offers them.  A layer's
+lines are the four arrays (slope_lower, intercept_lower, slope_upper,
 intercept_upper), one entry per neuron.
 """
 
@@ -68,16 +68,6 @@ def dual_norm_grad(rows: np.ndarray, q: float) -> np.ndarray:
             out[r, idx] = np.sign(rows[r, idx])
         return out
     raise ValueError(f"unsupported dual norm order q={q}")
-
-
-@dataclass(frozen=True)
-class AffineBound:
-    """One-sided affine bound on a neuron as a function of the raw input."""
-
-    coeffs: np.ndarray
-    offset: float
-    sense: str                   # "lower" | "upper"
-    gamma: float | None = None
 
 
 @dataclass
@@ -180,12 +170,11 @@ def concretize_rows(coeffs: np.ndarray, offsets: np.ndarray,
     return base - spread if sense == "lower" else base + spread
 
 
-def propagate(net: Network, spec: PerturbationSpec):
-    """Bounds for every layer plus the lines that produced them: the list
-    whose entry v-1 holds layer v's line arrays.
+def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
+    """Bounds for every layer.
 
     Each layer's lines are chosen once, from that layer's bounds, and shared
-    by every downstream computation.
+    by the backward passes of every later layer.
     """
     low1, up1 = layer1_bounds(net, spec)
     lows, ups = [low1], [up1]
@@ -200,7 +189,7 @@ def propagate(net: Network, spec: PerturbationSpec):
         _check_order(gl, gu, k)
         lows.append(np.minimum(gl, gu))
         ups.append(np.maximum(gl, gu))
-    return LayerBounds(lows, ups), lines
+    return LayerBounds(lows, ups)
 
 
 def _check_order(gl: np.ndarray, gu: np.ndarray, k: int) -> None:

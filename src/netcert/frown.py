@@ -9,9 +9,9 @@ variables) array.  The optimizer works in one sense only, on signed rows:
 an upper bound of a row is minus the lower bound of the negated row, and
 negation is exact in floating point, so an upper-sense group is the same
 neurons with their weight and bias rows negated.  Every group maximizes the
-sum of its signed rows' lower bounds, and the gammas, coefficients and
-offsets it returns are those of the signed rows.  One evaluation serves
-every group of the batch, whatever its sense:
+sum of its signed rows' lower bounds, and the gammas it returns are those of
+the signed rows.  One evaluation serves every group of the batch, whatever
+its sense:
 
   lines     each group's slopes and intercepts, with one array evaluation of
             f, f' and f'' for all tangent generators
@@ -194,11 +194,9 @@ def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
 
     ``batch`` holds the signed rows of the groups, with one row of
     ``var_vec.values`` per group; the gradient has the shape of
-    ``var_vec.values``.  Returns
-    (gammas, gradient, coeffs, offsets); ``coeffs``/``offsets`` are the
-    affine lower bounds of the signed rows, which run group by group, and
-    ``gammas`` their values over the ball (minus the upper bound of the
-    neuron for an upper-sense row).
+    ``var_vec.values``.  Returns (gammas, gradient): ``gammas`` are the
+    lower bounds of the signed rows, which run group by group (minus the
+    upper bound of the neuron for an upper-sense row).
     """
     var_vec.check()
     if len(var_vec.widths) != k - 1:
@@ -242,27 +240,16 @@ def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
     tbar = np.add.reduceat(np.concatenate(tbar, axis=1), batch.starts, axis=0)
     grad = (sbar[:, var_vec.slots] * dslope
             + tbar[:, var_vec.slots] * dintercept)
-    return gammas, grad, A, c
+    return gammas, grad
 
 
-@dataclass
-class _Best:
-    """Per-row best lower bound seen so far (each iterate is individually
-    sound, so the pointwise best over iterates is a valid bound)."""
-
-    gammas: np.ndarray
-    coeffs: np.ndarray
-    offsets: np.ndarray
-
-    def fold(self, pos, gammas, coeffs, offsets):
-        """Keep, at each row ``pos``, the higher of the stored bound and the
-        given one."""
-        better = gammas > self.gammas[pos]
-        if better.any():
-            at = pos[better]
-            self.gammas[at] = gammas[better]
-            self.coeffs[at] = coeffs[better]
-            self.offsets[at] = offsets[better]
+def _fold(best: np.ndarray, pos: np.ndarray, gammas: np.ndarray) -> None:
+    """Keep, at each row ``pos`` of the per-row best lower bounds ``best``,
+    the higher of the stored bound and the given one (each iterate is
+    individually sound, so the pointwise best over iterates is a valid
+    bound)."""
+    better = gammas > best[pos]
+    best[pos[better]] = gammas[better]
 
 
 def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
@@ -277,11 +264,10 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     restarts draw from ``default_rng(seed)`` with the group's entry of
     ``seeds`` (default: ``config.seed`` for every group).
 
-    Returns (per-row best gammas, per-row best affine bounds as (coeffs,
-    offsets)), the rows running group by group, all of the signed rows: an
-    upper-sense row's are the negated upper bound.  The best of a row is
-    taken over every iterate of its group, so the rows of one group may
-    keep bounds of different iterates.
+    Returns the per-row best gammas, the rows running group by group, all
+    of the signed rows: an upper-sense row's is the negated upper bound.
+    The best of a row is taken over every iterate of its group, so the rows
+    of one group may keep bounds of different iterates.
     """
     batch = RowGroups.of(groups, senses)
     n_groups = len(batch)
@@ -289,15 +275,14 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     all_rows = np.arange(len(batch.rows))
 
     def evaluate(values, part, pos):
-        g, grad, A, c = objective_and_gradient(net, spec, k, part,
-                                               var_vec.at(values))
-        best.fold(pos, g, A, c)
+        g, grad = objective_and_gradient(net, spec, k, part,
+                                         var_vec.at(values))
+        _fold(best, pos, g)
         return np.add.reduceat(g, part.starts), grad
 
     init = np.broadcast_to(var_vec.values, (n_groups, len(var_vec))).copy()
-    g0, grad0, A0, c0 = objective_and_gradient(net, spec, k, batch,
-                                               var_vec.at(init))
-    best = _Best(g0.copy(), A0.copy(), c0.copy())
+    g0, grad0 = objective_and_gradient(net, spec, k, batch, var_vec.at(init))
+    best = g0.copy()
     obj0 = np.add.reduceat(g0, batch.starts)
 
     # normalizing each group's direction by its largest entry makes the
@@ -338,7 +323,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                 if stalled.any():
                     active, grad = active[~stalled], grad[~stalled]
                     part, pos = batch.take(active)
-    return best.gammas, (best.coeffs, best.offsets)
+    return best
 
 
 def _groups(width: int, group_size: int):
@@ -359,36 +344,28 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
     refreshed intermediate intervals mean the initialization alone does not
     reproduce the baseline bound beyond layer 2).  Refreshed bounds
     regenerate the layer's line spaces before the next layer is processed.
-
-    Returns (LayerBounds, (lower AffineBounds, upper AffineBounds)) with the
-    affine output bounds carrying their concretized gamma.
     """
     config = config or OptimizerConfig()
-    base_bounds, base_lines = crown.propagate(net, spec)
+    base_bounds = crown.propagate(net, spec)
     lows = [base_bounds.lower[0]]
     ups = [base_bounds.upper[0]]
     layer_spaces = [relax.layer_line_spaces(net.activation, lows[0], ups[0])]
-    out_affine = None
 
     for k in range(2, net.m + 1):
         width = net.layer_width(k)
         # the best of every signed row: lower rows, then negated upper rows
-        (cl, ol), (cu, ou) = (crown.backward_rows(net, k, range(width),
-                                                  base_lines, sense)
-                              for sense in relax.SIDES)
         gl, gu = base_bounds.layer(k)
-        best = _Best(np.concatenate([gl, -gu]), np.concatenate([cl, -cu]),
-                     np.concatenate([ol, -ou]))
+        best = np.concatenate([gl, -gu])
         var_vec = collect_variables(layer_spaces)
         groups = _groups(width, config.group_size)
         seeds = [[config.seed, k, g_idx, s_idx] for s_idx in range(2)
                  for g_idx in range(len(groups))]
-        gammas, (coeffs, offsets) = optimize_bounds(
+        gammas = optimize_bounds(
             net, spec, k, groups + groups,
             [sense for sense in relax.SIDES for _ in groups], config,
             var_vec, seeds)
-        best.fold(np.arange(2 * width), gammas, coeffs, offsets)
-        lower, upper = best.gammas[:width], -best.gammas[width:]
+        _fold(best, np.arange(2 * width), gammas)
+        lower, upper = best[:width], -best[width:]
         if np.any(lower > upper + 1e-9):
             raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
         # the two senses fold over different iterates, so allow float-noise
@@ -398,12 +375,4 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
         if k < net.m:
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))
-        else:
-            out_affine = tuple(
-                [crown.AffineBound(sign * best.coeffs[r],
-                                   float(sign * best.offsets[r]), sense,
-                                   float(sign * best.gammas[r]))
-                 for r in range(first, first + width)]
-                for sense, sign, first in (("lower", 1.0, 0),
-                                           ("upper", -1.0, width)))
-    return crown.LayerBounds(lows, ups), out_affine
+    return crown.LayerBounds(lows, ups)

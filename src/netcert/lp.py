@@ -8,12 +8,12 @@ l <= z <= u.  A RelaxationMenu picks the lines: crown's default line alone
 ("multi").  Only p = 1 and p = inf keep the feasible set a polyhedron; p = 2
 is rejected.
 
-Two propagation modes exist: the baseline recursively feeds each layer's LP
-optima into the next layer's constraints, while shared-lines mode imports the
-bounding lines and intervals of a deterministic backward-propagation run
-verbatim so the LP optimum can be compared against the closed-form bound.
-Either way a layer's lines are its four line arrays, made once per layer,
-and ``build_lp`` assembles every LP from them with block array operations.
+``lp_propagate`` feeds each layer's LP optima into the next layer's
+intervals and menu lines.  A layer's lines are its four line arrays, made
+once per layer, and ``build_lp`` assembles every LP from them with block
+array operations.  ``build_lp`` also takes crown's own intervals and lines
+(one line per neuron and side); by the paper's optimality result that LP's
+optimum is crown's closed-form bound.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class RelaxationMenu:
         """
         candidates = [crown.default_lines(spaces)]
         if self.lines == "multi":
-            candidates[:0] = [spaces.lines_at(spaces.var_lo),
-                              spaces.lines_at(spaces.var_hi)]
+            candidates[:0] = [spaces.members(spaces.var_lo),
+                              spaces.members(spaces.var_hi)]
         slopes = np.stack([c[0] for c in candidates], axis=1)
         intercepts = np.stack([c[1] for c in candidates], axis=1)
         keep = np.ones(slopes.shape, dtype=bool)
@@ -219,15 +219,9 @@ def solve(problem: LpProblem):
 
 
 def lp_propagate(net: Network, spec: PerturbationSpec,
-                 menu: RelaxationMenu | None = None, mode: str = "baseline"):
-    """Recursive LP bounds for layers 2..m.
-
-    mode="shared-lines" imports lines and intermediate intervals verbatim from
-    ``crown.propagate``; the returned LayerBounds then hold the LP optima for
-    comparison against the closed-form values.
-    """
-    if mode not in ("baseline", "shared-lines"):
-        raise ValueError(f"unknown mode {mode!r}")
+                 menu: RelaxationMenu | None = None) -> crown.LayerBounds:
+    """Recursive LP bounds for layers 2..m: each layer's LPs use the menu
+    lines and intervals of the LP bounds of the layers below."""
     if spec.p not in (1.0, math.inf):
         raise LpUnsupportedError(
             "the relaxation is a linear program only for p in {1, inf}")
@@ -235,23 +229,17 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
 
     low1, up1 = crown.layer1_bounds(net, spec)
     bounds = crown.LayerBounds([low1], [up1])
-    # the intervals and lines the LPs are built from
-    rows_from, lines = (crown.propagate(net, spec) if mode == "shared-lines"
-                        else (bounds, []))
+    lines = []
     for k in range(2, net.m + 1):
-        if mode == "baseline":
-            lines.append(menu.layer_lines(net.activation,
-                                          *bounds.layer(k - 1)))
+        lines.append(menu.layer_lines(net.activation, *bounds.layer(k - 1)))
         gl = np.empty(net.layer_width(k))
         gu = np.empty(net.layer_width(k))
         for i in range(net.layer_width(k)):
-            gl[i] = solve(build_lp(net, spec, k, i, "lower", rows_from,
-                                   lines))[0]
-            gu[i] = solve(build_lp(net, spec, k, i, "upper", rows_from,
-                                   lines))[0]
+            gl[i] = solve(build_lp(net, spec, k, i, "lower", bounds, lines))[0]
+            gu[i] = solve(build_lp(net, spec, k, i, "upper", bounds, lines))[0]
         bounds.lower.append(gl)
         bounds.upper.append(gu)
-    return bounds, (bounds.output_lower, bounds.output_upper)
+    return bounds
 
 
 def dump_lp(problem: LpProblem) -> str:

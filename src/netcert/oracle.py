@@ -1,7 +1,8 @@
 """Ground-truth machinery: sampling falsification and exact ReLU ranges.
 
-``sample_check`` hunts for bound violations with uniform draws from the input
-ball.  ``exact_output_functional_range`` computes the exact range of a linear
+``sample_check`` hunts for violations of every layer's bounds in a
+LayerBounds with uniform draws from the input ball.
+``exact_output_functional_range`` computes the exact range of a linear
 functional of the outputs of a tiny ReLU network (a unit vector gives one
 output's range) by activation-pattern enumeration: once the active set of
 every hidden neuron is fixed the network is affine, so each pattern region
@@ -70,32 +71,24 @@ def ball_samples(spec: PerturbationSpec, count: int,
     return spec.x0[None, :] + spec.epsilon * offs
 
 
-def sample_check(net: Network, spec: PerturbationSpec, claimed, samples: int,
-                 seed: int = 0, chunk: int = 20000) -> list:
-    """Try to falsify claimed bounds with uniform ball samples.
-
-    ``claimed`` is either a LayerBounds (all layers checked) or a pair
-    (output_lower, output_upper).  Returns the violations found (empty list
-    means the claim survived).
+def sample_check(net: Network, spec: PerturbationSpec,
+                 claimed: crown.LayerBounds, samples: int, seed: int = 0,
+                 chunk: int = 20000) -> list:
+    """Try to falsify the claimed bounds of every layer with uniform ball
+    samples.  Returns the violations found (empty list means the claim
+    survived).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_input(net, spec.x0)
-    if isinstance(claimed, crown.LayerBounds):
-        per_layer = [(k, claimed.lower[k - 1], claimed.upper[k - 1])
-                     for k in range(1, len(claimed.lower) + 1)]
-    else:
-        low, up = claimed
-        per_layer = [(net.m, np.asarray(low), np.asarray(up))]
     rng = np.random.default_rng(seed)
     violations: list = []
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
         xs = ball_samples(spec, take, rng)
-        zs = list(preactivations(net, xs))
-        for k, low, up in per_layer:
-            z = zs[k - 1]
+        layers = zip(claimed.lower, claimed.upper, preactivations(net, xs))
+        for k, (low, up, z) in enumerate(layers, start=1):
             _collect(violations, k, "lower", low, z.min(axis=0))
             _collect(violations, k, "upper", up, z.max(axis=0))
         done += take

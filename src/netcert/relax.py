@@ -230,27 +230,11 @@ class LineSpaces:
         return (Entry("one-variable" if fam else "fixed", CASE_TAGS[c])
                 for fam, c in zip(self.family, self.case))
 
-    def lines_at(self, theta, grads: bool = False):
-        """Every entry's line, a family member at variable ``theta`` or the
-        fixed line (where theta is ignored), as (slopes, intercepts); with
-        ``grads`` also their derivatives in theta (zero for fixed lines).
-
-        A variable may leave its range by 1e-9 and is clamped into it.
-        """
-        fam = self.family
-        theta = np.broadcast_to(np.asarray(theta, dtype=float), fam.shape)
-        outside = fam & ~((self.var_lo - 1e-9 <= theta)
-                          & (theta <= self.var_hi + 1e-9))
-        if outside.any():
-            j = int(np.argmax(outside))
-            raise ValueError(f"variable {theta[j]} outside "
-                             f"[{self.var_lo[j]}, {self.var_hi[j]}]")
-        theta = np.where(self.var_lo > theta, self.var_lo, theta)
-        theta = np.where(self.var_hi < theta, self.var_hi, theta)
-        return self.members(theta, grads)
-
     def members(self, theta, grads: bool = False):
-        """``lines_at`` for variables already inside their ranges."""
+        """Every entry's line, a family member at variable ``theta`` (inside
+        its range) or the fixed line (where theta is ignored), as (slopes,
+        intercepts); with ``grads`` also their derivatives in theta (zero
+        for fixed lines)."""
         out = family_lines(self.act, theta, grads)
         fixed = (self.slope, self.intercept, 0.0, 0.0)
         return tuple(np.where(self.family, gen, fix)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 
+from netcert import crown, lp, relax
 from netcert.model import Network, forward_batch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -56,3 +57,26 @@ def positive_bias_relu_net(seed: int, widths, margin: float = 0.5,
         else:
             biases.append(rng.uniform(-1, 1, w.shape[0]))
     return Network(tuple(weights), tuple(biases), "relu")
+
+
+def crown_lines(net: Network, bounds: crown.LayerBounds) -> list:
+    """The lines ``crown.propagate`` chose from ``bounds``: entry v-1 holds
+    layer v's (slope_lower, intercept_lower, slope_upper, intercept_upper)."""
+    return [crown.choose_layer_lines(
+                *relax.layer_line_spaces(net.activation, *bounds.layer(v)))
+            for v in range(1, net.m)]
+
+
+def shared_lines_lp(net: Network, spec) -> crown.LayerBounds:
+    """The LP optimum of every neuron of layers 2..m over crown's own lines
+    and intervals; the paper shows it equals crown's closed-form bound."""
+    bounds = crown.propagate(net, spec)
+    lines = crown_lines(net, bounds)
+    lows, ups = [bounds.lower[0]], [bounds.upper[0]]
+    for k in range(2, net.m + 1):
+        for sense, out in zip(relax.SIDES, (lows, ups)):
+            out.append(np.array([
+                lp.solve(lp.build_lp(net, spec, k, i, sense, bounds,
+                                     lines))[0]
+                for i in range(net.layer_width(k))]))
+    return crown.LayerBounds(lows, ups)

@@ -16,7 +16,8 @@ from netcert.model import (
     generate_random_network,
 )
 
-from conftest import boundary_sample, positive_bias_relu_net, toy_relu_net
+from conftest import (boundary_sample, crown_lines, positive_bias_relu_net,
+                      shared_lines_lp, toy_relu_net)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -39,8 +40,8 @@ def test_criterion_1_lp_matches_closed_form_bounds():
         net = generate_random_network(seed, widths, act, scale=1.0)
         x0 = rng.uniform(-0.5, 0.5, widths[0])
         spec = PerturbationSpec(x0, math.inf, 0.15 + 0.05 * (seed % 3))
-        cb, _ = crown.propagate(net, spec)
-        lb, _ = lp.lp_propagate(net, spec, mode="shared-lines")
+        cb = crown.propagate(net, spec)
+        lb = shared_lines_lp(net, spec)
         for k in range(2, net.m + 1):
             for c_arr, l_arr in ((cb.lower[k - 1], lb.lower[k - 1]),
                                  (cb.upper[k - 1], lb.upper[k - 1])):
@@ -60,10 +61,10 @@ def test_criterion_2_soundness_under_heavy_sampling():
             net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
             x0 = np.random.default_rng(1000 + seed).uniform(-0.3, 0.3, 4)
             spec = PerturbationSpec(x0, math.inf, 0.3)
-            cb, _ = crown.propagate(net, spec)
-            fb, _ = frown.frown_propagate(
+            cb = crown.propagate(net, spec)
+            fb = frown.frown_propagate(
                 net, spec, frown.OptimizerConfig(max_iters=30, group_size=6))
-            lpb, _ = lp.lp_propagate(net, spec)
+            lpb = lp.lp_propagate(net, spec)
             nets += 1
             for bounds in (cb, fb, lpb):
                 violations += len(
@@ -132,9 +133,9 @@ def test_criterion_3_exact_oracle_dominates_certified_radii():
                 details.append(f"seed {seed} {method} "
                                f"{cert.epsilon_certified} > {limit}")
         spec = PerturbationSpec(x0, math.inf, 0.25)
-        cb, _ = crown.propagate(net, spec)
-        fb, _ = frown.frown_propagate(net, spec, cfg)
-        lpb, _ = lp.lp_propagate(net, spec)
+        cb = crown.propagate(net, spec)
+        fb = frown.frown_propagate(net, spec, cfg)
+        lpb = lp.lp_propagate(net, spec)
         for neuron in range(3):
             er = oracle.exact_output_functional_range(net, spec,
                                                       np.eye(3)[neuron])
@@ -157,8 +158,8 @@ def test_criterion_4_frown_never_worse_and_toy_optimal():
         x0 = np.random.default_rng(2000 + seed).uniform(-0.3, 0.3, 4)
         for p in (1, 2, math.inf):
             spec = PerturbationSpec(x0, p, 0.3)
-            cb, _ = crown.propagate(net, spec)
-            fb, _ = frown.frown_propagate(
+            cb = crown.propagate(net, spec)
+            fb = frown.frown_propagate(
                 net, spec, frown.OptimizerConfig(max_iters=30, group_size=3))
             for k in range(1, net.m + 1):
                 worst = max(worst, float(
@@ -167,8 +168,8 @@ def test_criterion_4_frown_never_worse_and_toy_optimal():
                     (fb.upper[k - 1] - cb.upper[k - 1]).max()))
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), math.inf, 1.0)
-    cb, _ = crown.propagate(net, spec)
-    fb, _ = frown.frown_propagate(net, spec, frown.OptimizerConfig())
+    cb = crown.propagate(net, spec)
+    fb = frown.frown_propagate(net, spec, frown.OptimizerConfig())
     toy_ok = (abs(fb.output_lower[0]) <= 1e-3
               and cb.output_lower[0] == pytest.approx(-1.0))
     report(4, "frown dominates the baseline; toy recovers gamma_L = 0",
@@ -184,7 +185,8 @@ def test_criterion_5_intercept_shifts_never_improve():
         act = ("sigmoid", "tanh", "relu")[seed % 3]
         net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
         spec = PerturbationSpec(np.full(4, 0.05), math.inf, 0.3)
-        bounds, lines = crown.propagate(net, spec)
+        bounds = crown.propagate(net, spec)
+        lines = crown_lines(net, bounds)
         for delta in (1e-3, 1e-1):
             for subset in (None, rng):
                 arrays = []
@@ -220,7 +222,7 @@ def test_criterion_6_gradients_match_finite_differences():
             net = generate_random_network(100 + idx, [4, 6, 5, 3], act,
                                           scale=1.0)
             spec = PerturbationSpec(np.full(4, 0.05), p, 0.35)
-            bounds, _ = crown.propagate(net, spec)
+            bounds = crown.propagate(net, spec)
             spaces = [relax.layer_line_spaces(act, bounds.lower[v - 1],
                                               bounds.upper[v - 1])
                       for v in (1, 2)]
@@ -232,7 +234,7 @@ def test_criterion_6_gradients_match_finite_differences():
                 sense = ("lower", "upper")[points % 2]
                 rows = frown.RowGroups.of([[0]], [sense])
                 vvt = vv.at(vals[None].copy())
-                _, grad, _, _ = frown.objective_and_gradient(
+                _, grad = frown.objective_and_gradient(
                     net, spec, 3, rows, vvt)
                 points += 1
                 for e in range(len(vv)):
@@ -284,8 +286,8 @@ def test_criterion_8_two_line_relu_lp_tightens():
         net = generate_random_network(seed, [4, 5, 4, 3], "relu", scale=1.0)
         x0 = np.random.default_rng(3000 + seed).uniform(-0.3, 0.3, 4)
         spec = PerturbationSpec(x0, math.inf, 0.3)
-        single, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
-        multi, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
+        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
         for k in range(2, net.m + 1):
             if np.any(multi.lower[k - 1] < single.lower[k - 1] - 1e-9):
                 ok = False
@@ -305,7 +307,7 @@ def test_criterion_9_linear_regime_exactness():
         x0 = np.zeros(4)
         for p in (1, 2, math.inf):
             spec = PerturbationSpec(x0, p, 0.3)
-            bounds, _ = crown.propagate(net, spec)
+            bounds = crown.propagate(net, spec)
             if not all(np.all(bounds.lower[k] >= 0)
                        for k in range(net.m - 1)):
                 ok = False

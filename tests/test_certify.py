@@ -127,6 +127,42 @@ def test_frown_search_runs_no_frown_on_probes_crown_certifies(monkeypatch):
                                             "crown")[0], (seed, eps)
 
 
+def test_targeted_frown_search(monkeypatch):
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    net = generate_random_network(1, [6, 8, 8, 4], "sigmoid", scale=2.0)
+    x0, label = boundary_sample(net, 41)
+    target = 0
+    assert label != target
+    crown_radius = certify.search_epsilon(
+        net, x0, label, np.inf, "crown", target=target,
+        cap=2.0).epsilon_certified
+    # against this target crown certifies far beyond its untargeted radius,
+    # so a screen that dropped the target would leave frown those probes
+    assert crown_radius > 2 * certify.search_epsilon(
+        net, x0, label, np.inf, "crown", cap=2.0).epsilon_certified
+    real = frown.frown_propagate
+    radii = []
+
+    def counting(net, spec, config=None):
+        radii.append(spec.epsilon)
+        return real(net, spec, config)
+
+    monkeypatch.setattr(certify.frown, "frown_propagate", counting)
+    cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
+                                  target=target, cap=2.0, frown_config=cfg)
+    monkeypatch.setattr(certify.frown, "frown_propagate", real)
+    assert cert.mode == "targeted" and cert.target == target
+    eps = cert.epsilon_certified
+    assert certify.certified_at(net, x0, label, eps, np.inf, "frown",
+                                target=target, frown_config=cfg)[0]
+    assert eps >= crown_radius
+    assert radii
+    for probed in radii:
+        if probed != eps:
+            assert not certify.certified_at(net, x0, label, probed, np.inf,
+                                            "crown", target=target)[0]
+
+
 def test_certificate_margins_are_frowns_at_the_radius():
     cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
     for seed in range(3):

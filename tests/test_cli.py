@@ -50,6 +50,24 @@ def test_crown_bounds_ignore_frown_flags(tmp_path):
     assert rc == 1
 
 
+def test_certify_ignores_frown_flags_for_crown_and_lp(tmp_path):
+    # settings that frown rejects leave a crown or lp search untouched
+    for files in (["toy_relu.json", "toy_sample.json"],
+                  ["linear2.json", "linear2_sample.json"]):
+        files = [data_path(name) for name in files]
+        for method, bad in (("crown", ["--iters", "0"]),
+                            ("lp", ["--group-size", "0"])):
+            radii = []
+            for flags in ([], bad):
+                out = tmp_path / "cert.json"
+                assert run(["certify", *files, "--method", method, *flags,
+                            "--out", str(out)]) == 0
+                radii.append(json.load(open(out))["epsilon_certified"])
+            assert radii[0] == radii[1]
+        assert run(["certify", *files, "--method", "frown",
+                    "--iters", "0"]) == 1
+
+
 @pytest.mark.parametrize("act", ["sigmoid", "tanh"])
 def test_tangent_bounds_match_golden(tmp_path, act):
     # generate_random_network(0, [3, 10, 10, 2], act) at x0 =
@@ -78,7 +96,7 @@ def test_tangent_golden_nets_cover_every_case():
         x0, _ = load_sample(data_path("small3_sample.json"))
         for p in (1.0, 2.0, np.inf):
             for eps in (1.0, 5e-13):
-                bounds, _ = crown.propagate(net, PerturbationSpec(x0, p, eps))
+                bounds = crown.propagate(net, PerturbationSpec(x0, p, eps))
                 for k in range(1, net.m):
                     for spaces in relax.layer_line_spaces(
                             act, *bounds.layer(k)):

@@ -9,7 +9,7 @@ from netcert.model import (
     forward,
     generate_random_network,
 )
-from conftest import positive_bias_relu_net, toy_relu_net
+from conftest import crown_lines, positive_bias_relu_net, toy_relu_net
 
 
 def single_layer_lines(sl, tl, su, tu):
@@ -38,7 +38,8 @@ def test_backward_sign_split_uses_upper_line():
 def test_backward_affine_bound_valid_under_sampling():
     net = generate_random_network(2, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.1), np.inf, 0.4)
-    bounds, lines = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
+    lines = crown_lines(net, bounds)
     rng = np.random.default_rng(0)
     xs = oracle.ball_samples(spec, 10000, rng)
     from netcert.model import preactivations
@@ -82,7 +83,8 @@ def test_concretize_length_check():
 def test_propagate_toy():
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, 1.0)
-    bounds, lines = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
+    lines = crown_lines(net, bounds)
     assert bounds.lower[0][0] == pytest.approx(-1.0)
     assert bounds.upper[0][0] == pytest.approx(1.0)
     # default lower slope is 1 (tie towards 1), upper is the chord
@@ -96,7 +98,7 @@ def test_propagate_toy():
 def test_forward_value_inside_output_bounds():
     net = generate_random_network(9, [5, 7, 6, 4], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(5, -0.05), 2, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     out = forward(net, spec.x0)
     assert np.all(bounds.output_lower <= out)
     assert np.all(out <= bounds.output_upper)
@@ -111,7 +113,7 @@ def test_propagate_positive_sigmoid_layer_sound():
         (net.biases[0] + 5.0, net.biases[1]),
         "sigmoid")
     spec = PerturbationSpec(np.zeros(4), np.inf, 0.3)
-    bounds, _ = crown.propagate(biased, spec)
+    bounds = crown.propagate(biased, spec)
     assert np.all(bounds.lower[0] >= 0)
     assert not oracle.sample_check(biased, spec, bounds, 100000, seed=3)
 
@@ -123,7 +125,7 @@ def test_propagate_soundness_fuzz(act):
         x0 = np.random.default_rng(seed).uniform(-0.3, 0.3, 4)
         for p in (1, 2, np.inf):
             spec = PerturbationSpec(x0, p, 0.25)
-            bounds, _ = crown.propagate(net, spec)
+            bounds = crown.propagate(net, spec)
             assert not oracle.sample_check(net, spec, bounds, 20000, seed=seed)
 
 
@@ -133,7 +135,7 @@ def test_deep_sigmoid_narrow_intervals_propagate():
     net = generate_random_network(2, [20, 50, 50, 50, 10], "sigmoid")
     x0 = np.random.default_rng(2).uniform(-1, 1, 20)
     spec = PerturbationSpec(x0, np.inf, 10 ** -4.5)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     out = forward(net, x0)
     assert np.all(bounds.output_lower <= out)
     assert np.all(out <= bounds.output_upper)
@@ -153,7 +155,7 @@ def test_monotone_in_epsilon():
         x0 = np.random.default_rng(100 + seed).uniform(-0.3, 0.3, 4)
         prev = None
         for eps in (0.05, 0.1, 0.2, 0.4, 0.8):
-            bounds, _ = crown.propagate(net, PerturbationSpec(x0, np.inf, eps))
+            bounds = crown.propagate(net, PerturbationSpec(x0, np.inf, eps))
             if prev is not None:
                 for k in range(1, net.m + 1):
                     assert np.all(prev.lower[k - 1] >= bounds.lower[k - 1] - 1e-12)
@@ -164,7 +166,7 @@ def test_monotone_in_epsilon():
 def test_affine_exactness_when_always_active():
     net = positive_bias_relu_net(0, [4, 5, 5, 3], eps=0.3)
     spec = PerturbationSpec(np.zeros(4), np.inf, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     assert all(np.all(bounds.lower[k] >= 0) for k in range(net.m - 1))
     w_eff = net.weights[0]
     for w in net.weights[1:]:
@@ -180,7 +182,8 @@ def test_intercept_shifts_never_improve():
     for seed in range(3):
         net = generate_random_network(seed, [4, 6, 5, 3], "sigmoid", scale=1.0)
         spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
-        bounds, lines = crown.propagate(net, spec)
+        bounds = crown.propagate(net, spec)
+        lines = crown_lines(net, bounds)
         for delta in (1e-3, 1e-1):
             arrays = [(sl, tl - delta, su, tu + delta)
                       for sl, tl, su, tu in lines]
@@ -203,7 +206,7 @@ def test_margins_linear_two_class():
     net = linear_two_class_net()
     for eps, expected in ((0.2, 0.6), (0.5, 0.0)):
         spec = PerturbationSpec(np.array([0.5]), np.inf, eps)
-        bounds, _ = crown.propagate(net, spec)
+        bounds = crown.propagate(net, spec)
         marg = crown.margins(bounds.output_lower, bounds.output_upper, 0)
         assert marg[0] == pytest.approx(expected, abs=1e-12)
 
@@ -221,7 +224,8 @@ def test_margins_definition_and_errors():
 def test_line_set_lines_validate_against_intervals():
     net = generate_random_network(12, [4, 6, 5, 3], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.4)
-    bounds, lines = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
+    lines = crown_lines(net, bounds)
     for v, (sl, tl, su, tu) in enumerate(lines, start=1):
         low_v, up_v = bounds.layer(v)
         assert relax.validate_line("sigmoid", "lower", low_v, up_v, sl, tl,

@@ -30,7 +30,7 @@ def per_record(spaces, var_vec, values):
 def toy_setup(eps=1.0):
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, eps)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     return net, spec, spaces_for(net, bounds, 2)
 
 
@@ -42,7 +42,7 @@ def test_toy_closed_form_objective():
     assert len(vv) == 1 and vv.values[0, 0] == 1.0
     for s in (0.2, 0.5, 0.9):
         vv2 = vv.at(np.array([[s]]))
-        g, grad, _, _ = frown.objective_and_gradient(
+        g, grad = frown.objective_and_gradient(
             net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), vv2)
         assert g[0] == pytest.approx(-spec.epsilon * s)
         assert grad[0, 0] == pytest.approx(-spec.epsilon)
@@ -61,11 +61,11 @@ def test_no_variables_matches_baseline():
     # all hidden intervals positive: every line space is fixed
     net = positive_bias_relu_net(3, [4, 5, 3], eps=0.2)
     spec = PerturbationSpec(np.zeros(4), np.inf, 0.2)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, net.m)
     vv = frown.collect_variables(spaces)
     assert len(vv) == 0
-    g, grad, _, _ = frown.objective_and_gradient(
+    g, grad = frown.objective_and_gradient(
         net, spec, net.m, frown.RowGroups.of([[0]], ["lower"]), vv)
     assert grad.shape == (1, 0)
     assert g[0] == pytest.approx(bounds.output_lower[0])
@@ -76,7 +76,7 @@ def test_no_variables_matches_baseline():
 def test_gradient_matches_central_differences(act, p):
     net = generate_random_network(11, [4, 6, 5, 3], act, scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), p, 0.35)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
     vv = frown.collect_variables(spaces)
     rng = np.random.default_rng(2024)
@@ -87,7 +87,7 @@ def test_gradient_matches_central_differences(act, p):
         for sense in ("lower", "upper"):
             rows = frown.RowGroups.of([[0, 1]], [sense])
             vvt = vv.at(vals[None].copy())
-            g, grad, _, _ = frown.objective_and_gradient(
+            g, grad = frown.objective_and_gradient(
                 net, spec, 3, rows, vvt)
             for e in range(len(vv)):
                 vp, vm = vals.copy(), vals.copy()
@@ -106,7 +106,7 @@ def test_gradient_matches_central_differences(act, p):
 def test_materialize_matches_line_space_per_variable(act):
     net = generate_random_network(7, [4, 6, 5, 3], act, scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
     vv = frown.collect_variables(spaces)
     assert len(vv) > 0
@@ -114,7 +114,7 @@ def test_materialize_matches_line_space_per_variable(act):
     values = np.vstack([vv.lo, vv.hi, rng.uniform(vv.lo, vv.hi, (4, len(vv)))])
     slopes, intercepts, dslope, dintercept = frown._materialize(vv.at(values))
     for g, row in enumerate(values):
-        expected = [rec.lines_at(theta, grads=True)
+        expected = [rec.members(theta, grads=True)
                     for rec, theta in per_record(spaces, vv, row)]
         s, t, ds, dt = (np.concatenate(part) for part in zip(*expected))
         assert slopes[g].tolist() == s.tolist(), g
@@ -128,7 +128,7 @@ def test_materialize_matches_line_space_per_variable(act):
 def test_batched_groups_match_one_group_at_a_time(act, p):
     net = generate_random_network(31, [4, 6, 5, 6, 3], act, scale=1.2)
     spec = PerturbationSpec(np.full(4, 0.05), p, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     vv = frown.collect_variables(spaces_for(net, bounds, 3))
     for group_size in (1, 3, 6):
         groups = frown._groups(6, group_size)
@@ -137,29 +137,25 @@ def test_batched_groups_match_one_group_at_a_time(act, p):
             per_sense = []
             for s_idx, sense in enumerate(("lower", "upper")):
                 seeds = [[9, g, s_idx] for g in range(len(groups))]
-                batch, (batch_c, batch_o) = frown.optimize_bounds(
+                batch = frown.optimize_bounds(
                     net, spec, 3, groups, [sense] * len(groups), config, vv,
                     seeds)
                 assert batch.shape == (6,)
-                per_sense.append((seeds, batch, batch_c, batch_o))
+                per_sense.append((seeds, batch))
                 for g, (group, seed) in enumerate(zip(groups, seeds)):
-                    one, (one_c, one_o) = frown.optimize_bounds(
+                    one = frown.optimize_bounds(
                         net, spec, 3, [group], [sense], config, vv, [seed])
-                    for got, want in ((batch[group], one),
-                                      (batch_c[group], one_c),
-                                      (batch_o[group], one_o)):
-                        assert np.allclose(got, want, rtol=1e-9, atol=0), (
-                            group_size, restarts, sense, g)
+                    assert np.allclose(batch[group], one, rtol=1e-9,
+                                       atol=0), (group_size, restarts, sense,
+                                                 g)
             # one batch mixing the lower and the upper groups
-            (seeds_l, *lower), (seeds_u, *upper) = per_sense
-            mixed, (mixed_c, mixed_o) = frown.optimize_bounds(
+            (seeds_l, lower), (seeds_u, upper) = per_sense
+            mixed = frown.optimize_bounds(
                 net, spec, 3, groups + groups,
                 ["lower"] * len(groups) + ["upper"] * len(groups), config,
                 vv, seeds_l + seeds_u)
-            for got, want in zip((mixed, mixed_c, mixed_o),
-                                 zip(lower, upper)):
-                assert np.allclose(got, np.concatenate(want), rtol=1e-9,
-                                   atol=0), (group_size, restarts)
+            assert np.allclose(mixed, np.concatenate([lower, upper]),
+                               rtol=1e-9, atol=0), (group_size, restarts)
 
 
 # --- optimize_bounds -------------------------------------------------------------
@@ -169,7 +165,7 @@ def test_toy_recovers_flat_lower_line():
     # exhaustive grid oracle over s in [0, 1]: gamma(s) = -eps*s, best at 0
     grid = np.linspace(0, 1, 1001)
     assert (-spec.epsilon * grid).max() == 0.0
-    best, _ = frown.optimize_bounds(
+    best = frown.optimize_bounds(
         net, spec, 2, [[0]], ["lower"], frown.OptimizerConfig(),
         frown.collect_variables(spaces))
     assert best[0] == pytest.approx(0.0, abs=1e-3)
@@ -180,13 +176,13 @@ def test_best_iterate_never_worse_than_init():
         act = ("sigmoid", "tanh")[seed % 2]
         net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
         spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.3)
-        bounds, _ = crown.propagate(net, spec)
+        bounds = crown.propagate(net, spec)
         spaces = spaces_for(net, bounds, 3)
         vv = frown.collect_variables(spaces)
         for sense in ("lower", "upper"):
-            g0, _, _, _ = frown.objective_and_gradient(
+            g0, _ = frown.objective_and_gradient(
                 net, spec, 3, frown.RowGroups.of([[0, 1, 2]], [sense]), vv)
-            best, _ = frown.optimize_bounds(
+            best = frown.optimize_bounds(
                 net, spec, 3, [[0, 1, 2]], [sense],
                 frown.OptimizerConfig(max_iters=40), vv)
             # both are lower bounds of the signed rows: an upper-sense
@@ -197,21 +193,21 @@ def test_best_iterate_never_worse_than_init():
 def test_restarts_only_help():
     net = generate_random_network(21, [4, 6, 6, 6, 3], "sigmoid", scale=1.2)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.4)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     vv = frown.collect_variables(spaces_for(net, bounds, 4))
     one = frown.optimize_bounds(
         net, spec, 4, [[0]], ["lower"],
-        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)[0]
+        frown.OptimizerConfig(max_iters=30, restarts=1, seed=5), vv)
     three = frown.optimize_bounds(
         net, spec, 4, [[0]], ["lower"],
-        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)[0]
+        frown.OptimizerConfig(max_iters=30, restarts=3, seed=5), vv)
     assert three[0] >= one[0] - 1e-12
 
 
 def test_iterates_stay_in_box_and_lines_valid(monkeypatch):
     net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
     evaluated = []
     original = frown.objective_and_gradient
@@ -232,7 +228,7 @@ def test_iterates_stay_in_box_and_lines_valid(monkeypatch):
         for row in values:
             for rec, theta in per_record(spaces, var_vec, row):
                 assert relax.validate_line(rec.act, rec.side, rec.l, rec.u,
-                                           *rec.lines_at(theta), 501).all()
+                                           *rec.members(theta), 501).all()
 
 
 # --- frown_propagate ---------------------------------------------------------------
@@ -251,8 +247,8 @@ def test_propagate_dominates_baseline_and_sound(act):
     for seed in range(3):
         net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
         spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
-        cb, _ = crown.propagate(net, spec)
-        fb, _ = frown.frown_propagate(
+        cb = crown.propagate(net, spec)
+        fb = frown.frown_propagate(
             net, spec, frown.OptimizerConfig(max_iters=40,
                                              group_size=net.layer_width(2)))
         for k in range(1, net.m + 1):
@@ -270,10 +266,10 @@ def test_group_of_one_at_least_as_tight_as_full_layer():
     for seed in range(10):
         net = generate_random_network(seed, [4, 5, 4, 3], "sigmoid", scale=1.2)
         spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.35)
-        per_neuron, _ = frown.frown_propagate(
+        per_neuron = frown.frown_propagate(
             net, spec, frown.OptimizerConfig(max_iters=100, group_size=1,
                                              restarts=3, improvement_tol=0.0))
-        grouped, _ = frown.frown_propagate(
+        grouped = frown.frown_propagate(
             net, spec, frown.OptimizerConfig(max_iters=100, group_size=4,
                                              restarts=3, improvement_tol=0.0))
         for k in range(2, net.m + 1):
@@ -290,25 +286,8 @@ def test_zero_radius_collapses_to_forward_values():
     net = generate_random_network(5, [4, 6, 5, 3], "sigmoid", scale=1.0)
     x0 = np.full(4, 0.1)
     spec = PerturbationSpec(x0, np.inf, 0.0)
-    fb, _ = frown.frown_propagate(net, spec, frown.OptimizerConfig(max_iters=5))
+    fb = frown.frown_propagate(net, spec, frown.OptimizerConfig(max_iters=5))
     out = forward(net, x0)
     assert np.allclose(fb.output_lower, out, atol=1e-9)
     assert np.allclose(fb.output_upper, out, atol=1e-9)
 
-
-def concretize(bound, spec):
-    return crown.concretize_rows(bound.coeffs[None], np.array([bound.offset]),
-                                 spec, bound.sense)[0]
-
-
-def test_output_affine_bounds_consistent():
-    net = generate_random_network(17, [4, 6, 5, 3], "relu", scale=1.0)
-    spec = PerturbationSpec(np.full(4, 0.05), 2, 0.3)
-    fb, (lo_aff, up_aff) = frown.frown_propagate(
-        net, spec, frown.OptimizerConfig(max_iters=30))
-    for i, bound in enumerate(lo_aff):
-        assert bound.gamma == pytest.approx(fb.output_lower[i], abs=1e-12)
-        assert concretize(bound, spec) == pytest.approx(bound.gamma, abs=1e-9)
-    for i, bound in enumerate(up_aff):
-        assert bound.gamma == pytest.approx(fb.output_upper[i], abs=1e-12)
-        assert concretize(bound, spec) == pytest.approx(bound.gamma, abs=1e-9)

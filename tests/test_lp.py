@@ -11,7 +11,7 @@ from netcert.model import (
     generate_random_network,
 )
 
-from conftest import toy_relu_net
+from conftest import crown_lines, shared_lines_lp, toy_relu_net
 
 
 # --- simplex core -------------------------------------------------------------
@@ -171,9 +171,9 @@ def per_entry_lp(net, spec, k, i, bounds, lines):
 def test_build_lp_matches_per_entry_reference(act, p):
     net = generate_random_network(4, [3, 5, 4, 2], act, scale=1.5)
     spec = PerturbationSpec(np.array([0.1, -0.2, 0.3]), p, 0.4)
-    bounds, crown_lines = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     for k in (2, 3):
-        for lines in (crown_lines, menu_lines(net, bounds, "single", k),
+        for lines in (crown_lines(net, bounds), menu_lines(net, bounds, "single", k),
                       menu_lines(net, bounds, "multi", k)):
             for i, sense in ((0, "lower"), (1, "upper")):
                 prob = lp.build_lp(net, spec, k, i, sense, bounds, lines)
@@ -192,8 +192,8 @@ def test_menu_lines_per_space():
     assert kept(multi, relu) == [(0.0, 0.0), (1.0, 0.0)]
     tangent = relax.line_space("tanh", "lower", -2.0, 2.0)
     assert kept(single, tangent) == [first(crown.default_lines(tangent))]
-    assert kept(multi, tangent) == [first(tangent.lines_at(tangent.var_lo)),
-                                    first(tangent.lines_at(tangent.var_hi)),
+    assert kept(multi, tangent) == [first(tangent.members(tangent.var_lo)),
+                                    first(tangent.members(tangent.var_hi)),
                                     first(crown.default_lines(tangent))]
     fixed = relax.line_space("sigmoid", "upper", -8.0, 0.1)
     for menu in (single, multi):
@@ -233,7 +233,7 @@ def test_center_point_satisfies_every_constraint(p, act):
     net = generate_random_network(3, [3, 4, 4, 2], act, scale=1.0)
     x0 = np.array([0.1, -0.2, 0.05])
     spec = PerturbationSpec(x0, p, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     from netcert.model import ACTIVATIONS
     f = ACTIVATIONS[act]
     for k in (2, 3):
@@ -270,7 +270,7 @@ def test_toy_lower_lp_matches_closed_form_for_each_slope():
 def test_solver_certificate_on_random_instances():
     net = generate_random_network(8, [4, 6, 5, 3], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     for k in (2, 3):
         lines = menu_lines(net, bounds, "multi", k)
         for i in (0, 1):
@@ -308,8 +308,8 @@ def test_shared_lines_mode_matches_closed_form():
         net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
         x0 = np.random.default_rng(seed).uniform(-0.4, 0.4, 4)
         spec = PerturbationSpec(x0, np.inf, 0.2)
-        cb, _ = crown.propagate(net, spec)
-        lb, _ = lp.lp_propagate(net, spec, mode="shared-lines")
+        cb = crown.propagate(net, spec)
+        lb = shared_lines_lp(net, spec)
         for k in range(2, net.m + 1):
             for c_arr, l_arr in ((cb.lower[k - 1], lb.lower[k - 1]),
                                  (cb.upper[k - 1], lb.upper[k - 1])):
@@ -323,8 +323,8 @@ def test_multi_line_never_looser_and_sometimes_strictly_tighter():
         net = generate_random_network(seed, [4, 5, 4, 3], "relu", scale=1.0)
         x0 = np.random.default_rng(seed).uniform(-0.3, 0.3, 4)
         spec = PerturbationSpec(x0, np.inf, 0.3)
-        single, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
-        multi, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
+        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
         for k in range(2, net.m + 1):
             assert np.all(multi.lower[k - 1] >= single.lower[k - 1] - 1e-9)
             assert np.all(multi.upper[k - 1] <= single.upper[k - 1] + 1e-9)
@@ -336,7 +336,7 @@ def test_multi_line_never_looser_and_sometimes_strictly_tighter():
 def test_adding_valid_rows_never_loosens_the_optimum():
     net = generate_random_network(2, [3, 5, 2], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.zeros(3), np.inf, 0.4)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
                        menu_lines(net, bounds, "single", 2))
     base, _ = lp.solve(prob)
@@ -351,7 +351,7 @@ def test_adding_valid_rows_never_loosens_the_optimum():
 def test_lp_bounds_survive_sampling(p):
     net = generate_random_network(6, [4, 5, 4, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.1), p, 0.3)
-    bounds, _ = lp.lp_propagate(net, spec)
+    bounds = lp.lp_propagate(net, spec)
     assert not oracle.sample_check(net, spec, bounds, 30000, seed=4)
 
 
@@ -359,8 +359,8 @@ def test_lp_at_least_as_tight_as_closed_form_with_same_lines():
     # a dual-feasible closed-form bound can never beat the LP optimum
     net = generate_random_network(10, [4, 6, 5, 3], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.35)
-    cb, _ = crown.propagate(net, spec)
-    mb, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+    cb = crown.propagate(net, spec)
+    mb = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
     assert np.all(mb.output_lower >= cb.output_lower - 1e-7)
     assert np.all(mb.output_upper <= cb.output_upper + 1e-7)
 

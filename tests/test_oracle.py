@@ -20,14 +20,14 @@ from conftest import positive_bias_relu_net, toy_relu_net
 def test_clean_bounds_pass():
     net = generate_random_network(1, [4, 6, 5, 3], "relu", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.1), np.inf, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     assert oracle.sample_check(net, spec, bounds, 10000, seed=7) == []
 
 
 def test_corrupted_bound_is_caught():
     net = generate_random_network(1, [4, 6, 5, 3], "relu", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.1), np.inf, 0.3)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     bounds.lower[1] = bounds.lower[1].copy()
     bounds.lower[1][0] += 1.0
     report = oracle.sample_check(net, spec, bounds, 10000, seed=7)
@@ -39,7 +39,7 @@ def test_zero_radius_brackets_exact_forward():
     net = generate_random_network(2, [3, 5, 2], "sigmoid", scale=1.0)
     x0 = np.array([0.2, -0.1, 0.4])
     spec = PerturbationSpec(x0, np.inf, 0.0)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     out = forward(net, x0)
     assert np.allclose(bounds.output_lower, out, atol=1e-9)
     assert oracle.sample_check(net, spec, bounds, 100, seed=0) == []
@@ -48,11 +48,14 @@ def test_zero_radius_brackets_exact_forward():
 def test_output_bounds_tuple_form():
     net = generate_random_network(2, [3, 5, 2], "tanh", scale=1.0)
     spec = PerturbationSpec(np.zeros(3), 2, 0.3)
-    bounds, _ = crown.propagate(net, spec)
-    assert oracle.sample_check(
-        net, spec, (bounds.output_lower, bounds.output_upper), 5000) == []
-    bad = (bounds.output_lower + 0.5, bounds.output_upper)
-    assert oracle.sample_check(net, spec, bad, 5000)
+    bounds = crown.propagate(net, spec)
+    assert oracle.sample_check(net, spec, bounds, 5000) == []
+    # the output layer's lower bounds shifted up by 0.5
+    bad = crown.LayerBounds(bounds.lower[:-1] + [bounds.output_lower + 0.5],
+                            bounds.upper)
+    report = oracle.sample_check(net, spec, bad, 5000)
+    assert report
+    assert all(v.layer == net.m and v.side == "lower" for v in report)
 
 
 def test_samples_stay_inside_ball():
@@ -74,7 +77,7 @@ def test_samples_stay_inside_ball():
 def test_sample_count_validation():
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, 0.5)
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     with pytest.raises(ValueError):
         oracle.sample_check(net, spec, bounds, 0)
 
@@ -88,7 +91,7 @@ def test_toy_exact_range():
     assert er.min == pytest.approx(0.0, abs=1e-9)
     assert er.max == pytest.approx(1.0, abs=1e-9)
     assert er.patterns_searched == 2
-    bounds, _ = crown.propagate(net, spec)
+    bounds = crown.propagate(net, spec)
     assert bounds.output_lower[0] <= er.min + 1e-9
     assert bounds.output_upper[0] >= er.max - 1e-9
 
@@ -135,10 +138,10 @@ def test_dominance_of_certified_methods():
         net = generate_random_network(seed, [3, 4, 4, 2], "relu", scale=1.0)
         spec = PerturbationSpec(np.random.default_rng(seed).uniform(-0.3, 0.3, 3),
                                 np.inf, 0.3)
-        cb, _ = crown.propagate(net, spec)
-        fb, _ = frown.frown_propagate(net, spec,
+        cb = crown.propagate(net, spec)
+        fb = frown.frown_propagate(net, spec,
                                       frown.OptimizerConfig(max_iters=30))
-        lpb, _ = lp.lp_propagate(net, spec)
+        lpb = lp.lp_propagate(net, spec)
         for neuron in range(2):
             er = oracle.exact_output_functional_range(net, spec,
                                                       np.eye(2)[neuron])
@@ -185,7 +188,8 @@ def test_wrong_length_x0_rejected():
     net = generate_random_network(0, [4, 6, 2], "relu")
     for x0 in (np.zeros(3), np.zeros(5)):
         spec = PerturbationSpec(x0, np.inf, 0.1)
-        bounds = (np.full(2, -1e3), np.full(2, 1e3))
+        bounds = crown.LayerBounds([np.full(6, -1e3), np.full(2, -1e3)],
+                                   [np.full(6, 1e3), np.full(2, 1e3)])
         with pytest.raises(ModelError):
             oracle.sample_check(net, spec, bounds, 10)
         with pytest.raises(ModelError):

@@ -12,6 +12,8 @@ from hypothesis import (  # noqa: E402
 from netcert import crown, frown, lp, oracle, relax, simplex  # noqa: E402
 from netcert.model import PerturbationSpec, generate_random_network  # noqa: E402
 
+from conftest import shared_lines_lp  # noqa: E402
+
 ACTS = ("relu", "sigmoid", "tanh")
 
 #: the built-in simplex still fails on some LPs of sigmoid and tanh nets,
@@ -49,8 +51,8 @@ def build(act, seed, p, log_eps, widths=(3, 4, 3, 2)):
 
 def shared_lines_lp_equals_crown(act, case):
     net, spec = build(act, *case)
-    cb, _ = crown.propagate(net, spec)
-    lb, _ = lp.lp_propagate(net, spec, mode="shared-lines")
+    cb = crown.propagate(net, spec)
+    lb = shared_lines_lp(net, spec)
     for k in range(2, net.m + 1):
         for c_arr, l_arr in ((cb.lower[k - 1], lb.lower[k - 1]),
                              (cb.upper[k - 1], lb.upper[k - 1])):
@@ -65,7 +67,7 @@ def multi_menu_never_looser_than_single(act, case):
     # intervals: with each menu's own intervals a narrower sigmoid/tanh
     # interval below can give a looser default tangent
     net, spec = build(act, *case)
-    single, _ = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
+    single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
     multi = lp.RelaxationMenu.multi()
     for k in range(2, net.m + 1):
         lines = [multi.layer_lines(act, *single.layer(v)) for v in range(1, k)]
@@ -147,8 +149,8 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
 @given(case=cases, group=st.sampled_from([1, 2, 4]))
 def test_frown_never_worse_than_crown(act, case, group):
     net, spec = build(act, *case)
-    cb, _ = crown.propagate(net, spec)
-    fb, _ = frown.frown_propagate(
+    cb = crown.propagate(net, spec)
+    fb = frown.frown_propagate(
         net, spec, frown.OptimizerConfig(max_iters=8, group_size=group))
     for k in range(1, net.m + 1):
         assert np.all(fb.lower[k - 1] >= cb.lower[k - 1])
@@ -162,8 +164,8 @@ def test_exact_relu_range_inside_crown_and_frown(p, seed, log_eps):
     # the exact output range over the ball (every activation pattern solved
     # as an LP) lies inside each engine's output bounds
     net, spec = build("relu", seed, p, log_eps)
-    cb, _ = crown.propagate(net, spec)
-    fb, _ = frown.frown_propagate(net, spec,
+    cb = crown.propagate(net, spec)
+    fb = frown.frown_propagate(net, spec,
                                   frown.OptimizerConfig(max_iters=8))
     outputs = np.eye(net.layer_width(net.m))
     for j, unit in enumerate(outputs):

@@ -54,11 +54,11 @@ def var_range(sp):
 
 
 def line_at(sp, theta):
-    return tuple(float(a[0]) for a in sp.lines_at(theta))
+    return tuple(float(a[0]) for a in sp.members(theta))
 
 
 def line_and_grad_at(sp, theta):
-    return tuple(float(a[0]) for a in sp.lines_at(theta, grads=True))
+    return tuple(float(a[0]) for a in sp.members(theta, grads=True))
 
 
 # --- chord -----------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_layer_spaces_match_line_space_per_neuron(act):
             assert np.all(spaces.var_lo[family] <= spaces.var_hi[family])
             s, t = crown.default_lines(spaces)
             for theta in (spaces.var_lo, spaces.var_hi):
-                ls, lt = spaces.lines_at(theta)
+                ls, lt = spaces.members(theta)
                 s, t = np.concatenate([s, ls]), np.concatenate([t, lt])
             ok = validate_line(act, side, np.tile(lower, 3),
                                np.tile(upper, 3), s, t)
@@ -417,12 +417,10 @@ def test_layer_spaces_views_and_scalar_api():
     third = line_space("relu", "lower", -3.0, -1.0)
     assert (low.slope[2], low.intercept[2]) == (third.slope[0],
                                                 third.intercept[0])
-    got = low.lines_at(np.array([0.25, np.nan, np.nan]), grads=True)
+    got = low.members(np.array([0.25, np.nan, np.nan]), grads=True)
     assert [a[0] for a in got] == [0.25, 0.0, 1.0, 0.0]
     s, t = crown.default_lines(low)
     assert (s[0], t[0]) == (1.0, 0.0)
-    with pytest.raises(ValueError, match="outside"):
-        low.lines_at(np.array([1.5, 0.0, 0.0]))
     with pytest.raises(ValueError, match="bad interval"):
         relax.layer_line_spaces("tanh", [0.0, 1.0], [1.0, 0.5])
 
