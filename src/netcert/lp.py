@@ -10,10 +10,14 @@ is rejected.
 
 ``lp_propagate`` feeds each layer's LP optima into the next layer's
 intervals and menu lines.  A layer's lines are its four line arrays, made
-once per layer, and ``build_lp`` assembles every LP from them with block
-array operations.  ``build_lp`` also takes crown's own intervals and lines
-(one line per neuron and side); by the paper's optimality result that LP's
-optimum is crown's closed-form bound.
+once per layer.  The 2 n_k LPs of a layer of n_k neurons differ only in
+their objective, so ``build_lp`` assembles the layer's rows once from those
+arrays with block array operations, with one objective per neuron and
+side, and the simplex solves them with one phase 1, each objective's
+phase 2 warm-started from the optimal basis of the one before.
+``build_lp`` also takes crown's own intervals and lines (one line per
+neuron and side); by the paper's optimality result that LP's optimum is
+crown's closed-form bound.
 """
 
 from __future__ import annotations
@@ -37,11 +41,15 @@ class LpUnsupportedError(ValueError):
 
 @dataclass
 class LpProblem:
-    """A dense LP: optimize c.v + c0 over A_eq v = b_eq, A_ub v <= b_ub."""
+    """A dense LP: optimize c.v + c0 over A_eq v = b_eq, A_ub v <= b_ub.
 
-    sense: str
+    A ``c`` of shape (objectives, n_vars) holds several objectives over the
+    same rows, with one ``sense`` and one ``c0`` entry per objective.
+    """
+
+    sense: str | list
     c: np.ndarray
-    c0: float
+    c0: float | list
     A_eq: np.ndarray
     b_eq: np.ndarray
     A_ub: np.ndarray
@@ -51,7 +59,7 @@ class LpProblem:
 
     @property
     def n_vars(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ class RelaxationMenu:
         return (*self.side_lines(low), *self.side_lines(up))
 
 
-def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
+def build_lp(net: Network, spec: PerturbationSpec, k: int, i, sense,
              bounds: crown.LayerBounds, lines) -> LpProblem:
     """Assemble the relaxed LP for neuron i of layer k.
 
@@ -136,6 +144,10 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
     by layer and within a layer neuron by neuron, the lower lines
     a >= s z + t as s z - a <= -t, the upper lines a <= s z + t as
     a - s z <= t, then z <= u and -z <= -l; the ball rows come last.
+
+    ``i`` and ``sense`` may also be sequences of equal length: the LP then
+    has one objective per pair, neuron i[j] of layer k bounded on side
+    sense[j], and its ``sense`` and ``c0`` are lists.
     """
     check_input(net, spec.x0)
     if spec.p not in (1.0, math.inf):
@@ -184,12 +196,13 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
     ball_A, ball_b = ball_rows(spec, total, r_col=r_at)
 
     # objective: row i of the layer-k affine map, over a(k-1)
-    c = np.zeros(total)
-    c[r_at - widths[-1]:r_at] = net.weights[k - 1][i]
+    rows = net.weights[k - 1][i]
+    c = np.zeros(rows.shape[:-1] + (total,))
+    c[..., r_at - widths[-1]:r_at] = rows
     return LpProblem(
-        sense="min" if sense == "lower" else "max",
+        sense=np.where(np.equal(sense, "lower"), "min", "max").tolist(),
         c=c,
-        c0=float(net.biases[k - 1][i]),
+        c0=net.biases[k - 1][i].tolist(),
         A_eq=A_eq,
         b_eq=np.concatenate(net.biases[:k - 1]),
         A_ub=np.vstack(ub_blocks + [ball_A]),
@@ -200,20 +213,22 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i: int, sense: str,
 
 
 def solve(problem: LpProblem):
-    """Optimal value and primal point, with a feasibility certificate check."""
+    """Optimal value and primal point, with a feasibility certificate check;
+    arrays of them, one entry per objective, for several objectives."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
         sense=problem.sense)
     if problem.A_eq.shape[0]:
-        eq_gap = np.abs(problem.A_eq @ point - problem.b_eq).max()
+        eq_gap = np.abs(point @ problem.A_eq.T - problem.b_eq).max()
         if eq_gap > CERT_TOL:
             raise simplex.SimplexError(f"equality residual {eq_gap:.3e}")
     if problem.A_ub.shape[0]:
-        ub_gap = (problem.A_ub @ point - problem.b_ub).max()
+        ub_gap = (point @ problem.A_ub.T - problem.b_ub).max()
         if ub_gap > CERT_TOL:
             raise simplex.SimplexError(f"inequality violation {ub_gap:.3e}")
-    re_eval = float(problem.c @ point)
-    if abs(re_eval - value) > CERT_TOL * max(1.0, abs(value)):
+    re_eval = (problem.c * point).sum(axis=-1)
+    if np.any(np.abs(re_eval - value) > CERT_TOL
+              * np.maximum(1.0, np.abs(value))):
         raise simplex.SimplexError("objective mismatch at the primal point")
     return value + problem.c0, point
 
@@ -221,7 +236,9 @@ def solve(problem: LpProblem):
 def lp_propagate(net: Network, spec: PerturbationSpec,
                  menu: RelaxationMenu | None = None) -> crown.LayerBounds:
     """Recursive LP bounds for layers 2..m: each layer's LPs use the menu
-    lines and intervals of the LP bounds of the layers below."""
+    lines and intervals of the LP bounds of the layers below.  A layer's
+    LPs share their rows, so they are solved as one LP with an objective
+    per neuron and side: every lower bound, then every upper bound."""
     if spec.p not in (1.0, math.inf):
         raise LpUnsupportedError(
             "the relaxation is a linear program only for p in {1, inf}")
@@ -232,13 +249,13 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     lines = []
     for k in range(2, net.m + 1):
         lines.append(menu.layer_lines(net.activation, *bounds.layer(k - 1)))
-        gl = np.empty(net.layer_width(k))
-        gu = np.empty(net.layer_width(k))
-        for i in range(net.layer_width(k)):
-            gl[i] = solve(build_lp(net, spec, k, i, "lower", bounds, lines))[0]
-            gu[i] = solve(build_lp(net, spec, k, i, "upper", bounds, lines))[0]
-        bounds.lower.append(gl)
-        bounds.upper.append(gu)
+        w = net.layer_width(k)
+        neurons = np.tile(np.arange(w), 2)
+        sides = ("lower",) * w + ("upper",) * w
+        values = solve(build_lp(net, spec, k, neurons, sides, bounds,
+                                lines))[0]
+        bounds.lower.append(values[:w])
+        bounds.upper.append(values[w:])
     return bounds
 
 

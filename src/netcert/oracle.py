@@ -6,10 +6,11 @@ LayerBounds with uniform draws from the input ball.
 functional of the outputs of a tiny ReLU network (a unit vector gives one
 output's range) by activation-pattern enumeration: once the active set of
 every hidden neuron is fixed the network is affine, so each pattern region
-reduces to a small LP over the ball intersected with the sign constraints.  The
-enumeration walks patterns depth-first and prunes subtrees whose sign-
-constraint prefix is already infeasible, which visits every feasible pattern
-while skipping infeasible ones wholesale.
+reduces to a small LP over the ball intersected with the sign constraints,
+whose min and max share one phase 1.  The enumeration walks patterns
+depth-first and prunes subtrees whose sign-constraint prefix is already
+infeasible, which visits every feasible pattern while skipping infeasible
+ones wholesale.
 """
 
 from __future__ import annotations
@@ -144,10 +145,9 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         c = np.zeros(n_vars)
         c[:n] = coeff
         try:
-            vmin, pmin = simplex.solve_inequality_form(
-                c, None, None, np.array(rows), np.array(rhs), sense="min")
-            vmax, pmax = simplex.solve_inequality_form(
-                c, None, None, np.array(rows), np.array(rhs), sense="max")
+            (vmin, vmax), (pmin, pmax) = simplex.solve_inequality_form(
+                np.stack([c, c]), None, None, np.array(rows), np.array(rhs),
+                sense=("min", "max"))
         except simplex.InfeasibleError:
             state["patterns"] -= 1
             return

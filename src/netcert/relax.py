@@ -230,13 +230,12 @@ class LineSpaces:
         return (Entry("one-variable" if fam else "fixed", CASE_TAGS[c])
                 for fam, c in zip(self.family, self.case))
 
-    def members(self, theta, grads: bool = False):
+    def members(self, theta):
         """Every entry's line, a family member at variable ``theta`` (inside
         its range) or the fixed line (where theta is ignored), as (slopes,
-        intercepts); with ``grads`` also their derivatives in theta (zero
-        for fixed lines)."""
-        out = family_lines(self.act, theta, grads)
-        fixed = (self.slope, self.intercept, 0.0, 0.0)
+        intercepts)."""
+        out = family_lines(self.act, theta)
+        fixed = (self.slope, self.intercept)
         return tuple(np.where(self.family, gen, fix)
                      for gen, fix in zip(out, fixed))
 

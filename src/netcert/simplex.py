@@ -1,17 +1,22 @@
 """Dense two-phase revised simplex with Bland's rule.
 
 Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  with free
-variables v.  Internally the problem moves to standard form (v split into
-positive and negative parts, slacks added to the inequalities) and phase 1
-starts from an all-artificial basis.  The entering column is the eligible
-one of smallest index.  Among the rows tied in the ratio test the one with
-the largest pivot leaves, except on a degenerate pivot (a step of 0), where
-the one with the smallest basic index leaves.  A cycle is made of degenerate
-pivots only, so it would follow Bland's smallest-index rule throughout,
-which cannot cycle.  The basis inverse is maintained by elementary row
-updates and refactorized periodically to keep drift down; a solve that
-still ends off its rows, or on a singular basis, is repeated with a
-refactorization at every pivot.
+variables v, for one objective or several over the same rows.  Internally
+the problem moves to standard form once (v split into positive and negative
+parts, slacks added to the inequalities) and phase 1 runs once, from an
+all-artificial basis.  Each objective's phase 2 starts from the optimal
+basis of the objective before it (the first from the phase-1 basis): only
+the costs change, so that basis is still feasible.  The entering column is
+the eligible one of smallest index.  Among the rows tied in the ratio test
+the one with the largest pivot leaves, except on a degenerate pivot (a step
+of 0), where the one with the smallest basic index leaves.  A cycle is made
+of degenerate pivots only, so it would follow Bland's smallest-index rule
+throughout, which cannot cycle.  The basis inverse is maintained by
+elementary row updates and refactorized periodically, and at the start of
+each warm-started objective, to keep drift down; an objective whose solve
+still ends off its rows, on a singular basis or on a spurious unbounded ray
+is solved again cold, phase 1 included, with a refactorization at every
+pivot.
 """
 
 from __future__ import annotations
@@ -143,16 +148,24 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
 
 def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
                           max_iter=10**6):
-    """Solve the LP over free variables; returns (optimal value, v)."""
+    """Solve the LP over free variables; returns (optimal value, v).
+
+    ``c`` may also hold one objective per row, with ``sense`` one sense for
+    all of them or a sequence of one per row; the values and points then
+    come back as arrays, one entry (row) per objective.  ``max_iter`` caps
+    the pivots of phase 1 plus one objective's phase 2.
+    """
     c = np.asarray(c, dtype=float)
-    nv = c.shape[0]
+    costs = np.atleast_2d(c)
+    nv = costs.shape[1]
     A_eq = np.zeros((0, nv)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     A_ub = np.zeros((0, nv)) if A_ub is None else np.asarray(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    obj = c if sense == "min" else -c
+    senses = [sense] * len(costs) if isinstance(sense, str) else list(sense)
+    if len(senses) != len(costs) or not set(senses) <= {"min", "max"}:
+        raise ValueError(f"sense must be 'min' or 'max', one per objective, "
+                         f"got {sense!r}")
 
     n_eq, n_ub = A_eq.shape[0], A_ub.shape[0]
     m = n_eq + n_ub
@@ -170,30 +183,50 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
 
     n_std = A.shape[1]
     full = np.hstack([A, np.eye(m)])
-    cost2 = np.zeros(n_std + m)
-    cost2[:nv] = obj
-    cost2[nv:2 * nv] = -obj
     twin = np.arange(n_std + m)
     twin[:nv] = np.arange(nv, 2 * nv)
     twin[nv:2 * nv] = np.arange(nv)
 
     try:
-        y = _two_phase(full, b, cost2, n_std, twin, max_iter, REFACTOR_EVERY)
-        off_rows = np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL
+        warm, budget = _phase1(full, b, n_std, twin, max_iter, REFACTOR_EVERY)
     except (np.linalg.LinAlgError, UnboundedError):
-        off_rows = True
-    if off_rows:
-        y = _two_phase(full, b, cost2, n_std, twin, max_iter, 1)
-    v = y[:nv] - y[nv:2 * nv]
-    value = float(obj @ v)
-    if sense == "max":
-        value = -value
-    return value, v
+        warm = None
+    values = np.empty(len(costs))
+    points = np.empty((len(costs), nv))
+    for j, (cost, sense_j) in enumerate(zip(costs, senses)):
+        obj = cost if sense_j == "min" else -cost
+        cost2 = np.zeros(n_std + m)
+        cost2[:nv] = obj
+        cost2[nv:2 * nv] = -obj
+        y = None
+        if warm is not None:
+            try:
+                if j:
+                    # the inverse carried over from the objective before
+                    # has drifted; start from a fresh one
+                    _refactor(full, b, *warm)
+                y = _phase2(full, b, cost2, n_std, twin, warm, budget,
+                            REFACTOR_EVERY)
+                if np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL:
+                    y = None
+            except (np.linalg.LinAlgError, UnboundedError):
+                pass
+        if y is None:
+            # cold re-solve, refactorized at every pivot
+            warm, budget = _phase1(full, b, n_std, twin, max_iter, 1)
+            y = _phase2(full, b, cost2, n_std, twin, warm, budget, 1)
+        points[j] = y[:nv] - y[nv:2 * nv]
+        value = float(obj @ points[j])
+        values[j] = -value if sense_j == "max" else value
+    if c.ndim == 1:
+        return float(values[0]), points[0]
+    return values, points
 
 
-def _two_phase(full, b, cost2, n_std, twin, max_iter, refactor_every):
-    """Phase 1 from the all-artificial basis of ``full`` = [A, I], then
-    phase 2 on ``cost2``; returns the optimal point y of A y = b, y >= 0."""
+def _phase1(full, b, n_std, twin, max_iter, refactor_every):
+    """Phase 1 from the all-artificial basis of ``full`` = [A, I], then the
+    drive-out of leftover artificials; returns the feasible basis as
+    (basis, B_inv, xB) and the pivots left for phase 2."""
     m = full.shape[0]
     cost1 = np.concatenate([np.zeros(n_std), np.ones(m)])
     basis = np.arange(n_std, n_std + m)
@@ -224,11 +257,17 @@ def _two_phase(full, b, cost2, n_std, twin, max_iter, refactor_every):
         B_inv[others, :] -= np.outer(d[others], B_inv[row, :])
         basis[row] = enter
         xB = np.maximum(B_inv @ b, 0.0)
+    return (basis, B_inv, xB), max_iter - used
 
-    allowed[n_std:] = False  # artificials may never re-enter
-    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, twin,
-                 max_iter - used, refactor_every)
 
-    y = np.zeros(n_std + m)
+def _phase2(full, b, cost2, n_std, twin, start, budget, refactor_every):
+    """Phase 2 on ``cost2`` from the feasible basis ``start`` = (basis,
+    B_inv, xB), which it moves in place to the optimum; returns the optimal
+    point y of A y = b, y >= 0."""
+    basis, B_inv, xB = start
+    allowed = np.arange(full.shape[1]) < n_std  # artificials never re-enter
+    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, twin, budget,
+                 refactor_every)
+    y = np.zeros(full.shape[1])
     y[basis] = xB
     return y

@@ -114,7 +114,8 @@ def test_materialize_matches_line_space_per_variable(act):
     values = np.vstack([vv.lo, vv.hi, rng.uniform(vv.lo, vv.hi, (4, len(vv)))])
     slopes, intercepts, dslope, dintercept = frown._materialize(vv.at(values))
     for g, row in enumerate(values):
-        expected = [rec.members(theta, grads=True)
+        expected = [(*rec.members(theta),
+                     *relax.family_lines(rec.act, theta, grads=True)[2:])
                     for rec, theta in per_record(spaces, vv, row)]
         s, t, ds, dt = (np.concatenate(part) for part in zip(*expected))
         assert slopes[g].tolist() == s.tolist(), g

@@ -83,6 +83,89 @@ def test_simplex_never_prices_the_twin_of_a_basic_column():
     assert basis.tolist() == [0] and xB.tolist() == [1.0]
 
 
+def test_simplex_solves_several_objectives_over_one_feasible_set():
+    # the box -1 <= x <= 1, -2 <= y <= 2
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.array([1.0, 2.0, 1.0, 2.0])
+    c = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
+    values, points = simplex.solve_inequality_form(
+        c, None, None, A, b, sense=("min", "max", "max"))
+    assert values.tolist() == [-3.0, 3.0, 2.0]
+    assert points[:2].tolist() == [[-1.0, -2.0], [1.0, -2.0]]
+    values, _ = simplex.solve_inequality_form(c, None, None, A, b)
+    assert values.tolist() == [-3.0, -3.0, -2.0]
+    with pytest.raises(ValueError, match="one per objective"):
+        simplex.solve_inequality_form(c, None, None, A, b,
+                                      sense=("min", "max"))
+
+
+def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
+    # every warm phase 2 (refactorized every REFACTOR_EVERY pivots) is made
+    # to end off its rows at a wrong point; each objective is then solved
+    # again from its own phase 1, refactorized at every pivot, and that
+    # solve's value is the one returned
+    phase2 = simplex._phase2
+    refactor_every = []
+
+    def off_rows(*args):
+        refactor_every.append(args[-1])
+        y = phase2(*args)
+        return 2.0 * y if args[-1] == simplex.REFACTOR_EVERY else y
+
+    monkeypatch.setattr(simplex, "_phase2", off_rows)
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.array([1.0, 2.0, 1.0, 2.0])
+    values, points = simplex.solve_inequality_form(
+        np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
+        sense=("min", "max"))
+    assert values.tolist() == [-3.0, 3.0]
+    assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
+    assert refactor_every == [simplex.REFACTOR_EVERY, 1] * 2
+
+    net = generate_random_network(3, [4, 6, 5, 3], "relu", scale=1.0)
+    spec = PerturbationSpec(np.full(4, 0.1), np.inf, 0.2)
+    cold = lp.lp_propagate(net, spec)
+    monkeypatch.setattr(simplex, "_phase2", phase2)
+    warm = lp.lp_propagate(net, spec)
+    for c_arr, w_arr in zip(cold.lower + cold.upper, warm.lower + warm.upper):
+        assert np.all(np.abs(c_arr - w_arr)
+                      <= 1e-9 * np.maximum(1.0, np.abs(c_arr)))
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_layer_lps_match_highs(act, p):
+    # each layer's LP, objective by objective, solved by HiGHS's dual
+    # simplex at tight tolerances, has the built-in simplex's optimum
+    optimize = pytest.importorskip("scipy.optimize")
+    for seed in range(2):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        spec = PerturbationSpec(x0, p, 0.05)
+        for menu in (lp.RelaxationMenu.single(), lp.RelaxationMenu.multi()):
+            bounds = lp.lp_propagate(net, spec, menu=menu)
+            lines = []
+            for k in range(2, net.m + 1):
+                lines.append(menu.layer_lines(act, *bounds.layer(k - 1)))
+                width = net.layer_width(k)
+                neurons = np.repeat(np.arange(width), 2)
+                prob = lp.build_lp(net, spec, k, neurons, relax.SIDES * width,
+                                   bounds, lines)
+                ours = np.stack(bounds.layer(k), axis=1).ravel()
+                for c, sense, c0, value in zip(prob.c, prob.sense, prob.c0,
+                                               ours):
+                    sign = 1.0 if sense == "min" else -1.0
+                    res = optimize.linprog(
+                        sign * c, A_ub=prob.A_ub, b_ub=prob.b_ub,
+                        A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(None, None),
+                        method="highs-ds",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+                    assert res.status == 0, res.message
+                    highs = sign * res.fun + c0
+                    assert abs(value - highs) <= 1e-8 * max(1.0, abs(highs))
+
+
 # --- build_lp -------------------------------------------------------------------
 
 def menu_lines(net, bounds, lines, k):

@@ -130,18 +130,42 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
     # two of this net's multi-menu LPs end 3e-7 and 4e-6 off their rows with
     # the inverse refactorized every REFACTOR_EVERY pivots; the repeat, with
     # a refactorization at every pivot, ends on them
-    two_phase = simplex._two_phase
+    phase1 = simplex._phase1
     refactor_every = []
 
     def spy(*args):
         refactor_every.append(args[-1])
-        return two_phase(*args)
+        return phase1(*args)
 
-    monkeypatch.setattr(simplex, "_two_phase", spy)
+    monkeypatch.setattr(simplex, "_phase1", spy)
     multi_menu_never_looser_than_single(
         "sigmoid", (35393, 1.0, -2.465343079249466))
-    assert refactor_every.count(simplex.REFACTOR_EVERY) == 20
+    # one phase 1 per solve: one per layer in lp_propagate, one per LP in
+    # the multi-menu loop, and a cold one per repeat
+    assert refactor_every.count(simplex.REFACTOR_EVERY) == 2 + 10
     assert refactor_every.count(1) == 2
+
+
+@pytest.mark.parametrize("menu", ["single", "multi"])
+@pytest.mark.parametrize("act", LP_ACTS)
+@LP_SETTINGS
+@given(case=cases)
+def test_warm_started_layer_bounds_equal_cold_solves(act, menu, case):
+    # lp_propagate solves a layer's LPs as one LP with an objective per
+    # neuron and side, each phase 2 warm-started from the optimal basis of
+    # the objective before it; each objective solved on its own LP, from
+    # its own phase 1, gives the same bound
+    net, spec = build(act, *case)
+    menu = lp.RelaxationMenu(menu)
+    warm = lp.lp_propagate(net, spec, menu=menu)
+    lines = []
+    for k in range(2, net.m + 1):
+        lines.append(menu.layer_lines(act, *warm.layer(k - 1)))
+        for sense, bound in zip(relax.SIDES, warm.layer(k)):
+            for i in range(net.layer_width(k)):
+                cold = lp.solve(lp.build_lp(net, spec, k, i, sense, warm,
+                                            lines))[0]
+                assert abs(bound[i] - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
 @pytest.mark.parametrize("act", ACTS)

@@ -58,7 +58,8 @@ def line_at(sp, theta):
 
 
 def line_and_grad_at(sp, theta):
-    return tuple(float(a[0]) for a in sp.members(theta, grads=True))
+    return tuple(float(a) for a in relax.family_lines(sp.act, theta,
+                                                      grads=True))
 
 
 # --- chord -----------------------------------------------------------------
@@ -417,7 +418,7 @@ def test_layer_spaces_views_and_scalar_api():
     third = line_space("relu", "lower", -3.0, -1.0)
     assert (low.slope[2], low.intercept[2]) == (third.slope[0],
                                                 third.intercept[0])
-    got = low.members(np.array([0.25, np.nan, np.nan]), grads=True)
+    got = relax.family_lines(low.act, np.array([0.25]), grads=True)
     assert [a[0] for a in got] == [0.25, 0.0, 1.0, 0.0]
     s, t = crown.default_lines(low)
     assert (s[0], t[0]) == (1.0, 0.0)
