@@ -12,8 +12,9 @@ the one with the largest pivot leaves, except on a degenerate pivot (a step
 of 0), where the one with the smallest basic index leaves.  A cycle is made
 of degenerate pivots only, so it would follow Bland's smallest-index rule
 throughout, which cannot cycle.  The basis inverse is maintained by
-elementary row updates and refactorized periodically, and at the start of
-each warm-started objective, to keep drift down; an objective whose solve
+elementary row updates and refactorized periodically, after the artificial
+drive-out and before optimality is concluded, so that every solve ends, and
+every warm start begins, on a fresh inverse; an objective whose solve
 still ends off its rows, on a singular basis or on a spurious unbounded ray
 is solved again cold, phase 1 included, with a refactorization at every
 pivot.
@@ -30,9 +31,6 @@ PIVOT_TOL = 1e-9
 RATIO_TOL = 1e-7
 #: rounding error of a reduced cost, relative to |multipliers| @ |column|
 ROUNDING = 1e-13
-#: largest residual of B xB = b at which optimality is accepted without
-#: refactorizing the basis inverse
-DRIFT_TOL = 1e-9
 #: phase-1 objective above this value means infeasible
 FEAS_TOL = 1e-7
 #: refactorize the basis inverse every this many pivots
@@ -83,10 +81,13 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
 
     The updated basis inverse drifts, and an ill-conditioned basis gives
     multipliers large enough for the rounding error of a reduced cost to
-    pass PIVOT_TOL.  So optimality is concluded only when the basic values
-    still solve B xB = b, and a direction without a positive entry first
-    refactorizes the inverse, then discards an entering reduced cost that
-    lies within its own rounding error, before it is taken as unbounded.
+    pass PIVOT_TOL.  So optimality is concluded only on an inverse
+    refactorized since the last pivot (the one passed in counts as fresh):
+    on a basis of condition 2e5 drifted basic values solved B xB = b to
+    7e-11 yet moved the objective 3e-8.  A direction without a positive
+    entry first refactorizes the inverse, then discards an entering reduced
+    cost that lies within its own rounding error, before it is taken as
+    unbounded.
     """
     m, n = A.shape
     used = 0
@@ -103,8 +104,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         reduced[twin[basis]] = 0.0
         candidates = col_idx[(reduced < -PIVOT_TOL) & eligible]
         if candidates.size == 0:
-            residual = np.abs(A[:, basis] @ xB - b).max()
-            if since_refactor == 0 or residual <= DRIFT_TOL:
+            if since_refactor == 0:
                 return used
             since_refactor = 0
             _refactor(A, b, basis, B_inv, xB)
@@ -126,6 +126,12 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         ratios[pos] = xB[pos] / d[pos]
         theta = ratios.min()
         ties = np.flatnonzero(ratios <= theta + 1e-12)
+        if ties.size > 1:
+            # a tied row leaving in place of the minimum-ratio row r moves
+            # the basic value of r below 0 by the ratio gap times d[r]; on
+            # large pivots the band narrows so that this stays below 1e-12
+            band = 1e-12 / max(1.0, d[ties].max())
+            ties = ties[ratios[ties] <= theta + band]
         if theta == 0.0:
             # Bland tie-break: leave the variable with the smallest index
             leave_row = int(ties[np.argmin(basis[ties])])
@@ -201,10 +207,6 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
         y = None
         if warm is not None:
             try:
-                if j:
-                    # the inverse carried over from the objective before
-                    # has drifted; start from a fresh one
-                    _refactor(full, b, *warm)
                 y = _phase2(full, b, cost2, n_std, twin, warm, budget,
                             REFACTOR_EVERY)
                 if np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL:
@@ -242,6 +244,7 @@ def _phase1(full, b, n_std, twin, max_iter, refactor_every):
 
     # drive leftover artificials out of the basis where a real pivot exists;
     # rows with no real pivot are redundant and the artificial stays inert
+    driven = False
     for row in range(m):
         if basis[row] < n_std:
             continue
@@ -256,7 +259,9 @@ def _phase1(full, b, n_std, twin, max_iter, refactor_every):
         others = np.arange(m) != row
         B_inv[others, :] -= np.outer(d[others], B_inv[row, :])
         basis[row] = enter
-        xB = np.maximum(B_inv @ b, 0.0)
+        driven = True
+    if driven:
+        _refactor(full, b, basis, B_inv, xB)
     return (basis, B_inv, xB), max_iter - used
 
 
