@@ -70,14 +70,15 @@ def cmd_bounds(args) -> int:
     menu = lp.RelaxationMenu(args.lines)
     bounds = certify.output_bounds(net, spec, args.method, _frown_config(args),
                                    menu)
-    dumps = []
+    dump = ""
     if args.dump_lp:
         lines = [menu.layer_lines(net.activation, *bounds.layer(v))
                  for v in range(1, net.m)]
-        dumps = [lp.dump_lp(lp.build_lp(net, spec, net.m, i, sense, bounds,
-                                         lines))
-                 for i in range(net.layer_width(net.m))
-                 for sense in ("lower", "upper")]
+        width = net.layer_width(net.m)
+        dump = lp.dump_lp(lp.build_lp(net, spec, net.m,
+                                      np.repeat(np.arange(width), 2),
+                                      ("lower", "upper") * width, bounds,
+                                      lines))
     doc = {
         "network": args.network,
         "sample": args.sample,
@@ -97,7 +98,7 @@ def cmd_bounds(args) -> int:
     _write_report(doc, args.out)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
-            fh.write("\n".join(dumps))
+            fh.write(dump)
     return 0
 
 

@@ -41,15 +41,14 @@ class LpUnsupportedError(ValueError):
 
 @dataclass
 class LpProblem:
-    """A dense LP: optimize c.v + c0 over A_eq v = b_eq, A_ub v <= b_ub.
-
-    A ``c`` of shape (objectives, n_vars) holds several objectives over the
-    same rows, with one ``sense`` and one ``c0`` entry per objective.
+    """A dense LP with one or more objectives over the same rows: optimize
+    c[j].v + c0[j] in sense[j] ("min" or "max") over A_eq v = b_eq,
+    A_ub v <= b_ub, for each row j of ``c``.
     """
 
-    sense: str | list
+    sense: list
     c: np.ndarray
-    c0: float | list
+    c0: list
     A_eq: np.ndarray
     b_eq: np.ndarray
     A_ub: np.ndarray
@@ -59,7 +58,7 @@ class LpProblem:
 
     @property
     def n_vars(self) -> int:
-        return self.c.shape[-1]
+        return self.c.shape[1]
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,10 @@ class RelaxationMenu:
         return (*self.side_lines(low), *self.side_lines(up))
 
 
-def build_lp(net: Network, spec: PerturbationSpec, k: int, i, sense,
+def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
              bounds: crown.LayerBounds, lines) -> LpProblem:
-    """Assemble the relaxed LP for neuron i of layer k.
+    """Assemble the relaxed LP of layer k, with objective j bounding neuron
+    ``neurons[j]`` on side ``sides[j]`` ("lower" or "upper").
 
     ``bounds`` gives the intervals of layers < k, and ``lines[v-1]`` layer
     v's lines (slope_lower, intercept_lower, slope_upper, intercept_upper):
@@ -144,10 +144,6 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i, sense,
     by layer and within a layer neuron by neuron, the lower lines
     a >= s z + t as s z - a <= -t, the upper lines a <= s z + t as
     a - s z <= t, then z <= u and -z <= -l; the ball rows come last.
-
-    ``i`` and ``sense`` may also be sequences of equal length: the LP then
-    has one objective per pair, neuron i[j] of layer k bounded on side
-    sense[j], and its ``sense`` and ``c0`` are lists.
     """
     check_input(net, spec.x0)
     if spec.p not in (1.0, math.inf):
@@ -155,6 +151,11 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i, sense,
             "the relaxation is a linear program only for p in {1, inf}")
     if k < 2 or k > net.m:
         raise ValueError(f"layer index {k} out of range [2, {net.m}]")
+    neurons = [int(i) for i in neurons]
+    sides = list(sides)
+    if len(sides) != len(neurons) or not set(sides) <= set(relax.SIDES):
+        raise ValueError(f"need one side 'lower' or 'upper' per neuron, got "
+                         f"{sides!r} for neurons {neurons!r}")
     widths = net.widths[1:k]
     before = np.cumsum((0,) + widths[:-1])     # neurons in the layers below
     z_at = net.n + 2 * before                  # first column of each z(v)
@@ -195,29 +196,28 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, i, sense,
         rhs.append(b[order])
     ball_A, ball_b = ball_rows(spec, total, r_col=r_at)
 
-    # objective: row i of the layer-k affine map, over a(k-1)
-    rows = net.weights[k - 1][i]
-    c = np.zeros(rows.shape[:-1] + (total,))
-    c[..., r_at - widths[-1]:r_at] = rows
+    # objective j: row neurons[j] of the layer-k affine map, over a(k-1)
+    c = np.zeros((len(neurons), total))
+    c[:, r_at - widths[-1]:r_at] = net.weights[k - 1][neurons]
     return LpProblem(
-        sense=np.where(np.equal(sense, "lower"), "min", "max").tolist(),
+        sense=["min" if side == "lower" else "max" for side in sides],
         c=c,
-        c0=net.biases[k - 1][i].tolist(),
+        c0=net.biases[k - 1][neurons].tolist(),
         A_eq=A_eq,
         b_eq=np.concatenate(net.biases[:k - 1]),
         A_ub=np.vstack(ub_blocks + [ball_A]),
         b_ub=np.concatenate(rhs + [ball_b]),
         names=names,
-        meta={"k": k, "i": i, "sense": sense},
+        meta={"k": k, "neurons": neurons, "sides": sides},
     )
 
 
 def solve(problem: LpProblem):
-    """Optimal value and primal point, with a feasibility certificate check;
-    arrays of them, one entry per objective, for several objectives."""
+    """Optimal values and primal points, one entry (row) per objective, with
+    a feasibility certificate check."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
-        sense=problem.sense)
+        problem.sense)
     if problem.A_eq.shape[0]:
         eq_gap = np.abs(point @ problem.A_eq.T - problem.b_eq).max()
         if eq_gap > CERT_TOL:
@@ -250,32 +250,36 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     for k in range(2, net.m + 1):
         lines.append(menu.layer_lines(net.activation, *bounds.layer(k - 1)))
         w = net.layer_width(k)
-        neurons = np.tile(np.arange(w), 2)
         sides = ("lower",) * w + ("upper",) * w
-        values = solve(build_lp(net, spec, k, neurons, sides, bounds,
-                                lines))[0]
+        values = solve(build_lp(net, spec, k, list(range(w)) * 2, sides,
+                                bounds, lines))[0]
         bounds.lower.append(values[:w])
         bounds.upper.append(values[w:])
     return bounds
 
 
 def dump_lp(problem: LpProblem) -> str:
-    """Textual listing of the LP (objective, then rows) for external checks."""
-    parts = []
+    """Textual listing of the LP for external checks: for each objective in
+    turn, its objective and then every row, the listings blank-line apart."""
     meta = problem.meta
-    if meta:
-        parts.append(f"\\ layer {meta.get('k')} neuron {meta.get('i')} "
-                     f"{meta.get('sense')}")
-    parts.append(("minimize: " if problem.sense == "min" else "maximize: ")
-                 + _poly(problem.c, problem.names)
-                 + (f" + {problem.c0!r}" if problem.c0 else ""))
-    parts.append("subject to:")
-    for row, rhs in zip(problem.A_eq, problem.b_eq):
-        parts.append(f"  {_poly(row, problem.names)} = {float(rhs)!r}")
-    for row, rhs in zip(problem.A_ub, problem.b_ub):
-        parts.append(f"  {_poly(row, problem.names)} <= {float(rhs)!r}")
-    parts.append("free: " + " ".join(problem.names))
-    return "\n".join(parts) + "\n"
+    rows = ["subject to:"]
+    rows += [f"  {_poly(row, problem.names)} = {float(rhs)!r}"
+             for row, rhs in zip(problem.A_eq, problem.b_eq)]
+    rows += [f"  {_poly(row, problem.names)} <= {float(rhs)!r}"
+             for row, rhs in zip(problem.A_ub, problem.b_ub)]
+    rows.append("free: " + " ".join(problem.names))
+    listings = []
+    for j, (sense, c, c0) in enumerate(zip(problem.sense, problem.c,
+                                           problem.c0)):
+        parts = []
+        if meta:
+            parts.append(f"\\ layer {meta['k']} neuron {meta['neurons'][j]} "
+                         f"{meta['sides'][j]}")
+        parts.append(("minimize: " if sense == "min" else "maximize: ")
+                     + _poly(c, problem.names)
+                     + (f" + {c0!r}" if c0 else ""))
+        listings.append("\n".join(parts + rows) + "\n")
+    return "\n".join(listings)
 
 
 def _poly(coeffs, names) -> str:

@@ -135,7 +135,8 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
     def feasible(rows, rhs):
         try:
             simplex.solve_inequality_form(
-                np.zeros(n_vars), None, None, np.array(rows), np.array(rhs))
+                np.zeros((1, n_vars)), None, None, np.array(rows),
+                np.array(rhs), ["min"])
             return True
         except simplex.InfeasibleError:
             return False
@@ -147,7 +148,7 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         try:
             (vmin, vmax), (pmin, pmax) = simplex.solve_inequality_form(
                 np.stack([c, c]), None, None, np.array(rows), np.array(rhs),
-                sense=("min", "max"))
+                ["min", "max"])
         except simplex.InfeasibleError:
             state["patterns"] -= 1
             return

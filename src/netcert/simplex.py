@@ -1,7 +1,7 @@
 """Dense two-phase revised simplex with Bland's rule.
 
 Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  with free
-variables v, for one objective or several over the same rows.  Internally
+variables v, for one or more objectives over the same rows.  Internally
 the problem moves to standard form once (v split into positive and negative
 parts, slacks added to the inequalities) and phase 1 runs once, from an
 all-artificial basis.  Each objective's phase 2 starts from the optimal
@@ -152,26 +152,25 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
             _refactor(A, b, basis, B_inv, xB)
 
 
-def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
+def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses,
                           max_iter=10**6):
-    """Solve the LP over free variables; returns (optimal value, v).
-
-    ``c`` may also hold one objective per row, with ``sense`` one sense for
-    all of them or a sequence of one per row; the values and points then
-    come back as arrays, one entry (row) per objective.  ``max_iter`` caps
-    the pivots of phase 1 plus one objective's phase 2.
+    """Solve the LP over free variables for every objective, one per row of
+    ``c``, each with its entry of ``senses`` ("min" or "max"); returns the
+    optimal values and points, one entry (row) per objective.  ``max_iter``
+    caps the pivots of phase 1 plus one objective's phase 2.
     """
-    c = np.asarray(c, dtype=float)
-    costs = np.atleast_2d(c)
+    costs = np.asarray(c, dtype=float)
+    senses = list(senses)
+    if (costs.ndim != 2 or len(senses) != len(costs)
+            or not set(senses) <= {"min", "max"}):
+        raise ValueError(f"c must hold one objective per row with a sense "
+                         f"'min' or 'max' per objective, got shape "
+                         f"{costs.shape} and senses {senses!r}")
     nv = costs.shape[1]
     A_eq = np.zeros((0, nv)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     A_ub = np.zeros((0, nv)) if A_ub is None else np.asarray(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    senses = [sense] * len(costs) if isinstance(sense, str) else list(sense)
-    if len(senses) != len(costs) or not set(senses) <= {"min", "max"}:
-        raise ValueError(f"sense must be 'min' or 'max', one per objective, "
-                         f"got {sense!r}")
 
     n_eq, n_ub = A_eq.shape[0], A_ub.shape[0]
     m = n_eq + n_ub
@@ -220,8 +219,6 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, sense="min",
         points[j] = y[:nv] - y[nv:2 * nv]
         value = float(obj @ points[j])
         values[j] = -value if sense_j == "max" else value
-    if c.ndim == 1:
-        return float(values[0]), points[0]
     return values, points
 
 

@@ -76,7 +76,7 @@ def shared_lines_lp(net: Network, spec) -> crown.LayerBounds:
     for k in range(2, net.m + 1):
         for sense, out in zip(relax.SIDES, (lows, ups)):
             out.append(np.array([
-                lp.solve(lp.build_lp(net, spec, k, i, sense, bounds,
-                                     lines))[0]
+                lp.solve(lp.build_lp(net, spec, k, [i], [sense], bounds,
+                                     lines))[0][0]
                 for i in range(net.layer_width(k))]))
     return crown.LayerBounds(lows, ups)

@@ -18,9 +18,9 @@ from conftest import crown_lines, shared_lines_lp, toy_relu_net
 
 def test_simplex_min_on_unit_interval():
     # min x s.t. 0 <= x <= 1
-    value, point = simplex.solve_inequality_form(
-        np.array([1.0]), None, None,
-        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+    (value,), (point,) = simplex.solve_inequality_form(
+        np.array([[1.0]]), None, None,
+        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), ["min"])
     assert value == pytest.approx(0.0, abs=1e-12)
     assert point[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -33,20 +33,23 @@ def test_simplex_box_corner_matches_hand_value():
         # box [0,1]^d plus a redundant sum constraint
         A = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
         b = np.concatenate([np.ones(d), np.zeros(d), [float(d)]])
-        value, point = simplex.solve_inequality_form(c, None, None, A, b)
+        (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
+                                                    ["min"])
         assert value == pytest.approx(np.minimum(c, 0.0).sum(), abs=1e-9)
-        value, _ = simplex.solve_inequality_form(c, None, None, A, b, sense="max")
+        (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
+                                                    ["max"])
         assert value == pytest.approx(np.maximum(c, 0.0).sum(), abs=1e-9)
 
 
 def test_simplex_with_equalities():
     # min x + y s.t. x + y + z = 1, 0 <= all <= 1  -> 0 at z = 1
-    c = np.array([1.0, 1.0, 0.0])
+    c = np.array([[1.0, 1.0, 0.0]])
     A_eq = np.array([[1.0, 1.0, 1.0]])
     b_eq = np.array([1.0])
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.concatenate([np.ones(3), np.zeros(3)])
-    value, point = simplex.solve_inequality_form(c, A_eq, b_eq, A, b)
+    (value,), (point,) = simplex.solve_inequality_form(c, A_eq, b_eq, A, b,
+                                                       ["min"])
     assert value == pytest.approx(0.0, abs=1e-9)
     assert point[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -55,14 +58,16 @@ def test_simplex_detects_infeasible():
     A = np.array([[1.0], [-1.0]])
     b = np.array([0.0, -1.0])  # x <= 0 and x >= 1
     with pytest.raises(simplex.InfeasibleError):
-        simplex.solve_inequality_form(np.array([1.0]), None, None, A, b)
+        simplex.solve_inequality_form(np.array([[1.0]]), None, None, A, b,
+                                      ["min"])
 
 
 def test_simplex_detects_unbounded():
     A = np.array([[-1.0]])
     b = np.array([0.0])  # x >= 0, minimize -x
     with pytest.raises(simplex.UnboundedError):
-        simplex.solve_inequality_form(np.array([-1.0]), None, None, A, b)
+        simplex.solve_inequality_form(np.array([[-1.0]]), None, None, A, b,
+                                      ["min"])
 
 
 def test_simplex_never_prices_the_twin_of_a_basic_column():
@@ -89,14 +94,16 @@ def test_simplex_solves_several_objectives_over_one_feasible_set():
     b = np.array([1.0, 2.0, 1.0, 2.0])
     c = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
     values, points = simplex.solve_inequality_form(
-        c, None, None, A, b, sense=("min", "max", "max"))
+        c, None, None, A, b, ["min", "max", "max"])
     assert values.tolist() == [-3.0, 3.0, 2.0]
     assert points[:2].tolist() == [[-1.0, -2.0], [1.0, -2.0]]
-    values, _ = simplex.solve_inequality_form(c, None, None, A, b)
+    values, _ = simplex.solve_inequality_form(c, None, None, A, b,
+                                              ["min"] * 3)
     assert values.tolist() == [-3.0, -3.0, -2.0]
-    with pytest.raises(ValueError, match="one per objective"):
-        simplex.solve_inequality_form(c, None, None, A, b,
-                                      sense=("min", "max"))
+    for bad_c, senses in ((c, ["min", "max"]), (c, "min"),
+                          (c[0], ["min"])):
+        with pytest.raises(ValueError, match="per objective"):
+            simplex.solve_inequality_form(bad_c, None, None, A, b, senses)
 
 
 def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
@@ -117,7 +124,7 @@ def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
     b = np.array([1.0, 2.0, 1.0, 2.0])
     values, points = simplex.solve_inequality_form(
         np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
-        sense=("min", "max"))
+        ["min", "max"])
     assert values.tolist() == [-3.0, 3.0]
     assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
     assert refactor_every == [simplex.REFACTOR_EVERY, 1] * 2
@@ -190,14 +197,14 @@ def test_build_lp_counts_for_two_layer_single_menu():
     net = generate_random_network(0, [3, 5, 2], "relu", scale=1.0)
     spec = PerturbationSpec(np.zeros(3), np.inf, 0.2)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
-    prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
+    prob = lp.build_lp(net, spec, 2, [0], ["lower"], bounds,
                        menu_lines(net, bounds, "single", 2))
     n, n1 = 3, 5
     assert prob.n_vars == n + 2 * n1
     assert prob.A_eq.shape[0] == n1
     # 2*n1 line rows + 2*n1 interval rows + 2*n ball rows
     assert prob.A_ub.shape[0] == 2 * n1 + 2 * n1 + 2 * n
-    assert prob.c0 == pytest.approx(net.biases[1][0])
+    assert prob.c0 == [pytest.approx(net.biases[1][0])]
 
 
 def per_entry_lp(net, spec, k, i, bounds, lines):
@@ -259,8 +266,8 @@ def test_build_lp_matches_per_entry_reference(act, p):
         for lines in (crown_lines(net, bounds), menu_lines(net, bounds, "single", k),
                       menu_lines(net, bounds, "multi", k)):
             for i, sense in ((0, "lower"), (1, "upper")):
-                prob = lp.build_lp(net, spec, k, i, sense, bounds, lines)
-                got = (prob.c, prob.A_eq, prob.b_eq, prob.A_ub, prob.b_ub)
+                prob = lp.build_lp(net, spec, k, [i], [sense], bounds, lines)
+                got = (prob.c[0], prob.A_eq, prob.b_eq, prob.A_ub, prob.b_ub)
                 want = per_entry_lp(net, spec, k, i, bounds, lines)
                 # same bits, so signed zeros too
                 assert [g.tobytes() for g in got] == \
@@ -293,7 +300,7 @@ def test_build_lp_rejects_wrong_length_x0():
     for x0 in (np.zeros(2), np.zeros(4)):
         bad = PerturbationSpec(x0, np.inf, 0.2)
         with pytest.raises(ModelError):
-            lp.build_lp(net, bad, 2, 0, "lower", bounds,
+            lp.build_lp(net, bad, 2, [0], ["lower"], bounds,
                         menu_lines(net, bounds, "multi", 2))
         with pytest.raises(ModelError):
             lp.lp_propagate(net, bad)
@@ -304,7 +311,7 @@ def test_build_lp_rejects_p2():
     spec = PerturbationSpec(np.zeros(1), 2, 0.2)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     with pytest.raises(lp.LpUnsupportedError):
-        lp.build_lp(net, spec, 2, 0, "lower", bounds,
+        lp.build_lp(net, spec, 2, [0], ["lower"], bounds,
                     menu_lines(net, bounds, "multi", 2))
     with pytest.raises(lp.LpUnsupportedError):
         lp.lp_propagate(net, spec)
@@ -320,7 +327,7 @@ def test_center_point_satisfies_every_constraint(p, act):
     from netcert.model import ACTIVATIONS
     f = ACTIVATIONS[act]
     for k in (2, 3):
-        prob = lp.build_lp(net, spec, k, 0, "lower", bounds,
+        prob = lp.build_lp(net, spec, k, [0], ["lower"], bounds,
                            menu_lines(net, bounds, "multi", k))
         assign = np.zeros(prob.n_vars)
         assign[:net.n] = x0
@@ -345,8 +352,8 @@ def test_toy_lower_lp_matches_closed_form_for_each_slope():
     for s in (0.0, 0.5, 1.0):
         lines = [(np.array([s]), np.array([0.0]),
                   np.array([0.5]), np.array([0.5]))]
-        prob = lp.build_lp(net, spec, 2, 0, "lower", bounds, lines)
-        value, _ = lp.solve(prob)
+        prob = lp.build_lp(net, spec, 2, [0], ["lower"], bounds, lines)
+        (value,), _ = lp.solve(prob)
         assert value == pytest.approx(-spec.epsilon * s, abs=1e-9)
 
 
@@ -358,13 +365,13 @@ def test_solver_certificate_on_random_instances():
         lines = menu_lines(net, bounds, "multi", k)
         for i in (0, 1):
             for sense in ("lower", "upper"):
-                prob = lp.build_lp(net, spec, k, i, sense, bounds, lines)
-                value, point = lp.solve(prob)
+                prob = lp.build_lp(net, spec, k, [i], [sense], bounds, lines)
+                (value,), (point,) = lp.solve(prob)
                 assert np.all(prob.A_ub @ point <= prob.b_ub + 1e-7)
                 if prob.A_eq.shape[0]:
                     assert np.allclose(prob.A_eq @ point, prob.b_eq, atol=1e-7)
                 assert value == pytest.approx(
-                    float(prob.c @ point) + prob.c0, abs=1e-7)
+                    float(prob.c[0] @ point) + prob.c0[0], abs=1e-7)
 
 
 # --- lp_propagate ----------------------------------------------------------------
@@ -420,13 +427,13 @@ def test_adding_valid_rows_never_loosens_the_optimum():
     net = generate_random_network(2, [3, 5, 2], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.zeros(3), np.inf, 0.4)
     bounds = crown.propagate(net, spec)
-    prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
+    prob = lp.build_lp(net, spec, 2, [0], ["lower"], bounds,
                        menu_lines(net, bounds, "single", 2))
-    base, _ = lp.solve(prob)
+    (base,), _ = lp.solve(prob)
     # append the other menu's rows: a feasible-set subset
-    prob2 = lp.build_lp(net, spec, 2, 0, "lower", bounds,
+    prob2 = lp.build_lp(net, spec, 2, [0], ["lower"], bounds,
                         menu_lines(net, bounds, "multi", 2))
-    more, _ = lp.solve(prob2)
+    (more,), _ = lp.solve(prob2)
     assert more >= base - 1e-9
 
 
@@ -452,13 +459,17 @@ def test_dump_lp_lists_every_row():
     net = toy_relu_net()
     spec = PerturbationSpec(np.zeros(1), np.inf, 0.5)
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
-    prob = lp.build_lp(net, spec, 2, 0, "lower", bounds,
-                       menu_lines(net, bounds, "multi", 2))
+    lines = menu_lines(net, bounds, "multi", 2)
+    prob = lp.build_lp(net, spec, 2, [0], ["lower"], bounds, lines)
     text = lp.dump_lp(prob)
     assert text.count("<=") == prob.A_ub.shape[0]
     assert text.count("=") >= prob.A_eq.shape[0]
     assert "minimize" in text
     assert "z1_0" in text and "a1_0" in text
+    # an LP with several objectives lists each one's LP in turn
+    both = lp.build_lp(net, spec, 2, [0, 0], ["lower", "upper"], bounds, lines)
+    upper = lp.build_lp(net, spec, 2, [0], ["upper"], bounds, lines)
+    assert lp.dump_lp(both) == text + "\n" + lp.dump_lp(upper)
 
 
 def test_dump_lp_writes_plain_floats():
@@ -467,7 +478,7 @@ def test_dump_lp_writes_plain_floats():
     bounds = crown.LayerBounds(*map(list, zip(crown.layer1_bounds(net, spec))))
     lines = menu_lines(net, bounds, "multi", 2)
     for sense in ("lower", "upper"):
-        text = lp.dump_lp(lp.build_lp(net, spec, 2, 0, sense, bounds, lines))
+        text = lp.dump_lp(lp.build_lp(net, spec, 2, [0], [sense], bounds, lines))
         assert "np." not in text
         numbers = 0
         for line in text.splitlines():
