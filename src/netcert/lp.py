@@ -151,11 +151,7 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
             "the relaxation is a linear program only for p in {1, inf}")
     if k < 2 or k > net.m:
         raise ValueError(f"layer index {k} out of range [2, {net.m}]")
-    neurons = [int(i) for i in neurons]
-    sides = list(sides)
-    if len(sides) != len(neurons) or not set(sides) <= set(relax.SIDES):
-        raise ValueError(f"need one side 'lower' or 'upper' per neuron, got "
-                         f"{sides!r} for neurons {neurons!r}")
+    neurons = list(neurons)     # a tuple would index net.weights as 2-D
     widths = net.widths[1:k]
     before = np.cumsum((0,) + widths[:-1])     # neurons in the layers below
     z_at = net.n + 2 * before                  # first column of each z(v)
