@@ -1,18 +1,19 @@
-"""Robustness certificates: margin checks at fixed radius and binary search.
+"""Robustness certificates: margin checks at fixed radius and radius search.
 
 A prediction is certified at radius eps when the lower bound of the labeled
 logit stays above the upper bounds of the competing logits over the whole
-ball.  The largest certifiable radius is found by exponential bracketing
-followed by bisection; every probe re-derives all bounds from scratch at the
-probed radius (the admissible line families depend on the intervals, which
-depend on eps, so reusing state across probes would not be sound).
+ball.  Every probe re-derives all bounds from scratch at the probed radius
+(the admissible line families depend on the intervals, which depend on eps,
+so reusing state across probes would not be sound).  The largest
+certifiable radius is the end of one walk, exponential bracketing and then
+bisection, whose unprobed points crown and lp searches predict from the
+margins already probed.
 
-A frown probe first asks crown (the crown screen).  frown folds crown's
-bounds into every layer, so a margin crown certifies frown certifies too,
-and such a probe is answered without running the optimizer: the probes and
-the radius are the ones frown alone would give.  A probe answered by crown
-keeps no margins, so the certificate's margins are frown's, computed at the
-final radius if its probe was screened.
+A frown search probes every point of the walk, each first asking crown
+(the crown screen).  frown folds crown's bounds into every layer, so a
+margin crown certifies frown certifies too, and such a probe is answered
+without running the optimizer.  It keeps no margins, so the certificate's
+margins are frown's, computed at the final radius if its probe was screened.
 """
 
 from __future__ import annotations
@@ -87,86 +88,135 @@ def certified_at(net: Network, x0, label: int, epsilon: float, p,
     spec = PerturbationSpec(x0, p, epsilon)
     bounds = output_bounds(net, spec, method, frown_config, lp_menu)
     marg = crown.margins(bounds.output_lower, bounds.output_upper, label)
+    return _score(marg, label, target) >= 0.0, marg
+
+
+def _score(marg: np.ndarray, label: int, target: int | None) -> float:
+    """The margin certification rests on: the smallest, or the target's."""
     if target is None:
-        ok = bool(marg.size == 0 or marg.min() >= 0.0)
+        return float(marg.min()) if marg.size else math.inf
+    if target == label or target not in range(len(marg) + 1):
+        raise ValueError(f"bad target class {target}")
+    return float(marg[target - (target > label)])
+
+
+def _walk(answer, cap: float, rel_tol: float):
+    """Double from ``BRACKET_START`` to a failing ``answer(eps)`` (or halve to
+    a passing one), then bisect until ``(hi - lo) / lo <= rel_tol``: (radius,
+    the points the ending rests on, cap hit, never certified)."""
+    start = min(BRACKET_START, cap)
+    if answer(start):
+        lo = hi = start
+        while lo == hi and lo < cap:
+            hi = min(2.0 * lo, cap)
+            lo = hi if answer(hi) else lo
+        if lo == cap:
+            return cap, (cap,), True, False
     else:
-        n_out = len(bounds.output_lower)
-        if not 0 <= target < n_out or target == label:
-            raise ValueError(f"bad target class {target}")
-        pos = target if target < label else target - 1
-        ok = bool(marg[pos] >= 0.0)
-    return ok, marg
+        hi = start
+        for i in range(1, BRACKET_HALVINGS + 1):
+            lo = start * 2.0 ** -i
+            if answer(lo):
+                break
+            hi = lo
+        else:
+            return 0.0, (hi,), False, True
+    while (hi - lo) / lo > rel_tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if answer(mid) else (lo, mid)
+    return lo, (lo, hi), False, False
+
+
+class _Guess:
+    """Answers the walk by the score of a known radius (eps = 0: the logit
+    gap), else by ``eps <= root``.  With c and u the tightest certified and
+    uncertified radii, ``root`` is the root of the secant through the two
+    largest certified radii if below u (Dekker's step), else infinite while
+    u is unknown, else the Illinois regula-falsi root between c and u
+    (Dowell and Jarratt, BIT 11, 1971): an end's score is halved k - 1 times
+    once it stayed put on k >= 2 updates in a row.  ``low`` marks the
+    latter, which on a margin concave in eps is below the true root."""
+
+    def __init__(self, gap: float):
+        self.known, self.ends, self.stays = {}, (None, math.inf), [0, 0]
+        self.add(0.0, gap)
+
+    def answer(self, eps: float) -> bool:
+        score = self.known.get(eps)
+        return eps <= self.root if score is None else score >= 0.0
+
+    def add(self, eps: float, score: float) -> None:
+        known = self.known
+        known[eps] = score      # certified iff >= 0
+        u = min((e for e, s in known.items() if s < 0.0), default=math.inf)
+        cert = sorted(e for e, s in known.items() if s >= 0.0 and e < u)
+        c = cert[-1] if cert else None
+        old, self.ends = self.ends, (c, u)
+        if old[1] < math.inf:
+            moved = [a != b for a, b in zip(old, self.ends)]
+            self.stays = [0 if moved[k] else self.stays[k] + moved[1 - k]
+                          for k in (0, 1)]
+        self.root, self.low = (math.inf if cert else 0.0), False
+        if len(cert) > 1:
+            slope = (known[c] - known[cert[-2]]) / (c - cert[-2])
+            if slope < 0.0 and c - known[c] / slope < u:
+                self.root = c - known[c] / slope
+                return
+        if cert and u < math.inf:
+            sc, su = (known[e] * 0.5 ** max(k - 1, 0)
+                      for e, k in zip(self.ends, self.stays))
+            self.root, self.low = c + sc * (u - c) / (sc - su), True
 
 
 def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
                    target: int | None = None, rel_tol: float = 1e-3,
                    cap: float = 10.0, frown_config=None,
                    lp_menu=None) -> Certificate:
-    """Largest certifiable radius by exponential bracketing plus bisection."""
+    """Largest certifiable radius: the end of ``_walk``.  frown probes every
+    point of the walk.  crown and lp walk on ``_Guess``'s answers, probe an
+    unprobed point the ending rests on (the upper one if ``_Guess.low``)
+    and walk again until none is left.  The radius is a probed certified
+    point, a probed uncertified one (or the cap) within ``rel_tol`` above
+    it, and the radius of probing every point if certification is monotone.
+    """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     if not (cap > 0 and math.isfinite(cap)):
         raise ModelError(f"cap must be positive and finite, got {cap}")
     t_start = time.perf_counter()
-    state = {"count": 0, "margins": {}}
+    probed = {}  # eps -> margins, None where the crown screen answered
 
     def probe(eps: float) -> bool:
-        state["count"] += 1
         if method == "frown" and certified_at(net, x0, label, eps, p,
                                               "crown", target)[0]:
+            probed[eps] = None
             return True
-        ok, marg = certified_at(net, x0, label, eps, p, method, target,
-                                frown_config, lp_menu)
-        state["margins"][eps] = marg
+        ok, probed[eps] = certified_at(net, x0, label, eps, p, method,
+                                       target, frown_config, lp_menu)
         return ok
 
-    def done(eps_cert, cap_hit=False, never=False):
-        marg = state["margins"].get(eps_cert)
-        if marg is None:
-            _, marg = certified_at(net, x0, label, eps_cert, p, method,
-                                   target, frown_config, lp_menu)
-        return Certificate(
-            epsilon_certified=float(eps_cert),
-            mode="untargeted" if target is None else "targeted",
-            method=method, p=PerturbationSpec(np.asarray(x0, float), p, 0.0).p,
-            label=label, target=target, margins=marg,
-            wall_time=time.perf_counter() - t_start,
-            iterations=state["count"], cap_hit=cap_hit,
-            never_certified=never, rel_tol=rel_tol)
-
-    start = min(BRACKET_START, cap)
-    if probe(start):
-        if start == cap:
-            return done(cap, cap_hit=True)
-        lo = start
-        hi = None
-        while hi is None:
-            nxt = lo * 2.0
-            if nxt >= cap:
-                if probe(cap):
-                    return done(cap, cap_hit=True)
-                hi = cap
-            elif probe(nxt):
-                lo = nxt
-            else:
-                hi = nxt
-    else:
-        lo = None
-        hi = start
-        for i in range(1, BRACKET_HALVINGS + 1):
-            eps = start * 2.0 ** (-i)
-            if probe(eps):
-                lo = eps
-                hi = eps * 2.0
-                break
-            hi = eps
-        if lo is None:
-            return done(0.0, never=True)
-
-    while (hi - lo) / lo > rel_tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return done(lo)
+    if method != "frown":
+        logits = forward(net, np.asarray(x0, dtype=float))
+        gaps = crown.margins(logits, logits, label)
+        guess = _Guess(_score(gaps, label, target))
+    answer = probe if method == "frown" else guess.answer
+    while True:
+        radius, needed, cap_hit, never = _walk(answer, cap, rel_tol)
+        todo = [eps for eps in needed if eps not in probed]
+        if not todo:
+            break
+        eps = todo[-1] if guess.low else todo[0]
+        probe(eps)
+        guess.add(eps, _score(probed[eps], label, target))
+    marg = probed.get(radius)
+    if marg is None:
+        _, marg = certified_at(net, x0, label, radius, p, method, target,
+                               frown_config, lp_menu)
+    return Certificate(
+        epsilon_certified=float(radius),
+        mode="untargeted" if target is None else "targeted",
+        method=method, p=PerturbationSpec(np.asarray(x0, float), p, 0.0).p,
+        label=label, target=target, margins=marg,
+        wall_time=time.perf_counter() - t_start,
+        iterations=len(probed), cap_hit=cap_hit, never_certified=never,
+        rel_tol=rel_tol)

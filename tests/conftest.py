@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 
-from netcert import crown, lp, relax
+from netcert import certify, crown, lp, relax
 from netcert.model import Network, forward_batch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -80,3 +80,51 @@ def shared_lines_lp(net: Network, spec) -> crown.LayerBounds:
                                      lines))[0][0]
                 for i in range(net.layer_width(k))]))
     return crown.LayerBounds(lows, ups)
+
+
+def bisect_radius(certified, cap: float, rel_tol: float = 1e-3):
+    """The radius search that probes every point it visits: exponential
+    bracketing from ``certify.BRACKET_START``, then bisection.
+    ``certified(eps)`` answers one probe.  Returns (radius, probed radii in
+    order, cap hit, never certified)."""
+    probes = []
+
+    def probe(eps: float) -> bool:
+        probes.append(eps)
+        return certified(eps)
+
+    start = min(certify.BRACKET_START, cap)
+    if probe(start):
+        if start == cap:
+            return cap, probes, True, False
+        lo = start
+        hi = None
+        while hi is None:
+            nxt = lo * 2.0
+            if nxt >= cap:
+                if probe(cap):
+                    return cap, probes, True, False
+                hi = cap
+            elif probe(nxt):
+                lo = nxt
+            else:
+                hi = nxt
+    else:
+        lo = None
+        hi = start
+        for i in range(1, certify.BRACKET_HALVINGS + 1):
+            eps = start * 2.0 ** (-i)
+            if probe(eps):
+                lo = eps
+                hi = eps * 2.0
+                break
+            hi = eps
+        if lo is None:
+            return 0.0, probes, False, True
+    while (hi - lo) / lo > rel_tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, probes, False, False

@@ -6,12 +6,18 @@ from netcert.model import (
     ModelError,
     Network,
     PerturbationSpec,
+    forward,
     generate_random_network,
     load_network,
     load_sample,
 )
 
-from conftest import boundary_sample, data_path, linear_two_class_net
+from conftest import (
+    bisect_radius,
+    boundary_sample,
+    data_path,
+    linear_two_class_net,
+)
 
 
 def test_certified_at_linear_net():
@@ -87,6 +93,8 @@ def test_never_certified_flag():
         cert = certify.search_epsilon(net, [0.5], 1, np.inf)
     assert cert.never_certified
     assert cert.epsilon_certified == 0.0
+    # the cap, then the smallest halving point
+    assert cert.iterations <= 3
 
 
 def test_radius_ordering_crown_frown():
@@ -228,3 +236,123 @@ def test_certificate_serialization_round_trip():
     assert doc["p"] == 1.0
     assert doc["method"] == "crown"
     assert len(doc["margins"]) == 1
+
+
+def recorded_probes(monkeypatch) -> dict:
+    """Every radius ``certify.certified_at`` answers from now on, with its
+    answer."""
+    probed = {}
+    original = certify.certified_at
+
+    def recording(*args, **kwargs):
+        ok, marg = original(*args, **kwargs)
+        probed[args[3]] = ok
+        return ok, marg
+
+    monkeypatch.setattr(certify, "certified_at", recording)
+    return probed
+
+
+def assert_probed_bracket(cert, probed: dict, cap: float):
+    """The radius is a probed certified point with a probed uncertified
+    point (or the cap) within rel_tol above it; a search that certifies
+    nothing probed the smallest halving point and failed there."""
+    eps = cert.epsilon_certified
+    if cert.never_certified:
+        smallest = min(certify.BRACKET_START, cap) * 2.0 ** (
+            -certify.BRACKET_HALVINGS)
+        assert probed[smallest] is False
+        return
+    assert probed[eps] is True
+    assert cert.cap_hit or any(
+        not ok and eps < e <= eps * (1 + cert.rel_tol)
+        for e, ok in probed.items())
+
+
+def _search_case(name: str):
+    if name.startswith("relu-"):
+        seed = int(name.split("-")[1])
+        net = generate_random_network(seed, [3, 8, 8, 3], "relu")
+        return (net, *boundary_sample(net, seed))
+    network, sample = {
+        "linear2": ("linear2.json", "linear2_sample.json"),
+        "toy": ("toy_relu.json", "toy_sample.json"),
+        "sigmoid": ("sigmoid_3_10_10_2.json", "small3_sample.json"),
+        "tanh": ("tanh_3_10_10_2.json", "small3_sample.json"),
+    }[name]
+    net = load_network(data_path(network))
+    x0, _ = load_sample(data_path(sample))
+    # the network's own prediction: small3_sample's label is the golden
+    # files' label, which the sigmoid net does not predict
+    return net, x0, int(np.argmax(forward(net, x0)))
+
+
+@pytest.mark.parametrize("method", ["crown", "lp"])
+@pytest.mark.parametrize("name", ["linear2", "toy", "sigmoid", "tanh",
+                                  "relu-0", "relu-1", "relu-2", "relu-3"])
+def test_guided_search_ends_where_bisection_does(name, method, monkeypatch):
+    net, x0, label = _search_case(name)
+    cap, rel_tol = 1.0, 1e-2
+    ref, ref_probes, ref_cap_hit, ref_never = bisect_radius(
+        lambda eps: certify.certified_at(net, x0, label, eps, np.inf,
+                                         method)[0], cap, rel_tol)
+    probed = recorded_probes(monkeypatch)
+    cert = certify.search_epsilon(net, x0, label, np.inf, method,
+                                  rel_tol=rel_tol, cap=cap)
+    assert cert.epsilon_certified == ref
+    assert (cert.cap_hit, cert.never_certified) == (ref_cap_hit, ref_never)
+    assert cert.iterations <= len(ref_probes)
+    assert_probed_bracket(cert, probed, cap)
+
+
+def test_frown_search_probes_every_point_of_the_bisection(monkeypatch):
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    original = certify.certified_at
+    for seed in range(2):
+        net = generate_random_network(seed, [6, 8, 8, 4], "sigmoid", scale=2.0)
+        x0, label = boundary_sample(net, 40 + seed)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args[3], args[5]))          # (eps, method)
+            return original(*args, **kwargs)
+
+        def screened(eps):
+            return (certify.certified_at(net, x0, label, eps, np.inf,
+                                         "crown")[0]
+                    or certify.certified_at(net, x0, label, eps, np.inf,
+                                            "frown", None, cfg)[0])
+
+        monkeypatch.setattr(certify, "certified_at", recording)
+        ref, ref_probes, _, _ = bisect_radius(screened, 2.0)
+        ref_calls = list(calls)
+        calls.clear()
+        cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
+                                      cap=2.0, frown_config=cfg)
+        monkeypatch.setattr(certify, "certified_at", original)
+        assert cert.epsilon_certified == ref
+        assert cert.iterations == len(ref_probes)
+        # after the walk, frown may run once more at a screened radius, for
+        # the certificate's margins
+        assert calls[:len(ref_calls)] == ref_calls
+        assert calls[len(ref_calls):] in ([], [(ref, "frown")])
+
+
+def test_crown_is_not_monotone_in_eps_and_the_search_keeps_a_bracket(
+        monkeypatch):
+    # crown's default relu lower slope is 1 when u >= -l and 0 otherwise;
+    # between eps 0.030 and 0.031 it flips for one layer-7 neuron, and the
+    # layer-8 and output intervals at 0.031 are not supersets of those at
+    # 0.030.  The sample is task 67 of perfbench crown-wide at seed 31
+    net = generate_random_network(4168402175, [20] + [24] * 8 + [10], "relu",
+                                  1.0)
+    x0, label = load_sample(data_path("nonmonotone_sample.json"))
+    assert label == 9
+    ok, marg = zip(*(certify.certified_at(net, x0, label, eps, 2.0)
+                     for eps in (0.026, 0.030, 0.031)))
+    assert ok == (True, False, True)
+    assert marg[1].min() == pytest.approx(-6.4, abs=0.05)
+    probed = recorded_probes(monkeypatch)
+    cert = certify.search_epsilon(net, x0, label, 2.0, "crown", cap=0.06)
+    assert not cert.cap_hit and not cert.never_certified
+    assert_probed_bracket(cert, probed, 0.06)

@@ -16,31 +16,24 @@ from conftest import shared_lines_lp  # noqa: E402
 
 ACTS = ("relu", "sigmoid", "tanh")
 
-#: the built-in simplex still fails on some LPs of sigmoid and tanh nets,
-#: whose near-parallel bounding lines give ill-conditioned bases (singular
-#: bases, inequality violations); relu LPs must always solve
-SMOOTH_LP = pytest.mark.xfail(raises=(simplex.SimplexError,
-                                      np.linalg.LinAlgError), strict=False,
-                              reason="built-in simplex fails on some LPs "
-                                     "of sigmoid/tanh nets")
-LP_ACTS = ["relu"] + [pytest.param(act, marks=SMOOTH_LP)
-                      for act in ("sigmoid", "tanh")]
-
 cases = st.tuples(
     st.integers(0, 2**16),                       # network seed
     st.sampled_from([1.0, math.inf]),            # p
     st.floats(-3.0, -0.3),                       # log10 eps
 )
 
-# one failure per test, so that a solver failure reaches the xfail marker
-# as itself rather than inside an exception group
+# one failure per test, reported as itself rather than inside an exception
+# group
 SETTINGS = settings(max_examples=12, deadline=None, report_multiple_bugs=False)
 
-#: the LP properties skip shrinking: it only minimizes an example that
-#: already fails, and shrinking one simplex failure on a tanh net once took
-#: 296 s, against about 7 s for the whole file
-LP_SETTINGS = settings(SETTINGS, phases=[phase for phase in Phase
-                                         if phase is not Phase.shrink])
+#: the LP properties draw the same cases on every run, with no example
+#: database, so a result does not depend on the run or on a local
+#: ``.hypothesis/`` directory.  They skip shrinking: it only minimizes an
+#: example that already fails, and shrinking one simplex failure on a tanh
+#: net once took 296 s, against about 7 s for the whole file
+LP_SETTINGS = settings(SETTINGS, derandomize=True, database=None,
+                       phases=[phase for phase in Phase
+                               if phase is not Phase.shrink])
 
 
 def build(act, seed, p, log_eps, widths=(3, 4, 3, 2)):
@@ -81,7 +74,7 @@ def multi_menu_never_looser_than_single(act, case):
                     assert value <= bound[i] + 1e-7
 
 
-@pytest.mark.parametrize("act", LP_ACTS)
+@pytest.mark.parametrize("act", ACTS)
 @LP_SETTINGS
 @given(case=cases)
 # a sigmoid net whose LP once reached a singular basis after a pivot of
@@ -92,7 +85,7 @@ def test_shared_lines_lp_equals_crown(act, case):
     shared_lines_lp_equals_crown(act, case)
 
 
-@pytest.mark.parametrize("act", LP_ACTS)
+@pytest.mark.parametrize("act", ACTS)
 @LP_SETTINGS
 @given(case=cases)
 # tanh net on which the two family ends alone were looser than single
@@ -101,8 +94,7 @@ def test_multi_menu_never_looser_than_single(act, case):
     multi_menu_never_looser_than_single(act, case)
 
 
-# sigmoid/tanh cases on which the simplex once failed; unlike the random
-# draws above they run without the SMOOTH_LP marker, so they must solve
+# sigmoid/tanh cases on which the simplex once failed; they must solve
 @pytest.mark.parametrize("prop, act, case", [
     # a singular basis after a pivot of 2e-9
     pytest.param(shared_lines_lp_equals_crown, "sigmoid", (1719, 1.0, -3.0),
@@ -168,7 +160,7 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
 
 
 @pytest.mark.parametrize("menu", ["single", "multi"])
-@pytest.mark.parametrize("act", LP_ACTS)
+@pytest.mark.parametrize("act", ACTS)
 @LP_SETTINGS
 @given(case=cases)
 # a sigmoid net whose multi-menu warm solve ended 3e-8 off its optimum on a
