@@ -186,15 +186,18 @@ def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
         gl, gu = (concretize_rows(*backward_rows(net, k, rows, lines, sense),
                                   spec, sense)
                   for sense in relax.SIDES)
-        _check_order(gl, gu, k)
-        lows.append(np.minimum(gl, gu))
-        ups.append(np.maximum(gl, gu))
+        low, up = ordered_bounds(gl, gu, k)
+        lows.append(low)
+        ups.append(up)
     return LayerBounds(lows, ups)
 
 
-def _check_order(gl: np.ndarray, gu: np.ndarray, k: int) -> None:
-    if np.any(gl > gu + _BOUND_ORDER_SLACK):
+def ordered_bounds(lower: np.ndarray, upper: np.ndarray, k: int):
+    """Each bound pair as (min, max): a zero-width interval's sides may cross
+    by float noise.  A crossing above _BOUND_ORDER_SLACK raises."""
+    if np.any(lower > upper + _BOUND_ORDER_SLACK):
         raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
+    return np.minimum(lower, upper), np.maximum(lower, upper)
 
 
 def margins(output_lower: np.ndarray, output_upper: np.ndarray,

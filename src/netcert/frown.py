@@ -365,13 +365,9 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
             [sense for sense in relax.SIDES for _ in groups], config,
             var_vec, seeds)
         _fold(best, np.arange(2 * width), gammas)
-        lower, upper = best[:width], -best[width:]
-        if np.any(lower > upper + 1e-9):
-            raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
-        # the two senses fold over different iterates, so allow float-noise
-        # crossings of degenerate intervals
-        lows.append(np.minimum(lower, upper))
-        ups.append(np.maximum(lower, upper))
+        lower, upper = crown.ordered_bounds(best[:width], -best[width:], k)
+        lows.append(lower)
+        ups.append(upper)
         if k < net.m:
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))

@@ -18,6 +18,10 @@ phase 2 warm-started from the optimal basis of the one before.
 ``build_lp`` also takes crown's own intervals and lines (one line per
 neuron and side); by the paper's optimality result that LP's optimum is
 crown's closed-form bound.
+
+Each variable has a lower bound its own rows imply (x >= x0 - eps, z >= l,
+a >= its lower lines' least value on [l, u], r >= 0), which ``build_lp``
+stores, less 1e-9 relative, as ``LpProblem.lower`` for the simplex.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class LpUnsupportedError(ValueError):
 class LpProblem:
     """A dense LP with one or more objectives over the same rows: optimize
     c[j].v + c0[j] in sense[j] ("min" or "max") over A_eq v = b_eq,
-    A_ub v <= b_ub, for each row j of ``c``.
+    A_ub v <= b_ub, for each row j of ``c``.  The rows imply v >= lower.
     """
 
     sense: list
@@ -53,6 +57,7 @@ class LpProblem:
     b_eq: np.ndarray
     A_ub: np.ndarray
     b_ub: np.ndarray
+    lower: np.ndarray
     names: list
     meta: dict = field(default_factory=dict)
 
@@ -165,6 +170,7 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
         names += [f"r{t}" for t in range(net.n)]
 
     A_eq = np.zeros((sum(widths), total))
+    lower = np.concatenate([spec.x0 - spec.epsilon, np.zeros(total - net.n)])
     ub_blocks, rhs = [], []
     for v, (w, first, at) in enumerate(zip(widths, before, z_at), start=1):
         # z(v) - W(v) a(v-1) = b(v), where a(v-1) (or x) sits just before z(v)
@@ -179,6 +185,9 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
             parts.append((np.nonzero(keep)[0], sign * s[keep],
                           np.full(keep.sum(), -sign), -sign * t[keep]))
         low, up = bounds.layer(v)
+        lower[at:at + w] = low
+        lower[at + w:at + 2 * w] = np.nanmin(np.minimum(
+            sl * low[:, None] + tl, sl * up[:, None] + tl), axis=1)
         for sign, bound in ((1.0, up), (-1.0, low)):
             parts.append((np.arange(w), np.full(w, sign), np.zeros(w),
                           sign * bound))
@@ -203,6 +212,7 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
         b_eq=np.concatenate(net.biases[:k - 1]),
         A_ub=np.vstack(ub_blocks + [ball_A]),
         b_ub=np.concatenate(rhs + [ball_b]),
+        lower=lower - 1e-9 * (1.0 + np.abs(lower)),
         names=names,
         meta={"k": k, "neurons": neurons, "sides": sides},
     )
@@ -213,7 +223,7 @@ def solve(problem: LpProblem):
     a feasibility certificate check."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
-        problem.sense)
+        problem.sense, problem.lower)
     if problem.A_eq.shape[0]:
         eq_gap = np.abs(point @ problem.A_eq.T - problem.b_eq).max()
         if eq_gap > CERT_TOL:
@@ -238,7 +248,7 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     if spec.p not in (1.0, math.inf):
         raise LpUnsupportedError(
             "the relaxation is a linear program only for p in {1, inf}")
-    menu = menu or RelaxationMenu.multi()
+    menu = menu or RelaxationMenu()
 
     low1, up1 = crown.layer1_bounds(net, spec)
     bounds = crown.LayerBounds([low1], [up1])
@@ -249,8 +259,9 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
         sides = ("lower",) * w + ("upper",) * w
         values = solve(build_lp(net, spec, k, list(range(w)) * 2, sides,
                                 bounds, lines))[0]
-        bounds.lower.append(values[:w])
-        bounds.upper.append(values[w:])
+        low, up = crown.ordered_bounds(values[:w], values[w:], k)
+        bounds.lower.append(low)
+        bounds.upper.append(up)
     return bounds
 
 

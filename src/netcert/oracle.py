@@ -127,6 +127,8 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
     n = net.n
     n_vars = n + (n if spec.p == 1.0 else 0)
     ball_A, ball_b = ball_rows(spec, n_vars, r_col=n)
+    # the ball rows imply x >= x0 - eps and, for p = 1, r >= 0
+    lower = np.concatenate([spec.x0 - spec.epsilon, np.zeros(n_vars - n)])
     state = {
         "best_min": math.inf, "best_max": -math.inf,
         "argmin": None, "argmax": None, "patterns": 0,
@@ -136,7 +138,7 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         try:
             simplex.solve_inequality_form(
                 np.zeros((1, n_vars)), None, None, np.array(rows),
-                np.array(rhs), ["min"])
+                np.array(rhs), ["min"], lower)
             return True
         except simplex.InfeasibleError:
             return False
@@ -148,7 +150,7 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         try:
             (vmin, vmax), (pmin, pmax) = simplex.solve_inequality_form(
                 np.stack([c, c]), None, None, np.array(rows), np.array(rhs),
-                ["min", "max"])
+                ["min", "max"], lower)
         except simplex.InfeasibleError:
             state["patterns"] -= 1
             return

@@ -1,9 +1,10 @@
 """Dense two-phase revised simplex with Bland's rule.
 
-Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  with free
-variables v, for one or more objectives over the same rows.  Internally
-the problem moves to standard form once (v split into positive and negative
-parts, slacks added to the inequalities) and phase 1 runs once, from an
+Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  and
+v >= lower, for one or more objectives over the same rows; a ``lower`` that
+the rows already imply leaves the optimum of the LP over free variables.
+Internally the problem moves to standard form once (y = v - lower >= 0,
+slacks added to the inequalities) and phase 1 runs once, from an
 all-artificial basis.  Each objective's phase 2 starts from the optimal
 basis of the objective before it (the first from the phase-1 basis): only
 the costs change, so that basis is still feasible.  The entering column is
@@ -59,19 +60,12 @@ def _refactor(A, b, basis, B_inv, xB):
     xB[:] = np.maximum(B_inv @ b, 0.0)
 
 
-def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
+def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
                  refactor_every):
     """Pivot to optimality; mutates basis/B_inv/xB in place.
 
     ``allowed`` masks the columns that may enter (used to lock out
-    artificials in phase 2).  ``twin[j]`` is the column that is the negation
-    of column j, cost included (the other part of a split free variable), or
-    j itself.  Returns the number of iterations spent.
-
-    The twin of a basic column has reduced cost exactly zero and direction
-    minus a unit vector, so it is never priced: on an ill-conditioned basis
-    its rounding noise can pass PIVOT_TOL and RATIO_TOL, and the pivot then
-    puts both parts of a variable in the basis, which is singular.
+    artificials in phase 2).  Returns the number of iterations spent.
 
     A step above 0 leaves the tied row with the largest pivot, and the
     inverse is refactorized every ``refactor_every`` pivots.  On the
@@ -101,7 +95,6 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         lam = c[basis] @ B_inv
         reduced = c - lam @ A
         reduced[basis] = 0.0
-        reduced[twin[basis]] = 0.0
         candidates = col_idx[(reduced < -PIVOT_TOL) & eligible]
         if candidates.size == 0:
             if since_refactor == 0:
@@ -137,7 +130,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
             leave_row = int(ties[np.argmin(basis[ties])])
         else:
             leave_row = int(ties[np.argmax(d[ties])])
-        piv = d[leave_row]
+        piv, leaving = d[leave_row], basis[leave_row]
         xB -= theta * d
         xB[leave_row] = theta
         np.maximum(xB, 0.0, out=xB)
@@ -149,15 +142,22 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, twin, iter_budget,
         since_refactor += 1
         if since_refactor >= refactor_every:
             since_refactor = 0
-            _refactor(A, b, basis, B_inv, xB)
+            try:
+                _refactor(A, b, basis, B_inv, xB)
+            except np.linalg.LinAlgError:
+                # a pivot on rounding noise left a singular basis: undo it
+                basis[leave_row] = leaving
+                _refactor(A, b, basis, B_inv, xB)
+                eligible[enter] = False
 
 
-def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses,
+def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
                           max_iter=10**6):
-    """Solve the LP over free variables for every objective, one per row of
-    ``c``, each with its entry of ``senses`` ("min" or "max"); returns the
-    optimal values and points, one entry (row) per objective.  ``max_iter``
-    caps the pivots of phase 1 plus one objective's phase 2.
+    """Solve the LP over the variables v >= ``lower`` for every objective,
+    one per row of ``c``, each with its entry of ``senses`` ("min" or
+    "max"); returns the optimal values and points, one entry (row) per
+    objective.  ``max_iter`` caps the pivots of phase 1 plus one objective's
+    phase 2.
     """
     costs = np.asarray(c, dtype=float)
     senses = list(senses)
@@ -174,26 +174,21 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses,
 
     n_eq, n_ub = A_eq.shape[0], A_ub.shape[0]
     m = n_eq + n_ub
-    # standard form: y = [v+, v-, slacks]; rows [A_eq; A_ub]
-    A = np.zeros((m, 2 * nv + n_ub))
+    # standard form: y = [v - lower, slacks]; rows [A_eq; A_ub]
+    A = np.zeros((m, nv + n_ub))
     A[:n_eq, :nv] = A_eq
-    A[:n_eq, nv:2 * nv] = -A_eq
     A[n_eq:, :nv] = A_ub
-    A[n_eq:, nv:2 * nv] = -A_ub
-    A[n_eq:, 2 * nv:] = np.eye(n_ub)
-    b = np.concatenate([b_eq, b_ub])
+    A[n_eq:, nv:] = np.eye(n_ub)
+    b = np.concatenate([b_eq - A_eq @ lower, b_ub - A_ub @ lower])
     flip = b < 0
     A[flip, :] *= -1.0
     b = np.abs(b)
 
     n_std = A.shape[1]
     full = np.hstack([A, np.eye(m)])
-    twin = np.arange(n_std + m)
-    twin[:nv] = np.arange(nv, 2 * nv)
-    twin[nv:2 * nv] = np.arange(nv)
 
     try:
-        warm, budget = _phase1(full, b, n_std, twin, max_iter, REFACTOR_EVERY)
+        warm, budget = _phase1(full, b, n_std, max_iter, REFACTOR_EVERY)
     except (np.linalg.LinAlgError, UnboundedError):
         warm = None
     values = np.empty(len(costs))
@@ -202,11 +197,10 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses,
         obj = cost if sense_j == "min" else -cost
         cost2 = np.zeros(n_std + m)
         cost2[:nv] = obj
-        cost2[nv:2 * nv] = -obj
         y = None
         if warm is not None:
             try:
-                y = _phase2(full, b, cost2, n_std, twin, warm, budget,
+                y = _phase2(full, b, cost2, n_std, warm, budget,
                             REFACTOR_EVERY)
                 if np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL:
                     y = None
@@ -214,15 +208,15 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses,
                 pass
         if y is None:
             # cold re-solve, refactorized at every pivot
-            warm, budget = _phase1(full, b, n_std, twin, max_iter, 1)
-            y = _phase2(full, b, cost2, n_std, twin, warm, budget, 1)
-        points[j] = y[:nv] - y[nv:2 * nv]
+            warm, budget = _phase1(full, b, n_std, max_iter, 1)
+            y = _phase2(full, b, cost2, n_std, warm, budget, 1)
+        points[j] = y[:nv] + lower
         value = float(obj @ points[j])
         values[j] = -value if sense_j == "max" else value
     return values, points
 
 
-def _phase1(full, b, n_std, twin, max_iter, refactor_every):
+def _phase1(full, b, n_std, max_iter, refactor_every):
     """Phase 1 from the all-artificial basis of ``full`` = [A, I], then the
     drive-out of leftover artificials; returns the feasible basis as
     (basis, B_inv, xB) and the pivots left for phase 2."""
@@ -233,8 +227,8 @@ def _phase1(full, b, n_std, twin, max_iter, refactor_every):
     xB = b.copy()
     allowed = np.ones(n_std + m, dtype=bool)
 
-    used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, twin,
-                        max_iter, refactor_every)
+    used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, max_iter,
+                        refactor_every)
     phase1_val = float(cost1[basis] @ xB)
     if phase1_val > FEAS_TOL:
         raise InfeasibleError(f"phase-1 objective {phase1_val:.3e}")
@@ -262,13 +256,13 @@ def _phase1(full, b, n_std, twin, max_iter, refactor_every):
     return (basis, B_inv, xB), max_iter - used
 
 
-def _phase2(full, b, cost2, n_std, twin, start, budget, refactor_every):
+def _phase2(full, b, cost2, n_std, start, budget, refactor_every):
     """Phase 2 on ``cost2`` from the feasible basis ``start`` = (basis,
     B_inv, xB), which it moves in place to the optimum; returns the optimal
     point y of A y = b, y >= 0."""
     basis, B_inv, xB = start
     allowed = np.arange(full.shape[1]) < n_std  # artificials never re-enter
-    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, twin, budget,
+    _bland_pivot(full, b, cost2, basis, B_inv, xB, allowed, budget,
                  refactor_every)
     y = np.zeros(full.shape[1])
     y[basis] = xB

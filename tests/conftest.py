@@ -3,13 +3,22 @@ import os
 import numpy as np
 
 from netcert import certify, crown, lp, relax
-from netcert.model import Network, forward_batch
+from netcert.model import (Network, PerturbationSpec, forward_batch,
+                           generate_random_network)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_path(name: str) -> str:
     return os.path.join(DATA, name)
+
+
+def build(act, seed, p, log_eps, widths=(3, 4, 3, 2)):
+    """A random net of ``widths`` and a ball around an x0 drawn from its
+    seed, of radius 10**log_eps."""
+    net = generate_random_network(seed, list(widths), act)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, widths[0])
+    return net, PerturbationSpec(x0, p, 10.0 ** log_eps)
 
 
 def toy_relu_net() -> Network:

@@ -286,8 +286,8 @@ def test_criterion_8_two_line_relu_lp_tightens():
         net = generate_random_network(seed, [4, 5, 4, 3], "relu", scale=1.0)
         x0 = np.random.default_rng(3000 + seed).uniform(-0.3, 0.3, 4)
         spec = PerturbationSpec(x0, math.inf, 0.3)
-        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
-        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("single"))
+        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("multi"))
         for k in range(2, net.m + 1):
             if np.any(multi.lower[k - 1] < single.lower[k - 1] - 1e-9):
                 ok = False

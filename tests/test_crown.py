@@ -219,6 +219,17 @@ def test_margins_definition_and_errors():
         crown.margins(low, up, 3)
 
 
+def test_ordered_bounds_swaps_a_noise_crossing_and_rejects_a_larger_one():
+    # the LP min and max of a zero-width interval once crossed by 1 ulp
+    low = np.array([0.10732392290630116, 1.0])
+    up = np.array([0.1073239229063011, 2.0])
+    got = crown.ordered_bounds(low, up, 3)
+    assert [a.tolist() for a in got] == [[0.1073239229063011, 1.0],
+                                         [0.10732392290630116, 2.0]]
+    with pytest.raises(RuntimeError, match="layer 3"):
+        crown.ordered_bounds(np.array([1.0 + 2e-9]), np.array([1.0]), 3)
+
+
 # --- line sets ------------------------------------------------------------------
 
 def test_line_set_lines_validate_against_intervals():

@@ -9,9 +9,12 @@ from netcert.model import (
     PerturbationSpec,
     ball_rows,
     generate_random_network,
+    load_network,
+    load_sample,
 )
 
-from conftest import crown_lines, shared_lines_lp, toy_relu_net
+from conftest import (build, crown_lines, data_path, shared_lines_lp,
+                      toy_relu_net)
 
 
 # --- simplex core -------------------------------------------------------------
@@ -20,7 +23,7 @@ def test_simplex_min_on_unit_interval():
     # min x s.t. 0 <= x <= 1
     (value,), (point,) = simplex.solve_inequality_form(
         np.array([[1.0]]), None, None,
-        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), ["min"])
+        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), ["min"], [-1.0])
     assert value == pytest.approx(0.0, abs=1e-12)
     assert point[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -34,10 +37,10 @@ def test_simplex_box_corner_matches_hand_value():
         A = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
         b = np.concatenate([np.ones(d), np.zeros(d), [float(d)]])
         (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
-                                                    ["min"])
+                                                    ["min"], np.zeros(d))
         assert value == pytest.approx(np.minimum(c, 0.0).sum(), abs=1e-9)
         (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
-                                                    ["max"])
+                                                    ["max"], np.zeros(d))
         assert value == pytest.approx(np.maximum(c, 0.0).sum(), abs=1e-9)
 
 
@@ -49,7 +52,7 @@ def test_simplex_with_equalities():
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.concatenate([np.ones(3), np.zeros(3)])
     (value,), (point,) = simplex.solve_inequality_form(c, A_eq, b_eq, A, b,
-                                                       ["min"])
+                                                       ["min"], np.zeros(3))
     assert value == pytest.approx(0.0, abs=1e-9)
     assert point[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -59,7 +62,7 @@ def test_simplex_detects_infeasible():
     b = np.array([0.0, -1.0])  # x <= 0 and x >= 1
     with pytest.raises(simplex.InfeasibleError):
         simplex.solve_inequality_form(np.array([[1.0]]), None, None, A, b,
-                                      ["min"])
+                                      ["min"], [0.0])
 
 
 def test_simplex_detects_unbounded():
@@ -67,25 +70,31 @@ def test_simplex_detects_unbounded():
     b = np.array([0.0])  # x >= 0, minimize -x
     with pytest.raises(simplex.UnboundedError):
         simplex.solve_inequality_form(np.array([[-1.0]]), None, None, A, b,
-                                      ["min"])
+                                      ["min"], [0.0])
 
 
-def test_simplex_never_prices_the_twin_of_a_basic_column():
-    # one free variable v <= 1, min -v, split as [v+, v-, slack] with v+
-    # basic.  A drifted inverse gives v-, whose column and cost negate
-    # those of v+, a reduced cost of -1e-6 in place of 0; priced, it has no
-    # positive direction entry and the optimum at v = 1 read as unbounded
-    A = np.array([[1.0, -1.0, 1.0]])
-    b = np.array([1.0])
-    c = np.array([-1.0, 1.0, 0.0])
-    basis = np.array([0])
-    B_inv = np.array([[1.0 + 1e-6]])
-    xB = np.array([1.0])
-    used = simplex._bland_pivot(A, b, c, basis, B_inv, xB,
-                                np.ones(3, dtype=bool), np.array([1, 0, 2]),
-                                10, simplex.REFACTOR_EVERY)
-    assert used == 1
-    assert basis.tolist() == [0] and xB.tolist() == [1.0]
+def test_pivot_to_a_singular_basis_is_taken_back(monkeypatch):
+    # min -x1 - x2 over x1, x2 <= 1 from the slack basis, refactorized at
+    # every pivot.  The first pivot (x1 in) is made to leave a basis the
+    # refactorization calls singular, as a pivot on rounding noise can: it
+    # is taken back and x1 waits until x2 has entered
+    refactor = simplex._refactor
+    bases = []
+
+    def singular_once(A, b, basis, B_inv, xB):
+        bases.append(basis.tolist())
+        if len(bases) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        refactor(A, b, basis, B_inv, xB)
+
+    monkeypatch.setattr(simplex, "_refactor", singular_once)
+    A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    basis, B_inv, xB = np.array([2, 3]), np.eye(2), b.copy()
+    simplex._bland_pivot(A, b, np.array([-1.0, -1.0, 0.0, 0.0]), basis, B_inv,
+                         xB, np.ones(4, dtype=bool), 10, 1)
+    assert bases == [[0, 3], [2, 3], [2, 1], [0, 1]]
+    assert basis.tolist() == [0, 1] and xB.tolist() == [1.0, 1.0]
 
 
 def test_simplex_solves_several_objectives_over_one_feasible_set():
@@ -93,17 +102,19 @@ def test_simplex_solves_several_objectives_over_one_feasible_set():
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 2.0, 1.0, 2.0])
     c = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
+    lower = np.array([-1.0, -2.0])
     values, points = simplex.solve_inequality_form(
-        c, None, None, A, b, ["min", "max", "max"])
+        c, None, None, A, b, ["min", "max", "max"], lower)
     assert values.tolist() == [-3.0, 3.0, 2.0]
     assert points[:2].tolist() == [[-1.0, -2.0], [1.0, -2.0]]
     values, _ = simplex.solve_inequality_form(c, None, None, A, b,
-                                              ["min"] * 3)
+                                              ["min"] * 3, lower)
     assert values.tolist() == [-3.0, -3.0, -2.0]
     for bad_c, senses in ((c, ["min", "max"]), (c, "min"),
                           (c[0], ["min"])):
         with pytest.raises(ValueError, match="per objective"):
-            simplex.solve_inequality_form(bad_c, None, None, A, b, senses)
+            simplex.solve_inequality_form(bad_c, None, None, A, b, senses,
+                                          lower)
 
 
 def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
@@ -124,7 +135,7 @@ def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
     b = np.array([1.0, 2.0, 1.0, 2.0])
     values, points = simplex.solve_inequality_form(
         np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
-        ["min", "max"])
+        ["min", "max"], [-1.0, -2.0])
     assert values.tolist() == [-3.0, 3.0]
     assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
     assert refactor_every == [simplex.REFACTOR_EVERY, 1] * 2
@@ -139,38 +150,94 @@ def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
                       <= 1e-9 * np.maximum(1.0, np.abs(c_arr)))
 
 
+def highs(optimize, prob, c, sense, feasibility=1e-10):
+    """The optimum of ``prob``'s rows for objective c over free variables,
+    by HiGHS's dual simplex at tight tolerances."""
+    sign = 1.0 if sense == "min" else -1.0
+    res = optimize.linprog(
+        sign * c, A_ub=prob.A_ub, b_ub=prob.b_ub, A_eq=prob.A_eq,
+        b_eq=prob.b_eq, bounds=(None, None), method="highs-ds",
+        options={"primal_feasibility_tolerance": feasibility,
+                 "dual_feasibility_tolerance": feasibility})
+    assert res.status == 0, res.message
+    return sign * res.fun
+
+
+def assert_layer_lps_match_highs(net, spec, menu, feasibility=1e-10):
+    # each layer's LP, objective by objective, solved by HiGHS has the
+    # built-in simplex's optimum
+    optimize = pytest.importorskip("scipy.optimize")
+    bounds = lp.lp_propagate(net, spec, menu=menu)
+    lines = []
+    for k in range(2, net.m + 1):
+        lines.append(menu.layer_lines(net.activation, *bounds.layer(k - 1)))
+        width = net.layer_width(k)
+        neurons = np.repeat(np.arange(width), 2)
+        prob = lp.build_lp(net, spec, k, neurons, relax.SIDES * width,
+                           bounds, lines)
+        ours = np.stack(bounds.layer(k), axis=1).ravel()
+        for c, sense, c0, value in zip(prob.c, prob.sense, prob.c0, ours):
+            want = highs(optimize, prob, c, sense, feasibility) + c0
+            assert abs(value - want) <= 1e-8 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_layer_lps_match_highs(act, p):
-    # each layer's LP, objective by objective, solved by HiGHS's dual
-    # simplex at tight tolerances, has the built-in simplex's optimum
-    optimize = pytest.importorskip("scipy.optimize")
     for seed in range(2):
         net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
         x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
         spec = PerturbationSpec(x0, p, 0.05)
-        for menu in (lp.RelaxationMenu.single(), lp.RelaxationMenu.multi()):
-            bounds = lp.lp_propagate(net, spec, menu=menu)
-            lines = []
-            for k in range(2, net.m + 1):
-                lines.append(menu.layer_lines(act, *bounds.layer(k - 1)))
-                width = net.layer_width(k)
-                neurons = np.repeat(np.arange(width), 2)
-                prob = lp.build_lp(net, spec, k, neurons, relax.SIDES * width,
-                                   bounds, lines)
-                ours = np.stack(bounds.layer(k), axis=1).ravel()
-                for c, sense, c0, value in zip(prob.c, prob.sense, prob.c0,
-                                               ours):
-                    sign = 1.0 if sense == "min" else -1.0
-                    res = optimize.linprog(
-                        sign * c, A_ub=prob.A_ub, b_ub=prob.b_ub,
-                        A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(None, None),
-                        method="highs-ds",
-                        options={"primal_feasibility_tolerance": 1e-10,
-                                 "dual_feasibility_tolerance": 1e-10})
-                    assert res.status == 0, res.message
-                    highs = sign * res.fun + c0
-                    assert abs(value - highs) <= 1e-8 * max(1.0, abs(highs))
+        for menu in (lp.RelaxationMenu("single"), lp.RelaxationMenu("multi")):
+            assert_layer_lps_match_highs(net, spec, menu)
+
+
+def sigmoid_fixture(eps):
+    net = load_network(data_path("sigmoid_3_10_10_2.json"))
+    x0, _ = load_sample(data_path("small3_sample.json"))
+    return net, PerturbationSpec(x0, math.inf, eps)
+
+
+# multi-menu LPs on which the simplex over split free variables failed
+@pytest.mark.parametrize("problem, feasibility", [
+    # a 2-cycle of the cold re-solve that did not return
+    pytest.param(sigmoid_fixture(3.125e-5), 1e-10, id="fixture-3.125e-5"),
+    # 4e-6 off an inequality row; HiGHS at 1e-10 calls the layer-3 LP
+    # infeasible, though the net's own point meets every row to 1.1e-16
+    pytest.param(sigmoid_fixture(1e-6), 1e-9, id="fixture-1e-6"),
+    # a singular basis (LinAlgError)
+    pytest.param(build("sigmoid", 39824, 1.0, -3.8425717685955334,
+                       (3, 6, 6, 6, 2)), 1e-10, id="sigmoid-39824"),
+    # SimplexError
+    pytest.param(build("sigmoid", 38011, 1.0, -4.663471064151949,
+                       (4, 6, 5, 3)), 1e-10, id="sigmoid-38011"),
+    # did not return
+    pytest.param(build("sigmoid", 47890, 1.0, -3.692555322858613,
+                       (4, 6, 5, 3)), 1e-10, id="sigmoid-47890"),
+    # an equality residual of 4e-2
+    pytest.param(build("tanh", 37021, 1.0, -4.916156405981878,
+                       (3, 4, 3, 2)), 1e-10, id="tanh-37021"),
+])
+def test_lps_the_split_simplex_failed_match_highs(problem, feasibility):
+    assert_layer_lps_match_highs(*problem, lp.RelaxationMenu("multi"),
+                                 feasibility)
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_lower_bounds_are_implied_by_the_rows(act, p):
+    # every variable's lower bound lies at or below its least value over
+    # the LP's rows, so the bound cuts off no feasible point
+    optimize = pytest.importorskip("scipy.optimize")
+    net = generate_random_network(5, [4, 6, 5, 3], act, scale=1.0)
+    spec = PerturbationSpec(np.random.default_rng(5).uniform(-1, 1, 4), p,
+                            0.05)
+    menu = lp.RelaxationMenu("multi")
+    bounds = lp.lp_propagate(net, spec, menu=menu)
+    lines = menu_lines(net, bounds, "multi", net.m)
+    prob = lp.build_lp(net, spec, net.m, [0], ["lower"], bounds, lines)
+    for j, unit in enumerate(np.eye(prob.n_vars)):
+        assert prob.lower[j] <= highs(optimize, prob, unit, "min")
 
 
 # --- build_lp -------------------------------------------------------------------
@@ -276,7 +343,7 @@ def test_build_lp_matches_per_entry_reference(act, p):
 
 
 def test_menu_lines_per_space():
-    single, multi = lp.RelaxationMenu.single(), lp.RelaxationMenu.multi()
+    single, multi = lp.RelaxationMenu("single"), lp.RelaxationMenu("multi")
     relu = relax.line_space("relu", "lower", -1.0, 2.0)
     assert kept(single, relu) == [(1.0, 0.0)]
     assert kept(multi, relu) == [(0.0, 0.0), (1.0, 0.0)]
@@ -413,8 +480,8 @@ def test_multi_line_never_looser_and_sometimes_strictly_tighter():
         net = generate_random_network(seed, [4, 5, 4, 3], "relu", scale=1.0)
         x0 = np.random.default_rng(seed).uniform(-0.3, 0.3, 4)
         spec = PerturbationSpec(x0, np.inf, 0.3)
-        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.single())
-        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+        single = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("single"))
+        multi = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("multi"))
         for k in range(2, net.m + 1):
             assert np.all(multi.lower[k - 1] >= single.lower[k - 1] - 1e-9)
             assert np.all(multi.upper[k - 1] <= single.upper[k - 1] + 1e-9)
@@ -437,6 +504,16 @@ def test_adding_valid_rows_never_loosens_the_optimum():
     assert more >= base - 1e-9
 
 
+def test_lp_bounds_of_zero_width_intervals_come_back_ordered():
+    # layers 2-4 have zero-width intervals, and one neuron's LP min and max
+    # crossed by 1 ulp, which the next layer's line spaces rejected
+    net, spec = build("relu", 30244, 1.0, -2.230749820119682,
+                      (3, 6, 6, 6, 2))
+    bounds = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("single"))
+    for low, up in zip(bounds.lower, bounds.upper):
+        assert np.all(low <= up)
+
+
 @pytest.mark.parametrize("p", [1, math.inf])
 def test_lp_bounds_survive_sampling(p):
     net = generate_random_network(6, [4, 5, 4, 3], "tanh", scale=1.0)
@@ -450,7 +527,7 @@ def test_lp_at_least_as_tight_as_closed_form_with_same_lines():
     net = generate_random_network(10, [4, 6, 5, 3], "sigmoid", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.35)
     cb = crown.propagate(net, spec)
-    mb = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu.multi())
+    mb = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("multi"))
     assert np.all(mb.output_lower >= cb.output_lower - 1e-7)
     assert np.all(mb.output_upper <= cb.output_upper + 1e-7)
 
