@@ -27,15 +27,16 @@ its sense:
 
 Each group steps along its own gradient, normalized by its largest entry,
 and stops on its own once its objective stalls; a stopped group leaves the
-batch.  Projection clamps each variable to its admissible interval after
-every step, so every iterate generates valid lines and every visited gamma
-is a sound bound; the returned value per row is the best one ever visited.
+batch.  A restart is one more copy of every group in the same batch, from
+a random start, so one iteration loop serves every restart.  Projection
+clamps each variable to its admissible interval after every step, so every
+iterate generates valid lines and every visited gamma is a sound bound; the
+returned value per row is the best one any copy ever visited.
 ``frown_propagate`` runs both senses of a layer as one batch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +67,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class VariableVector:
-    """The free line variables of layers 1..k-1, their values, and where
-    their lines sit.
+    """The free line variables of layers 1..k-1, their baseline values, and
+    where their lines sit.
 
-    ``values`` is (groups, variables), one row per group.  The flat line
-    layout stacks, layer by layer, the lower-side then the upper-side lines
+    ``start`` holds one baseline value per variable; the optimizer keeps
+    its values apart, as a (groups, variables) array.  The flat line layout
+    stacks, layer by layer, the lower-side then the upper-side lines
     of every neuron; ``slopes``/``intercepts`` hold the fixed lines there
     and ``slots`` the place of each variable's line.  Every variable of a
     ReLU net is a slope through the origin and every variable of a
     sigmoid/tanh net a tangency abscissa.
     """
 
-    values: np.ndarray
+    start: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     act: str
@@ -89,15 +91,6 @@ class VariableVector:
     def __len__(self):
         return len(self.slots)
 
-    def at(self, values) -> "VariableVector":
-        """The same variables at other values."""
-        return dataclasses.replace(self,
-                                   values=np.asarray(values, dtype=float))
-
-    def check(self):
-        if np.any(self.values < self.lo - 1e-12) or np.any(self.values > self.hi + 1e-12):
-            raise ValueError("variable outside its admissible interval")
-
     def clipped(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.lo, self.hi)
 
@@ -105,7 +98,7 @@ class VariableVector:
 def collect_variables(layer_spaces) -> VariableVector:
     """Gather the one-variable spaces of ``layer_spaces`` (the (lower,
     upper) LineSpaces of layers 1..k-1), initialized at the deterministic
-    baseline choice: one row of values, the start of every group."""
+    baseline choice, the start of every group."""
     records = [rec for layer in layer_spaces for rec in layer]
 
     def flat(field):
@@ -114,7 +107,7 @@ def collect_variables(layer_spaces) -> VariableVector:
 
     slots = np.flatnonzero(flat(lambda rec: rec.family))
     return VariableVector(
-        flat(crown.default_variables)[None, slots],
+        flat(crown.default_variables)[slots],
         flat(lambda rec: rec.var_lo)[slots],
         flat(lambda rec: rec.var_hi)[slots],
         records[0].act if records else "relu",
@@ -124,14 +117,15 @@ def collect_variables(layer_spaces) -> VariableVector:
         flat(lambda rec: rec.intercept))
 
 
-def _materialize(var_vec: VariableVector):
-    """Every group's lines and the generator derivatives.
+def _materialize(var_vec: VariableVector, values: np.ndarray):
+    """Every group's lines and the generator derivatives at ``values``, one
+    row per group.
 
     Returns (slopes, intercepts) over the flat line layout, shaped
     (groups, lines), and (d slope, d intercept) per variable, shaped
     (groups, variables).
     """
-    theta = var_vec.clipped(var_vec.values)
+    theta = var_vec.clipped(values)
     slope, intercept, dslope, dintercept = relax.family_lines(
         var_vec.act, theta, grads=True)
     slopes = np.repeat(var_vec.slopes[None, :], len(theta), axis=0)
@@ -189,22 +183,22 @@ class RowGroups:
 
 
 def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
-                           batch: RowGroups, var_vec: VariableVector):
+                           batch: RowGroups, var_vec: VariableVector,
+                           values: np.ndarray):
     """Per-row gamma values and, per group, the gradient of the group's sum.
 
-    ``batch`` holds the signed rows of the groups, with one row of
-    ``var_vec.values`` per group; the gradient has the shape of
-    ``var_vec.values``.  Returns (gammas, gradient): ``gammas`` are the
-    lower bounds of the signed rows, which run group by group (minus the
-    upper bound of the neuron for an upper-sense row).
+    ``batch`` holds the signed rows of the groups, and ``values`` one row
+    of the variables of ``var_vec`` per group; the gradient has the shape
+    of ``values``.  Returns (gammas, gradient): ``gammas`` are the lower
+    bounds of the signed rows, which run group by group (minus the upper
+    bound of the neuron for an upper-sense row).
     """
-    var_vec.check()
     if len(var_vec.widths) != k - 1:
         raise ValueError(f"variables cover {len(var_vec.widths)} layers, "
                          f"layer {k} needs {k - 1}")
-    if np.ndim(var_vec.values) != 2 or len(var_vec.values) != len(batch):
+    if np.ndim(values) != 2 or len(values) != len(batch):
         raise ValueError("need one row of variable values per group")
-    slopes, intercepts, dslope, dintercept = _materialize(var_vec)
+    slopes, intercepts, dslope, dintercept = _materialize(var_vec, values)
     row_s, row_t = slopes[batch.group], intercepts[batch.group]
     starts = np.cumsum((0,) + tuple(2 * w for w in var_vec.widths))
 
@@ -260,70 +254,71 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     initialization, per neuron.
 
     ``groups`` is a list of neuron lists and ``senses`` the sense of each.
-    Every group starts from ``var_vec.values`` (one row, or one per group);
-    restarts draw from ``default_rng(seed)`` with the group's entry of
-    ``seeds`` (default: ``config.seed`` for every group).
+    Every group starts from ``var_vec.start``.  Each restart adds one copy
+    of every group to the batch: the r-th restart of a group starts at the
+    r-th draw of ``default_rng(seed)`` with the group's entry of ``seeds``
+    (default: ``config.seed`` for every group).
 
     Returns the per-row best gammas, the rows running group by group, all
     of the signed rows: an upper-sense row's is the negated upper bound.
-    The best of a row is taken over every iterate of its group, so the rows
-    of one group may keep bounds of different iterates.
+    The best of a row is taken over every iterate of every copy of its
+    group, so the rows of one group may keep bounds of different iterates.
     """
-    batch = RowGroups.of(groups, senses)
-    n_groups = len(batch)
-    rngs = None
-    all_rows = np.arange(len(batch.rows))
+    n_groups = len(groups)
+    seeds = [config.seed] * n_groups if seeds is None else seeds
+    if len(seeds) != n_groups:
+        raise ValueError(f"need one seed per group, got {len(seeds)} seeds "
+                         f"for {n_groups} groups")
+    if (np.any(var_vec.start < var_vec.lo - 1e-12)
+            or np.any(var_vec.start > var_vec.hi + 1e-12)):
+        raise ValueError("variable outside its admissible interval")
+    copies = config.restarts if len(var_vec) else 1
+    batch = RowGroups.of(list(groups) * copies, list(senses) * copies)
+    values = np.tile(var_vec.start, (len(batch), 1))
+    # seeding costs more than a small evaluation: seed only for restarts
+    if copies > 1:
+        for g, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            for copy in range(1, copies):
+                values[copy * n_groups + g] = rng.uniform(var_vec.lo,
+                                                          var_vec.hi)
+    best = np.full(len(batch.rows), -np.inf)
 
     def evaluate(values, part, pos):
-        g, grad = objective_and_gradient(net, spec, k, part,
-                                         var_vec.at(values))
+        g, grad = objective_and_gradient(net, spec, k, part, var_vec, values)
         _fold(best, pos, g)
         return np.add.reduceat(g, part.starts), grad
 
-    init = np.broadcast_to(var_vec.values, (n_groups, len(var_vec))).copy()
-    g0, grad0 = objective_and_gradient(net, spec, k, batch, var_vec.at(init))
-    best = g0.copy()
-    obj0 = np.add.reduceat(g0, batch.starts)
-
+    active, part, pos = np.arange(len(batch)), batch, np.arange(len(best))
+    obj, grad = evaluate(values, part, pos)
     # normalizing each group's direction by its largest entry makes the
     # travel speed independent of the objective scale (and so of the group
     # size); the geometric decay converges the iterates instead of orbiting
     # the optimum
     step = config.step_size * (var_vec.hi - var_vec.lo)
     decay = 0.98
-    for run in range(config.restarts if len(var_vec) else 0):
-        if run == 0:
-            values, obj, grad = init.copy(), obj0, grad0
-        else:
-            # made on first use: seeding costs more than a small evaluation
-            rngs = rngs or [np.random.default_rng(seed) for seed in
-                            (seeds or [config.seed] * n_groups)]
-            values = np.stack([rng.uniform(var_vec.lo, var_vec.hi)
-                               for rng in rngs])
-            obj, grad = evaluate(values, batch, all_rows)
-        active, part, pos = np.arange(n_groups), batch, all_rows
-        # running best objective per group; a group stops once it gained
-        # less than improvement_tol over 5 steps
-        history = np.empty((config.max_iters + 1, n_groups))
-        history[0] = obj
-        scale = 1.0
-        for it in range(config.max_iters):
-            gmax = np.abs(grad).max(axis=1, keepdims=True)
-            direction = grad / np.where(gmax > 0, gmax, 1.0)
-            values[active] = var_vec.clipped(
-                values[active] + step * scale * direction)
-            scale *= decay
-            obj, grad = evaluate(values[active], part, pos)
-            history[it + 1, active] = np.maximum(history[it, active], obj)
-            if it >= 4:
-                stalled = (history[it + 1, active] - history[it - 4, active]
-                           < config.improvement_tol)
-                if stalled.all():
-                    break
-                if stalled.any():
-                    active, grad = active[~stalled], grad[~stalled]
-                    part, pos = batch.take(active)
-    return best
+    # running best objective per group; a group stops once it gained less
+    # than improvement_tol over 5 steps
+    history = np.empty((config.max_iters + 1, len(batch)))
+    history[0] = obj
+    scale = 1.0
+    for it in range(config.max_iters if len(var_vec) else 0):
+        gmax = np.abs(grad).max(axis=1, keepdims=True)
+        direction = grad / np.where(gmax > 0, gmax, 1.0)
+        values[active] = var_vec.clipped(
+            values[active] + step * scale * direction)
+        scale *= decay
+        obj, grad = evaluate(values[active], part, pos)
+        history[it + 1, active] = np.maximum(history[it, active], obj)
+        if it >= 4:
+            stalled = (history[it + 1, active] - history[it - 4, active]
+                       < config.improvement_tol)
+            if stalled.all():
+                break
+            if stalled.any():
+                active, grad = active[~stalled], grad[~stalled]
+                part, pos = batch.take(active)
+    return best.reshape(copies, -1).max(axis=0)
 
 
 def _groups(width: int, group_size: int):

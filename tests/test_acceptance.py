@@ -233,18 +233,17 @@ def test_criterion_6_gradients_match_finite_differences():
                                    vv.hi - 0.1 * (vv.hi - vv.lo))
                 sense = ("lower", "upper")[points % 2]
                 rows = frown.RowGroups.of([[0]], [sense])
-                vvt = vv.at(vals[None].copy())
                 _, grad = frown.objective_and_gradient(
-                    net, spec, 3, rows, vvt)
+                    net, spec, 3, rows, vv, vals[None].copy())
                 points += 1
                 for e in range(len(vv)):
                     vp, vm = vals.copy(), vals.copy()
                     vp[e] += h
                     vm[e] -= h
                     gp = frown.objective_and_gradient(
-                        net, spec, 3, rows, vv.at(vp[None]))[0][0]
+                        net, spec, 3, rows, vv, vp[None])[0][0]
                     gm = frown.objective_and_gradient(
-                        net, spec, 3, rows, vv.at(vm[None]))[0][0]
+                        net, spec, 3, rows, vv, vm[None])[0][0]
                     fd = (gp - gm) / (2 * h)
                     worst = max(worst,
                                 abs(grad[0, e] - fd) / max(abs(fd), 1e-8))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,22 +41,35 @@ def toy_setup(eps=1.0):
 def test_toy_closed_form_objective():
     net, spec, spaces = toy_setup()
     vv = frown.collect_variables(spaces)
-    assert len(vv) == 1 and vv.values[0, 0] == 1.0
+    assert len(vv) == 1 and vv.start[0] == 1.0
     for s in (0.2, 0.5, 0.9):
-        vv2 = vv.at(np.array([[s]]))
         g, grad = frown.objective_and_gradient(
-            net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), vv2)
+            net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), vv,
+            np.array([[s]]))
         assert g[0] == pytest.approx(-spec.epsilon * s)
         assert grad[0, 0] == pytest.approx(-spec.epsilon)
 
 
 def test_variable_outside_interval_rejected():
     net, spec, spaces = toy_setup()
-    vv = frown.collect_variables(spaces)
-    bad = vv.at(np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        frown.objective_and_gradient(
-            net, spec, 2, frown.RowGroups.of([[0]], ["lower"]), bad)
+    bad = dataclasses.replace(frown.collect_variables(spaces),
+                              start=np.array([1.5]))
+    with pytest.raises(ValueError, match="admissible interval"):
+        frown.optimize_bounds(net, spec, 2, [[0]], ["lower"],
+                              frown.OptimizerConfig(), bad)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_one_seed_per_group_required(restarts):
+    net = generate_random_network(3, [4, 6, 5, 3], "sigmoid", scale=1.0)
+    spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.3)
+    vv = frown.collect_variables(spaces_for(net, crown.propagate(net, spec),
+                                            3))
+    config = frown.OptimizerConfig(max_iters=5, restarts=restarts)
+    for seeds in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="one seed per group"):
+            frown.optimize_bounds(net, spec, 3, [[0], [1]],
+                                  ["lower", "upper"], config, vv, seeds)
 
 
 def test_no_variables_matches_baseline():
@@ -66,7 +81,8 @@ def test_no_variables_matches_baseline():
     vv = frown.collect_variables(spaces)
     assert len(vv) == 0
     g, grad = frown.objective_and_gradient(
-        net, spec, net.m, frown.RowGroups.of([[0]], ["lower"]), vv)
+        net, spec, net.m, frown.RowGroups.of([[0]], ["lower"]), vv,
+        vv.start[None])
     assert grad.shape == (1, 0)
     assert g[0] == pytest.approx(bounds.output_lower[0])
 
@@ -86,17 +102,16 @@ def test_gradient_matches_central_differences(act, p):
                            vv.hi - 0.1 * (vv.hi - vv.lo))
         for sense in ("lower", "upper"):
             rows = frown.RowGroups.of([[0, 1]], [sense])
-            vvt = vv.at(vals[None].copy())
             g, grad = frown.objective_and_gradient(
-                net, spec, 3, rows, vvt)
+                net, spec, 3, rows, vv, vals[None].copy())
             for e in range(len(vv)):
                 vp, vm = vals.copy(), vals.copy()
                 vp[e] += h
                 vm[e] -= h
                 gp = frown.objective_and_gradient(
-                    net, spec, 3, rows, vv.at(vp[None]))[0].sum()
+                    net, spec, 3, rows, vv, vp[None])[0].sum()
                 gm = frown.objective_and_gradient(
-                    net, spec, 3, rows, vv.at(vm[None]))[0].sum()
+                    net, spec, 3, rows, vv, vm[None])[0].sum()
                 fd = (gp - gm) / (2 * h)
                 assert abs(grad[0, e] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
                     act, p, sense, e)
@@ -112,7 +127,7 @@ def test_materialize_matches_line_space_per_variable(act):
     assert len(vv) > 0
     rng = np.random.default_rng(3)
     values = np.vstack([vv.lo, vv.hi, rng.uniform(vv.lo, vv.hi, (4, len(vv)))])
-    slopes, intercepts, dslope, dintercept = frown._materialize(vv.at(values))
+    slopes, intercepts, dslope, dintercept = frown._materialize(vv, values)
     for g, row in enumerate(values):
         expected = [(*rec.members(theta),
                      *relax.family_lines(rec.act, theta, grads=True)[2:])
@@ -182,7 +197,8 @@ def test_best_iterate_never_worse_than_init():
         vv = frown.collect_variables(spaces)
         for sense in ("lower", "upper"):
             g0, _ = frown.objective_and_gradient(
-                net, spec, 3, frown.RowGroups.of([[0, 1, 2]], [sense]), vv)
+                net, spec, 3, frown.RowGroups.of([[0, 1, 2]], [sense]), vv,
+                vv.start[None])
             best = frown.optimize_bounds(
                 net, spec, 3, [[0, 1, 2]], [sense],
                 frown.OptimizerConfig(max_iters=40), vv)
@@ -205,26 +221,63 @@ def test_restarts_only_help():
     assert three[0] >= one[0] - 1e-12
 
 
+def test_a_restart_is_one_more_copy_of_the_group():
+    net = generate_random_network(21, [4, 6, 6, 6, 3], "sigmoid", scale=1.2)
+    spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.4)
+    bounds = crown.propagate(net, spec)
+    vv = frown.collect_variables(spaces_for(net, bounds, 4))
+    seed = [7, 4, 0]
+    three = frown.optimize_bounds(
+        net, spec, 4, [[0, 1]], ["upper"],
+        frown.OptimizerConfig(max_iters=30, restarts=3), vv, [seed])
+    rng = np.random.default_rng(seed)
+    starts = [vv.start] + [rng.uniform(vv.lo, vv.hi) for _ in range(2)]
+    runs = [frown.optimize_bounds(
+        net, spec, 4, [[0, 1]], ["upper"],
+        frown.OptimizerConfig(max_iters=30),
+        dataclasses.replace(vv, start=start)) for start in starts]
+    assert np.allclose(three, np.max(runs, axis=0), rtol=1e-12, atol=0)
+
+
+def record_evaluations(monkeypatch):
+    """The value arrays of every ``objective_and_gradient`` call."""
+    evaluated = []
+    original = frown.objective_and_gradient
+
+    def recording(net, spec, k, batch, var_vec, values):
+        evaluated.append(values.copy())
+        return original(net, spec, k, batch, var_vec, values)
+
+    monkeypatch.setattr(frown, "objective_and_gradient", recording)
+    return evaluated
+
+
+def test_one_evaluation_per_iteration_serves_every_restart(monkeypatch):
+    net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
+    spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
+    vv = frown.collect_variables(spaces_for(net, crown.propagate(net, spec),
+                                            3))
+    evaluated = record_evaluations(monkeypatch)
+    # improvement_tol 0 stops no group: the running best never falls
+    frown.optimize_bounds(
+        net, spec, 3, [[0, 1], [2]], ["lower", "upper"],
+        frown.OptimizerConfig(max_iters=20, restarts=3, improvement_tol=0.0),
+        vv)
+    assert [len(values) for values in evaluated] == [3 * 2] * 21
+
+
 def test_iterates_stay_in_box_and_lines_valid(monkeypatch):
     net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
     bounds = crown.propagate(net, spec)
     spaces = spaces_for(net, bounds, 3)
-    evaluated = []
-    original = frown.objective_and_gradient
-
-    def recording(net, spec, k, batch, var_vec):
-        evaluated.append(var_vec)
-        return original(net, spec, k, batch, var_vec)
-
-    monkeypatch.setattr(frown, "objective_and_gradient", recording)
+    var_vec = frown.collect_variables(spaces)
+    evaluated = record_evaluations(monkeypatch)
     frown.optimize_bounds(
         net, spec, 3, [[0]], ["lower"],
-        frown.OptimizerConfig(max_iters=50, restarts=2),
-        frown.collect_variables(spaces))
-    assert len(evaluated) > 50
-    for var_vec in evaluated:
-        values = var_vec.values
+        frown.OptimizerConfig(max_iters=50, restarts=2), var_vec)
+    assert sum(len(values) for values in evaluated) > 50
+    for values in evaluated:
         assert np.all((var_vec.lo <= values) & (values <= var_vec.hi))
         for row in values:
             for rec, theta in per_record(spaces, var_vec, row):
