@@ -2,9 +2,12 @@
 
 A prediction is certified at radius eps when the lower bound of the labeled
 logit stays above the upper bounds of the competing logits over the whole
-ball.  Every probe re-derives all bounds from scratch at the probed radius
+ball.  Every probe re-derives its bounds from scratch at the probed radius
 (the admissible line families depend on the intervals, which depend on eps,
-so reusing state across probes would not be sound).  The largest
+so reusing state across probes would not be sound).  A probe reads n of the
+2n output bounds, the label's lower bound and every other class's upper
+bound, in targeted mode too: lp solves only those (its LPs are one per
+bound), while crown and frown bound every entry in one pass.  The largest
 certifiable radius is the end of one walk, exponential bracketing and then
 bisection, whose unprobed points crown and lp searches predict from the
 margins already probed.
@@ -59,15 +62,18 @@ class Certificate:
 
 def output_bounds(net: Network, spec: PerturbationSpec, method: str,
                   frown_config: frown.OptimizerConfig | None = None,
-                  lp_menu: lp.RelaxationMenu | None = None
-                  ) -> crown.LayerBounds:
-    """Every layer's bounds under the chosen method."""
+                  lp_menu: lp.RelaxationMenu | None = None,
+                  label: int | None = None) -> crown.LayerBounds:
+    """Every layer's bounds under the chosen method.  Given a ``label``, lp
+    bounds only the output entries ``crown.margins`` reads for it and sets
+    the others to -inf (lower) and +inf (upper); crown and frown bound
+    every entry."""
     if method == "crown":
         return crown.propagate(net, spec)
     if method == "frown":
         return frown.frown_propagate(net, spec, frown_config)
     if method == "lp":
-        return lp.lp_propagate(net, spec, menu=lp_menu)
+        return lp.lp_propagate(net, spec, menu=lp_menu, label=label)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -86,7 +92,7 @@ def certified_at(net: Network, x0, label: int, epsilon: float, p,
             f"label {label} is not the network's prediction "
             f"{int(np.argmax(logits))}; the certificate is vacuous")
     spec = PerturbationSpec(x0, p, epsilon)
-    bounds = output_bounds(net, spec, method, frown_config, lp_menu)
+    bounds = output_bounds(net, spec, method, frown_config, lp_menu, label)
     marg = crown.margins(bounds.output_lower, bounds.output_upper, label)
     return _score(marg, label, target) >= 0.0, marg
 

@@ -360,9 +360,11 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
             [sense for sense in relax.SIDES for _ in groups], config,
             var_vec, seeds)
         _fold(best, np.arange(2 * width), gammas)
+        # a pair crossed by rounding comes back swapped, which can put a side
+        # past crown's; crown's bounds are folded in again after the swap
         lower, upper = crown.ordered_bounds(best[:width], -best[width:], k)
-        lows.append(lower)
-        ups.append(upper)
+        lows.append(np.maximum(lower, gl))
+        ups.append(np.minimum(upper, gu))
         if k < net.m:
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))

@@ -10,14 +10,17 @@ is rejected.
 
 ``lp_propagate`` feeds each layer's LP optima into the next layer's
 intervals and menu lines.  A layer's lines are its four line arrays, made
-once per layer.  The 2 n_k LPs of a layer of n_k neurons differ only in
-their objective, so ``build_lp`` assembles the layer's rows once from those
-arrays with block array operations, with one objective per neuron and
-side, and the simplex solves them with one phase 1, each objective's
-phase 2 warm-started from the optimal basis of the one before.
-``build_lp`` also takes crown's own intervals and lines (one line per
-neuron and side); by the paper's optimality result that LP's optimum is
-crown's closed-form bound.
+once per layer.  The LPs of a layer differ only in their objective, so
+``build_lp`` assembles the layer's rows once from those arrays with block
+array operations, with one objective per bound, and the simplex solves them
+with one phase 1, each objective's phase 2 warm-started from the optimal
+basis of the one before.  A hidden layer of n_k neurons gets 2 n_k
+objectives, one per neuron and side.  Given a label, the output layer gets
+only the n objectives the margins read, as in spec-driven bounding
+(alpha-CROWN, Xu et al., arXiv:2011.13824): the label's lower bound and
+every other class's upper bound.  ``build_lp`` also takes crown's own
+intervals and lines (one line per neuron and side); by the paper's
+optimality result that LP's optimum is crown's closed-form bound.
 
 Each variable has a lower bound its own rows imply (x >= x0 - eps, z >= l,
 a >= its lower lines' least value on [l, u], r >= 0), which ``build_lp``
@@ -240,15 +243,22 @@ def solve(problem: LpProblem):
 
 
 def lp_propagate(net: Network, spec: PerturbationSpec,
-                 menu: RelaxationMenu | None = None) -> crown.LayerBounds:
+                 menu: RelaxationMenu | None = None,
+                 label: int | None = None) -> crown.LayerBounds:
     """Recursive LP bounds for layers 2..m: each layer's LPs use the menu
     lines and intervals of the LP bounds of the layers below.  A layer's
     LPs share their rows, so they are solved as one LP with an objective
-    per neuron and side: every lower bound, then every upper bound."""
+    per bound: every lower bound, then every upper bound.  Given a
+    ``label``, the output layer solves only the bounds ``crown.margins``
+    reads, the label's lower bound and every other class's upper bound, and
+    leaves the others at -inf (lower) and +inf (upper)."""
     if spec.p not in (1.0, math.inf):
         raise LpUnsupportedError(
             "the relaxation is a linear program only for p in {1, inf}")
     menu = menu or RelaxationMenu()
+    n_out = net.layer_width(net.m)
+    if label is not None and not 0 <= label < n_out:
+        raise ValueError(f"label {label} out of range for {n_out} outputs")
 
     low1, up1 = crown.layer1_bounds(net, spec)
     bounds = crown.LayerBounds([low1], [up1])
@@ -256,10 +266,16 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     for k in range(2, net.m + 1):
         lines.append(menu.layer_lines(net.activation, *bounds.layer(k - 1)))
         w = net.layer_width(k)
-        sides = ("lower",) * w + ("upper",) * w
-        values = solve(build_lp(net, spec, k, list(range(w)) * 2, sides,
-                                bounds, lines))[0]
-        low, up = crown.ordered_bounds(values[:w], values[w:], k)
+        solve_lo = solve_up = np.arange(w)   # neurons bounded on each side
+        if k == net.m and label is not None:
+            solve_lo, solve_up = solve_lo[[label]], solve_up[solve_up != label]
+        n_lo = len(solve_lo)
+        values = solve(build_lp(
+            net, spec, k, np.concatenate([solve_lo, solve_up]).tolist(),
+            ("lower",) * n_lo + ("upper",) * len(solve_up), bounds, lines))[0]
+        low, up = np.full(w, -np.inf), np.full(w, np.inf)
+        low[solve_lo], up[solve_up] = values[:n_lo], values[n_lo:]
+        low, up = crown.ordered_bounds(low, up, k)
         bounds.lower.append(low)
         bounds.upper.append(up)
     return bounds

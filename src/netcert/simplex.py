@@ -4,21 +4,24 @@ Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  and
 v >= lower, for one or more objectives over the same rows; a ``lower`` that
 the rows already imply leaves the optimum of the LP over free variables.
 Internally the problem moves to standard form once (y = v - lower >= 0,
-slacks added to the inequalities) and phase 1 runs once, from an
-all-artificial basis.  Each objective's phase 2 starts from the optimal
-basis of the objective before it (the first from the phase-1 basis): only
-the costs change, so that basis is still feasible.  The entering column is
-the eligible one of smallest index.  Among the rows tied in the ratio test
-the one with the largest pivot leaves, except on a degenerate pivot (a step
-of 0), where the one with the smallest basic index leaves.  A cycle is made
-of degenerate pivots only, so it would follow Bland's smallest-index rule
-throughout, which cannot cycle.  The basis inverse is maintained by
-elementary row updates and refactorized periodically, after the artificial
-drive-out and before optimality is concluded, so that every solve ends, and
-every warm start begins, on a fresh inverse; an objective whose solve
-still ends off its rows, on a singular basis or on a spurious unbounded ray
-is solved again cold, phase 1 included, with a refactorization at every
-pivot.
+slacks added to the inequalities) and phase 1 runs once, from the slack
+basis (Bixby, ORSA J. Computing 4, 1992): an inequality row whose slack is
+feasible at y = 0 starts with that slack basic, and only equality rows and
+rows whose right-hand side was flipped start with an artificial.  Each
+objective's phase 2 starts from the optimal basis of the objective before
+it (the first from the phase-1 basis): only the costs change, so that basis
+is still feasible.  The entering column is the eligible one of smallest
+index.  Among the rows tied in the ratio test the one with the largest
+pivot leaves, except on a degenerate pivot (a step of 0), where the one
+with the smallest basic index leaves.  A cycle is made of degenerate pivots
+only, so it would follow Bland's smallest-index rule throughout, which
+cannot cycle.  The basis inverse is maintained by elementary row updates
+and refactorized periodically, after the artificial drive-out and before
+optimality is concluded, so that every solve ends, and every warm start
+begins, on a fresh inverse.  A phase 1 that fails, and an objective whose
+solve still ends off its rows, on a singular basis or on a spurious
+unbounded ray, are solved again cold: phase 1 from the all-artificial
+basis, then phase 2, with a refactorization at every pivot.
 """
 
 from __future__ import annotations
@@ -186,10 +189,15 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
 
     n_std = A.shape[1]
     full = np.hstack([A, np.eye(m)])
+    artificials = np.arange(n_std, n_std + m)
+    rows = np.arange(m)
+    slack_basis = np.where((rows >= n_eq) & ~flip, nv + rows - n_eq,
+                           artificials)
 
     try:
-        warm, budget = _phase1(full, b, n_std, max_iter, REFACTOR_EVERY)
-    except (np.linalg.LinAlgError, UnboundedError):
+        warm, budget = _phase1(full, b, n_std, slack_basis, max_iter,
+                               REFACTOR_EVERY)
+    except (np.linalg.LinAlgError, SimplexError):
         warm = None
     values = np.empty(len(costs))
     points = np.empty((len(costs), nv))
@@ -208,7 +216,7 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
                 pass
         if y is None:
             # cold re-solve, refactorized at every pivot
-            warm, budget = _phase1(full, b, n_std, max_iter, 1)
+            warm, budget = _phase1(full, b, n_std, artificials, max_iter, 1)
             y = _phase2(full, b, cost2, n_std, warm, budget, 1)
         points[j] = y[:nv] + lower
         value = float(obj @ points[j])
@@ -216,16 +224,19 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
     return values, points
 
 
-def _phase1(full, b, n_std, max_iter, refactor_every):
-    """Phase 1 from the all-artificial basis of ``full`` = [A, I], then the
-    drive-out of leftover artificials; returns the feasible basis as
+def _phase1(full, b, n_std, start, max_iter, refactor_every):
+    """Phase 1 on ``full`` = [A, I] from the basis ``start``, whose columns
+    are unit columns of ``full`` (slacks of unflipped rows, artificials), so
+    its inverse is I; then the drive-out of leftover artificials.  Only the
+    artificials of ``start`` may enter.  Returns the feasible basis as
     (basis, B_inv, xB) and the pivots left for phase 2."""
     m = full.shape[0]
     cost1 = np.concatenate([np.zeros(n_std), np.ones(m)])
-    basis = np.arange(n_std, n_std + m)
+    basis = start.copy()
     B_inv = np.eye(m)
     xB = b.copy()
-    allowed = np.ones(n_std + m, dtype=bool)
+    allowed = np.arange(n_std + m) < n_std
+    allowed[basis] = True
 
     used = _bland_pivot(full, b, cost1, basis, B_inv, xB, allowed, max_iter,
                         refactor_every)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netcert import certify, frown, oracle
+from netcert import certify, crown, frown, lp, oracle
 from netcert.model import (
     ModelError,
     Network,
@@ -219,6 +219,33 @@ def test_lp_method_and_p2_rejection():
     from netcert.lp import LpUnsupportedError
     with pytest.raises(LpUnsupportedError):
         certify.certified_at(net, [0.5], 0, 0.1, 2, method="lp")
+
+
+def test_lp_probe_reads_every_margin_of_the_full_bounds():
+    # an lp probe solves only the output bounds its margins read, in
+    # targeted mode too; the margins are those of every output bound, all
+    # finite, and a certificate reports them
+    net = generate_random_network(2, [4, 6, 5, 3], "relu", scale=1.0)
+    x0, label = boundary_sample(net, 42)
+    spec = PerturbationSpec(x0, np.inf, 0.02)
+    full = lp.lp_propagate(net, spec)
+    want = crown.margins(full.output_lower, full.output_upper, label)
+    for target in (None, (label + 1) % 3):
+        _, marg = certify.certified_at(net, x0, label, 0.02, np.inf, "lp",
+                                       target)
+        assert np.all(np.isfinite(marg))
+        assert np.all(np.abs(marg - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        cert = certify.search_epsilon(net, x0, label, np.inf, "lp",
+                                      target=target)
+        assert marg.shape == cert.margins.shape
+        assert np.all(np.isfinite(cert.margins))
+    bounds = certify.output_bounds(net, spec, "lp", label=label)
+    others = np.arange(3) != label
+    assert np.all(bounds.output_lower[others] == -np.inf)
+    assert bounds.output_upper[label] == np.inf
+    assert np.all(np.isfinite(certify.output_bounds(net, spec, "lp")
+                              .output_upper))
 
 
 def test_search_rejects_non_finite_cap():

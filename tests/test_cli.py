@@ -15,7 +15,7 @@ from netcert.model import (
     save_sample,
 )
 
-from conftest import data_path
+from conftest import boundary_sample, data_path
 
 
 def run(args):
@@ -174,6 +174,26 @@ def test_dump_lp_flag(tmp_path):
     assert rc == 0
     text = dump.read_text()
     assert "minimize" in text and "maximize" in text and "<=" in text
+
+
+def test_lp_bounds_report_every_bound_and_certify_finite_margins(tmp_path):
+    # ``bounds`` solves both sides of every output; a search's probes solve
+    # only the ones its margins read, and its JSON margins stay finite
+    net = generate_random_network(2, [4, 6, 5, 3], "relu", scale=1.0)
+    x0, label = boundary_sample(net, 42)
+    files = [str(tmp_path / "net.json"), str(tmp_path / "sample.json")]
+    save_network(net, files[0])
+    save_sample(x0, label, files[1])
+    out = tmp_path / "b.json"
+    assert run(["bounds", *files, "--eps", "0.02", "--method", "lp",
+                "--out", str(out)]) == 0
+    doc = json.load(open(out))
+    assert np.all(np.isfinite(doc["gamma_lower"] + doc["gamma_upper"]))
+    out = tmp_path / "c.json"
+    assert run(["certify", *files, "--method", "lp", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "Infinity" not in text
+    assert len(json.loads(text)["margins"]) == 2
 
 
 @pytest.mark.parametrize("method", ["crown", "frown"])

@@ -97,6 +97,85 @@ def test_pivot_to_a_singular_basis_is_taken_back(monkeypatch):
     assert basis.tolist() == [0, 1] and xB.tolist() == [1.0, 1.0]
 
 
+def test_phase1_from_the_slack_basis_needs_no_pivot_when_every_slack_is_feasible(
+        monkeypatch):
+    # the box-corner LP: every slack is feasible at the lower bound, so
+    # phase 1 starts from a basis of slacks alone and ends on its first
+    # pricing pass
+    calls = []
+    bland_pivot = simplex._bland_pivot
+
+    def spy(A, b, c, basis, *args):
+        before = basis.copy()
+        used = bland_pivot(A, b, c, basis, *args)
+        calls.append((before, basis.copy(), used))
+        return used
+
+    monkeypatch.setattr(simplex, "_bland_pivot", spy)
+    d = 4
+    A = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
+    b = np.concatenate([np.ones(d), np.zeros(d), [float(d)]])
+    c = np.array([1.0, -2.0, 0.5, -1.0])
+    (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
+                                                ["min"], np.zeros(d))
+    assert value == pytest.approx(-3.0, abs=1e-12)
+    start, end, used = calls[0]                  # phase 1
+    assert start.tolist() == list(range(d, d + len(b)))   # the slacks
+    assert end.tolist() == start.tolist() and used == 1
+
+
+@pytest.mark.parametrize("A_eq, b_eq, b_ub, want", [
+    # no equality, nothing flipped: every row starts on its slack
+    (None, None, [1.0, 2.0], [2, 3]),
+    # -x2 <= -1 is flipped: its row starts on its artificial
+    (None, None, [1.0, -1.0], [2, 5]),
+    # an equality row starts on its artificial, the inequalities on slacks
+    ([[1.0, 1.0]], [1.0], [1.0, 2.0], [4, 2, 3]),
+])
+def test_phase1_starts_on_slacks_and_artificials_elsewhere(
+        monkeypatch, A_eq, b_eq, b_ub, want):
+    # columns are [x1, x2, slacks, artificials]; the rows x1 <= b1 and
+    # -x2 <= b2 over x >= 0
+    starts = []
+    phase1 = simplex._phase1
+
+    def spy(*args):
+        starts.append(args[3].tolist())
+        return phase1(*args)
+
+    monkeypatch.setattr(simplex, "_phase1", spy)
+    A_ub = np.array([[1.0, 0.0], [0.0, -1.0]])
+    simplex.solve_inequality_form(np.array([[1.0, 1.0]]), A_eq, b_eq, A_ub,
+                                  np.array(b_ub), ["min"], np.zeros(2))
+    assert starts == [want]
+
+
+def test_failed_phase1_from_the_slack_basis_falls_back_to_a_cold_solve(
+        monkeypatch):
+    # a phase 1 from the slack basis that raises leaves every objective to
+    # the cold solve: phase 1 from the all-artificial basis, refactorized
+    # at every pivot; later objectives warm-start from its optimum
+    phase1 = simplex._phase1
+    calls = []
+
+    def failing(full, b, n_std, start, max_iter, refactor_every):
+        calls.append((start.tolist(), refactor_every))
+        if refactor_every == simplex.REFACTOR_EVERY:
+            raise simplex.InfeasibleError("phase-1 objective 5.3e-06")
+        return phase1(full, b, n_std, start, max_iter, refactor_every)
+
+    monkeypatch.setattr(simplex, "_phase1", failing)
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.array([1.0, 2.0, 1.0, 2.0])
+    values, points = simplex.solve_inequality_form(
+        np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
+        ["min", "max"], [-1.0, -2.0])
+    assert values.tolist() == [-3.0, 3.0]
+    assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
+    assert calls == [([2, 3, 4, 5], simplex.REFACTOR_EVERY),
+                     ([6, 7, 8, 9], 1)]
+
+
 def test_simplex_solves_several_objectives_over_one_feasible_set():
     # the box -1 <= x <= 1, -2 <= y <= 2
     A = np.vstack([np.eye(2), -np.eye(2)])
@@ -457,6 +536,47 @@ def test_lp_propagate_makes_each_layers_lines_once(monkeypatch):
     spec = PerturbationSpec(np.zeros(6), np.inf, 0.05)
     lp.lp_propagate(net, spec)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_lp_propagate_with_a_label_bounds_only_the_rows_margins_read(
+        monkeypatch, act, p):
+    # the output LP gets n objectives, the label's lower bound and every
+    # other class's upper bound; those match the full call, the entries
+    # left unsolved are -inf and +inf, and every lower layer is unchanged
+    objectives = []
+    build = lp.build_lp
+
+    def counted(net, spec, k, neurons, sides, *args):
+        objectives.append((k, list(neurons), list(sides)))
+        return build(net, spec, k, neurons, sides, *args)
+
+    monkeypatch.setattr(lp, "build_lp", counted)
+    net = generate_random_network(0, [4, 6, 5, 3], act, scale=1.0)
+    spec = PerturbationSpec(np.random.default_rng(0).uniform(-1, 1, 4), p,
+                            0.05)
+    for menu in (lp.RelaxationMenu("single"), lp.RelaxationMenu("multi")):
+        full = lp.lp_propagate(net, spec, menu=menu)
+        for label in range(3):
+            objectives.clear()
+            part = lp.lp_propagate(net, spec, menu=menu, label=label)
+            others = [j for j in range(3) if j != label]
+            assert objectives[-1] == (net.m, [label] + others,
+                                      ["lower", "upper", "upper"])
+            for k in range(1, net.m):
+                assert np.array_equal(part.lower[k - 1], full.lower[k - 1])
+                assert np.array_equal(part.upper[k - 1], full.upper[k - 1])
+            got = np.append(part.output_lower[label],
+                            part.output_upper[others])
+            want = np.append(full.output_lower[label],
+                             full.output_upper[others])
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.all(part.output_lower[others] == -np.inf)
+            assert part.output_upper[label] == np.inf
+    with pytest.raises(ValueError, match="label 3 out of range"):
+        lp.lp_propagate(net, spec, label=3)
 
 
 def test_shared_lines_mode_matches_closed_form():

@@ -128,8 +128,9 @@ def test_lps_the_simplex_once_failed_solve(prop, act, case):
 def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
         monkeypatch):
     # the first warm-started phase 2 is made to end 1e-6 off its rows; that
-    # objective is solved again cold, phase 1 included, with the inverse
-    # refactorized at every pivot, and every bound comes out as unpatched
+    # objective is solved again cold, phase 1 included, from the
+    # all-artificial basis, with the inverse refactorized at every pivot,
+    # and every bound comes out as unpatched
     net, spec = build("sigmoid", 35393, 1.0, -2.465343079249466)
     expected = lp.lp_propagate(net, spec)
     phase1, phase2 = simplex._phase1, simplex._phase2
@@ -137,6 +138,11 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
 
     def spy(*args):
         refactor_every.append(args[-1])
+        full, _, n_std, start = args[:4]
+        # every row starts on an artificial in the cold phase 1, and on its
+        # slack, where it has one, in a layer's phase 1
+        artificials = np.arange(n_std, full.shape[1])
+        assert np.array_equal(start, artificials) == (args[-1] == 1)
         return phase1(*args)
 
     def off_rows(*args):
