@@ -97,7 +97,7 @@ def test_pivot_to_a_singular_basis_is_taken_back(monkeypatch):
     assert basis.tolist() == [0, 1] and xB.tolist() == [1.0, 1.0]
 
 
-def test_phase1_from_the_slack_basis_needs_no_pivot_when_every_slack_is_feasible(
+def test_phase1_from_the_slack_basis_of_a_box_corner_lp_needs_no_pivot(
         monkeypatch):
     # the box-corner LP: every slack is feasible at the lower bound, so
     # phase 1 starts from a basis of slacks alone and ends on its first
