@@ -1,21 +1,23 @@
 """Backward propagation of linear bounds with closed-form concretization.
 
-To bound z(k)_i from below, start from the affine row of layer k and walk
-back through the layers; at each activation the running row splits by sign:
-nonnegative entries compose with the lower bounding line of that neuron,
-nonpositive entries with the upper line (mirrored for an upper-sense bound).
-The result is an affine function of the raw input whose extreme value over
-the ball follows from the dual norm:
+Every bound is the lower bound of a signed row: an upper bound of a row is
+minus the lower bound of the negated row, and negation is exact in floating
+point.  To bound a row of layer k from below, walk back through the layers;
+at each activation the running row splits by sign: positive entries compose
+with the lower bounding line of that neuron, the others with the upper line
+(a zero entry adds nothing).  The result is an affine function of the raw
+input whose least value over the ball follows from the dual norm:
 
-    gamma_lower = coeffs . x0 - eps * ||coeffs||_q + offset.
+    gamma = coeffs . x0 - eps * ||coeffs||_q + offset.
 
 Layer-1 bounds are exact (the first layer is affine in the input); bounds
-for k = 2..m come from the backward pass using the lines of layers < k.
-Each layer gets one set of lines, the default member of every line family
-(``default_lines``), chosen from its bounds and shared by every later layer;
-frown starts from the same members and every lp menu offers them.  A layer's
-lines are the four arrays (slope_lower, intercept_lower, slope_upper,
-intercept_upper), one entry per neuron.
+for k = 2..m come from one backward pass over the rows [W; -W] of layer k,
+using the lines of layers < k.  Each layer gets one set of lines, the
+default member of every line family (``default_lines``), chosen from its
+bounds and shared by every later layer; frown starts from the same members
+and every lp menu offers them.  A layer's lines are the four arrays
+(slope_lower, intercept_lower, slope_upper, intercept_upper), one entry per
+neuron.
 """
 
 from __future__ import annotations
@@ -129,52 +131,48 @@ def layer1_bounds(net: Network, spec: PerturbationSpec):
     return center - spread, center + spread
 
 
-def oriented(line_arrays, sense: str):
-    """One layer's (slope, intercept) arrays ordered for ``sense``: first
-    the lines that multiply nonnegative row entries, then those for the
-    nonpositive entries (lower lines first for a lower bound)."""
-    sl, tl, su, tu = line_arrays
-    return (sl, tl, su, tu) if sense == "lower" else (su, tu, sl, tl)
-
-
-def backward_rows(net: Network, k: int, rows, line_arrays, sense: str):
-    """Backward pass for a batch of target rows of layer k.
+def backward_rows(net: Network, k: int, A: np.ndarray, c: np.ndarray,
+                  line_arrays):
+    """Backward pass of the signed rows (A, c) of layer k: each row of ``A``
+    weighs the activations of layer k-1 and ``c`` holds the offsets.
 
     ``line_arrays[v-1]`` holds (slope_lower, intercept_lower, slope_upper,
-    intercept_upper) for layer v.  Returns (coeffs g x n, offsets g).
+    intercept_upper) for layer v, each either shared by every row (one entry
+    per neuron) or one row of entries per row of ``A``.  Returns (coeffs,
+    offsets, tape): the affine lower bound of every row over the input, and
+    per layer v, at ``tape[v-1]``, the running rows and the slope and
+    intercept each of their entries used.
     """
-    if sense not in relax.SIDES:
-        raise ValueError(f"sense must be 'lower' or 'upper', got {sense!r}")
     if len(line_arrays) < k - 1:
         raise ValueError(f"missing lines for layers below {k}")
-    rows = np.atleast_1d(np.asarray(rows, dtype=int))
-    A = np.array(net.weights[k - 1][rows, :])
-    c = np.array(net.biases[k - 1][rows])
+    tape = []
     for v in range(k - 1, 0, -1):
-        s_pos, t_pos, s_neg, t_neg = oriented(line_arrays[v - 1], sense)
-        Ap = np.maximum(A, 0.0)
-        An = np.minimum(A, 0.0)
-        c = c + Ap @ t_pos + An @ t_neg
-        D = Ap * s_pos + An * s_neg
-        c = c + D @ net.biases[v - 1]
+        sl, tl, su, tu = line_arrays[v - 1]
+        pos = A > 0
+        s = np.where(pos, sl, su)
+        t = np.where(pos, tl, tu)
+        tape.append((A, s, t))
+        D = A * s
+        c = c + (A * t).sum(axis=1) + D @ net.biases[v - 1]
         A = D @ net.weights[v - 1]
-    return A, c
+    return A, c, tape[::-1]
 
 
 def concretize_rows(coeffs: np.ndarray, offsets: np.ndarray,
-                    spec: PerturbationSpec, sense: str) -> np.ndarray:
-    """Extreme value over the ball of each affine row (coeffs, offset): the
+                    spec: PerturbationSpec) -> np.ndarray:
+    """Least value over the ball of each affine row (coeffs, offset): the
     gamma values."""
     spread = spec.epsilon * dual_norm(coeffs, spec.q)
-    base = coeffs @ spec.x0 + offsets
-    return base - spread if sense == "lower" else base + spread
+    return coeffs @ spec.x0 + offsets - spread
 
 
 def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
     """Bounds for every layer.
 
     Each layer's lines are chosen once, from that layer's bounds, and shared
-    by the backward passes of every later layer.
+    by the backward passes of every later layer.  A layer's lower bounds are
+    those of its rows and its upper bounds minus those of its negated rows,
+    all in one pass.
     """
     low1, up1 = layer1_bounds(net, spec)
     lows, ups = [low1], [up1]
@@ -182,11 +180,11 @@ def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
     for k in range(2, net.m + 1):
         lines.append(choose_layer_lines(
             *relax.layer_line_spaces(net.activation, lows[-1], ups[-1])))
-        rows = range(net.layer_width(k))
-        gl, gu = (concretize_rows(*backward_rows(net, k, rows, lines, sense),
-                                  spec, sense)
-                  for sense in relax.SIDES)
-        low, up = ordered_bounds(gl, gu, k)
+        w, b = net.weights[k - 1], net.biases[k - 1]
+        coeffs, offsets, _ = backward_rows(
+            net, k, np.vstack([w, -w]), np.concatenate([b, -b]), lines)
+        g = concretize_rows(coeffs, offsets, spec)
+        low, up = ordered_bounds(g[:len(b)], -g[len(b):], k)
         lows.append(low)
         ups.append(up)
     return LayerBounds(lows, ups)

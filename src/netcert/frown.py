@@ -15,13 +15,15 @@ its sense:
 
   lines     each group's slopes and intercepts, with one array evaluation of
             f, f' and f'' for all tangent generators
-  forward   the backward recursion over all signed target rows at once, each
-            row composing with the lines of its own group
+  forward   ``crown.backward_rows`` over all signed target rows at once,
+            each row composing with the lines of its own group; its tape
+            keeps, per layer, the rows A and the slope s and intercept t
+            each entry used
   reverse   seed      dgamma/dcoeffs = x0 - eps * d||coeffs||_q
             per layer Dbar = Abar_next @ W(v).T + b(v)
                       sbar = Dbar * relu(A)   tbar = relu(A)   (lower lines)
                       sbar = Dbar * neg(A)    tbar = neg(A)    (upper lines)
-                      Abar = Dbar * s_selected + t_selected    (by sign of A)
+                      Abar = Dbar * s + t where A != 0, else 0
   per group sbar and tbar summed over the group's rows, chained through the
             generators (d slope / d theta, d intercept / d theta)
 
@@ -200,35 +202,26 @@ def objective_and_gradient(net: Network, spec: PerturbationSpec, k: int,
         raise ValueError("need one row of variable values per group")
     slopes, intercepts, dslope, dintercept = _materialize(var_vec, values)
     row_s, row_t = slopes[batch.group], intercepts[batch.group]
-    starts = np.cumsum((0,) + tuple(2 * w for w in var_vec.widths))
-
-    A = batch.sign[:, None] * net.weights[k - 1][batch.rows]
-    c = batch.sign * net.biases[k - 1][batch.rows]
-    tape = []
-    for v in range(k - 1, 0, -1):
-        a, w = starts[v - 1], var_vec.widths[v - 1]
-        # each entry composes with the lower line when positive, the upper
-        # line when negative, and neither when zero
-        pos, neg = A > 0, A < 0
-        s_sel = np.where(pos, row_s[:, a:a + w],
-                         np.where(neg, row_s[:, a + w:a + 2 * w], 0.0))
-        t_sel = np.where(pos, row_t[:, a:a + w],
-                         np.where(neg, row_t[:, a + w:a + 2 * w], 0.0))
-        tape.append((np.maximum(A, 0.0), np.minimum(A, 0.0), s_sel, t_sel))
-        D = A * s_sel
-        c = c + (A * t_sel).sum(axis=1) + D @ net.biases[v - 1]
-        A = D @ net.weights[v - 1]
-    gammas = crown.concretize_rows(A, c, spec, "lower")
+    ends = np.cumsum((0,) + tuple(2 * w for w in var_vec.widths))
+    lines = [(row_s[:, a:a + w], row_t[:, a:a + w],
+              row_s[:, a + w:e], row_t[:, a + w:e])
+             for a, e, w in zip(ends, ends[1:], var_vec.widths)]
+    A, c, tape = crown.backward_rows(
+        net, k, batch.sign[:, None] * net.weights[k - 1][batch.rows],
+        batch.sign * net.biases[k - 1][batch.rows], lines)
+    gammas = crown.concretize_rows(A, c, spec)
 
     Abar = spec.x0[None, :] - spec.epsilon * crown.dual_norm_grad(A, spec.q)
     # per-row adjoints of every slope and intercept in the flat layout; the
-    # lower lines multiply the nonnegative row entries
+    # lower lines multiply the positive row entries
     sbar, tbar = [], []
-    for v, (Ap, An, s_sel, t_sel) in zip(range(1, k), reversed(tape)):
+    for v, (A, s, t) in enumerate(tape, start=1):
         Dbar = Abar @ net.weights[v - 1].T + net.biases[v - 1]
+        Ap = np.where(A > 0, A, 0.0)
+        An = A - Ap
         sbar.extend((Dbar * Ap, Dbar * An))
         tbar.extend((Ap, An))
-        Abar = Dbar * s_sel + t_sel
+        Abar = np.where(A != 0, Dbar * s + t, 0.0)
 
     sbar = np.add.reduceat(np.concatenate(sbar, axis=1), batch.starts, axis=0)
     tbar = np.add.reduceat(np.concatenate(tbar, axis=1), batch.starts, axis=0)

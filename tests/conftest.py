@@ -76,6 +76,25 @@ def crown_lines(net: Network, bounds: crown.LayerBounds) -> list:
             for v in range(1, net.m)]
 
 
+def backward_by_sense(net: Network, k: int, rows, lines, sense: str):
+    """crown's affine ``sense`` bound of the neurons ``rows`` of layer k over
+    the input, as (coeffs, offsets): an upper bound is the negated lower
+    bound of the negated rows."""
+    sign = 1.0 if sense == "lower" else -1.0
+    rows = list(rows)
+    coeffs, offsets, _ = crown.backward_rows(
+        net, k, sign * net.weights[k - 1][rows], sign * net.biases[k - 1][rows],
+        lines)
+    return sign * coeffs, sign * offsets
+
+
+def concretize_by_sense(coeffs, offsets, spec, sense: str) -> np.ndarray:
+    """The ``sense`` extreme over the ball of each affine row (coeffs,
+    offset): the least value for "lower", the greatest for "upper"."""
+    sign = 1.0 if sense == "lower" else -1.0
+    return sign * crown.concretize_rows(sign * coeffs, sign * offsets, spec)
+
+
 def shared_lines_lp(net: Network, spec) -> crown.LayerBounds:
     """The LP optimum of every neuron of layers 2..m over crown's own lines
     and intervals; the paper shows it equals crown's closed-form bound."""

@@ -16,7 +16,8 @@ from netcert.model import (
     generate_random_network,
 )
 
-from conftest import (boundary_sample, crown_lines, positive_bias_relu_net,
+from conftest import (backward_by_sense, boundary_sample,
+                      concretize_by_sense, crown_lines, positive_bias_relu_net,
                       shared_lines_lp, toy_relu_net)
 
 
@@ -198,11 +199,11 @@ def test_criterion_5_intercept_shifts_never_improve():
                                    su, tu + delta * mask))
                 for k in range(2, net.m + 1):
                     rows = range(net.layer_width(k))
-                    gl = crown.concretize_rows(
-                        *crown.backward_rows(net, k, rows, arrays, "lower"),
+                    gl = concretize_by_sense(
+                        *backward_by_sense(net, k, rows, arrays, "lower"),
                         spec, "lower")
-                    gu = crown.concretize_rows(
-                        *crown.backward_rows(net, k, rows, arrays, "upper"),
+                    gu = concretize_by_sense(
+                        *backward_by_sense(net, k, rows, arrays, "upper"),
                         spec, "upper")
                     if np.any(gl > bounds.lower[k - 1] + 1e-12) \
                             or np.any(gu < bounds.upper[k - 1] - 1e-12):

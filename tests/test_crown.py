@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from netcert.model import (
     PerturbationSpec,
     forward,
     generate_random_network,
+    load_network,
+    load_sample,
 )
-from conftest import crown_lines, positive_bias_relu_net, toy_relu_net
+from conftest import (backward_by_sense, concretize_by_sense, crown_lines,
+                      data_path, positive_bias_relu_net, toy_relu_net)
 
 
 def single_layer_lines(sl, tl, su, tu):
@@ -21,7 +26,7 @@ def single_layer_lines(sl, tl, su, tu):
 def test_backward_single_composition():
     net = toy_relu_net()
     lines = single_layer_lines(0.7, 0.0, 0.5, 0.5)
-    A, c = crown.backward_rows(net, 2, [0], lines, "lower")
+    A, c = backward_by_sense(net, 2, [0], lines, "lower")
     assert A[0, 0] == pytest.approx(0.7)
     assert c[0] == pytest.approx(0.0)
 
@@ -30,7 +35,7 @@ def test_backward_sign_split_uses_upper_line():
     net = Network((np.array([[1.0]]), np.array([[-1.0]])),
                   (np.zeros(1), np.zeros(1)), "relu")
     lines = single_layer_lines(0.7, 0.0, 0.5, 0.5)
-    A, c = crown.backward_rows(net, 2, [0], lines, "lower")
+    A, c = backward_by_sense(net, 2, [0], lines, "lower")
     assert A[0, 0] == pytest.approx(-0.5)
     assert c[0] == pytest.approx(-0.5)
 
@@ -45,8 +50,8 @@ def test_backward_affine_bound_valid_under_sampling():
     from netcert.model import preactivations
     z3 = list(preactivations(net, xs))[2]
     rows = range(net.layer_width(3))
-    low_A, low_c = crown.backward_rows(net, 3, rows, lines, "lower")
-    up_A, up_c = crown.backward_rows(net, 3, rows, lines, "upper")
+    low_A, low_c = backward_by_sense(net, 3, rows, lines, "lower")
+    up_A, up_c = backward_by_sense(net, 3, rows, lines, "upper")
     for i in rows:
         assert np.all(xs @ low_A[i] + low_c[i] <= z3[:, i] + 1e-9)
         assert np.all(xs @ up_A[i] + up_c[i] >= z3[:, i] - 1e-9)
@@ -55,7 +60,7 @@ def test_backward_affine_bound_valid_under_sampling():
 def test_backward_missing_lines():
     net = generate_random_network(2, [3, 4, 4, 2], "relu")
     with pytest.raises(ValueError):
-        crown.backward_rows(net, 3, [0], [], "lower")
+        backward_by_sense(net, 3, [0], [], "lower")
 
 
 # --- concretize_rows ----------------------------------------------------------
@@ -64,18 +69,18 @@ def test_concretize_examples():
     coeffs = np.array([3.0, -4.0])
     for p, expected in ((np.inf, 0.3), (2, 0.5), (1, 0.6)):
         spec = PerturbationSpec(np.zeros(2), p, 0.1)
-        low = crown.concretize_rows(coeffs[None], np.array([1.0]), spec,
-                                    "lower")
+        low = concretize_by_sense(coeffs[None], np.array([1.0]), spec,
+                                  "lower")
         assert low[0] == pytest.approx(expected)
     spec = PerturbationSpec(np.zeros(2), np.inf, 0.1)
-    up = crown.concretize_rows(coeffs[None], np.array([1.0]), spec, "upper")
+    up = concretize_by_sense(coeffs[None], np.array([1.0]), spec, "upper")
     assert up[0] == pytest.approx(1.7)
 
 
 def test_concretize_length_check():
     spec = PerturbationSpec(np.zeros(3), 2, 0.1)
     with pytest.raises(ValueError):
-        crown.concretize_rows(np.ones((1, 2)), np.zeros(1), spec, "lower")
+        crown.concretize_rows(np.ones((1, 2)), np.zeros(1), spec)
 
 
 # --- propagate -----------------------------------------------------------------
@@ -189,14 +194,67 @@ def test_intercept_shifts_never_improve():
                       for sl, tl, su, tu in lines]
             for k in range(2, net.m + 1):
                 rows = range(net.layer_width(k))
-                gl = crown.concretize_rows(
-                    *crown.backward_rows(net, k, rows, arrays, "lower"),
+                gl = concretize_by_sense(
+                    *backward_by_sense(net, k, rows, arrays, "lower"),
                     spec, "lower")
-                gu = crown.concretize_rows(
-                    *crown.backward_rows(net, k, rows, arrays, "upper"),
+                gu = concretize_by_sense(
+                    *backward_by_sense(net, k, rows, arrays, "upper"),
                     spec, "upper")
                 assert np.all(gl <= bounds.lower[k - 1] + 1e-12)
                 assert np.all(gu >= bounds.upper[k - 1] - 1e-12)
+
+
+def exact_lower_bound(net, spec, lines, k, row, offset):
+    """The least value over the ball of crown's backward bound of the affine
+    row (row, offset) of layer k, in exact arithmetic: the float weights,
+    lines and input are taken as exact, and only a 2-norm is rounded (to 50
+    digits, in mpmath)."""
+    A = [Fraction(a) for a in row]
+    c = Fraction(offset)
+    for v in range(k - 1, 0, -1):
+        sl, tl, su, tu = lines[v - 1]
+        s = [Fraction((sl if a > 0 else su)[j]) for j, a in enumerate(A)]
+        c += sum(a * Fraction((tl if a > 0 else tu)[j])
+                 for j, a in enumerate(A))
+        D = [a * s_j for a, s_j in zip(A, s)]
+        c += sum(d * Fraction(b) for d, b in zip(D, net.biases[v - 1]))
+        A = [sum(d * Fraction(w) for d, w in zip(D, col))
+             for col in net.weights[v - 1].T]
+    base = c + sum(a * Fraction(x) for a, x in zip(A, spec.x0))
+    eps = Fraction(spec.epsilon)
+    if spec.q == 1.0:
+        return base - eps * sum(abs(a) for a in A)
+    if spec.q == np.inf:
+        return base - eps * max(abs(a) for a in A)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        def mp(f):
+            return mpmath.mpf(f.numerator) / f.denominator
+        return mp(base) - mp(eps) * mpmath.sqrt(mp(sum(a * a for a in A)))
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_golden_cases_match_exact_recompute(act, p):
+    # the cases of the bit-for-bit golden files: every bound crown reports
+    # is within 1e-13 relative of its exact value over crown's own float
+    # intervals and lines
+    net = load_network(data_path(f"{act}_3_10_10_2.json"))
+    x0, _ = load_sample(data_path("small3_sample.json"))
+    for eps in (1.0, 5e-13):
+        spec = PerturbationSpec(x0, float(p), eps)
+        bounds = crown.propagate(net, spec)
+        lines = crown_lines(net, bounds)
+        for k in range(1, net.m + 1):
+            for i in range(net.layer_width(k)):
+                w, b = net.weights[k - 1][i], net.biases[k - 1][i]
+                want = (exact_lower_bound(net, spec, lines, k, w, b),
+                        -exact_lower_bound(net, spec, lines, k, -w, -b))
+                for got, exact in zip((bounds.lower[k - 1][i],
+                                       bounds.upper[k - 1][i]), want):
+                    # the difference is taken exactly too
+                    err = abs(type(exact)(got) - exact)
+                    assert err <= 1e-13 * abs(exact), (eps, k, i, got)
 
 
 # --- margins -------------------------------------------------------------------

@@ -88,6 +88,29 @@ def test_no_variables_matches_baseline():
 
 
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_start_of_whole_layer_groups_is_crown_exactly(act):
+    # crown and frown run one backward recursion: at the baseline variables
+    # on crown's own intervals, a whole-layer group per sense gives crown's
+    # lower bounds and negated upper bounds bit for bit
+    for seed in (0, 1):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
+        x0 = np.random.default_rng(seed).uniform(-1, 1, 4)
+        for p in (1, 2, np.inf):
+            spec = PerturbationSpec(x0, p, 0.3)
+            bounds = crown.propagate(net, spec)
+            for k in range(2, net.m + 1):
+                vv = frown.collect_variables(spaces_for(net, bounds, k))
+                rows = list(range(net.layer_width(k)))
+                gammas, _ = frown.objective_and_gradient(
+                    net, spec, k,
+                    frown.RowGroups.of([rows, rows], ["lower", "upper"]), vv,
+                    np.tile(vv.start, (2, 1)))
+                low, up = bounds.layer(k)
+                assert np.array_equal(gammas, np.concatenate([low, -up])), (
+                    seed, p, k)
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 @pytest.mark.parametrize("p", [1, 2, np.inf])
 def test_gradient_matches_central_differences(act, p):
     net = generate_random_network(11, [4, 6, 5, 3], act, scale=1.0)
