@@ -46,6 +46,9 @@ import numpy as np
 from . import crown, relax
 from .model import Network, PerturbationSpec
 
+#: a group stops once its running best gains less than this over 5 steps
+IMPROVEMENT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -53,7 +56,6 @@ class OptimizerConfig:
     max_iters: int = 100
     restarts: int = 1
     group_size: int = 1
-    improvement_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -290,8 +292,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     # the optimum
     step = config.step_size * (var_vec.hi - var_vec.lo)
     decay = 0.98
-    # running best objective per group; a group stops once it gained less
-    # than improvement_tol over 5 steps
+    # running best objective per group, for the IMPROVEMENT_TOL stop
     history = np.empty((config.max_iters + 1, len(batch)))
     history[0] = obj
     scale = 1.0
@@ -305,7 +306,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
         history[it + 1, active] = np.maximum(history[it, active], obj)
         if it >= 4:
             stalled = (history[it + 1, active] - history[it - 4, active]
-                       < config.improvement_tol)
+                       < IMPROVEMENT_TOL)
             if stalled.all():
                 break
             if stalled.any():

@@ -14,13 +14,14 @@ once per layer.  The LPs of a layer differ only in their objective, so
 ``build_lp`` assembles the layer's rows once from those arrays with block
 array operations, with one objective per bound, and the simplex solves them
 with one phase 1, each objective's phase 2 warm-started from the optimal
-basis of the one before.  A hidden layer of n_k neurons gets 2 n_k
-objectives, one per neuron and side.  Given a label, the output layer gets
-only the n objectives the margins read, as in spec-driven bounding
-(alpha-CROWN, Xu et al., arXiv:2011.13824): the label's lower bound and
-every other class's upper bound.  ``build_lp`` also takes crown's own
-intervals and lines (one line per neuron and side); by the paper's
-optimality result that LP's optimum is crown's closed-form bound.
+basis of the one before.  As in crown, every bound is the least value of a
+signed row: an upper bound is minus that of the negated row.  A hidden layer
+of n_k neurons gets 2 n_k objectives, one per neuron and side.  Given a
+label, the output layer gets only the n objectives the margins read, as in
+spec-driven bounding (alpha-CROWN, Xu et al., arXiv:2011.13824): the label's
+lower bound and every other class's upper bound.  ``build_lp`` also takes
+crown's own intervals and lines (one line per neuron and side); by the
+paper's optimality result that LP's optimum is crown's closed-form bound.
 
 Each variable has a lower bound its own rows imply (x >= x0 - eps, z >= l,
 a >= its lower lines' least value on [l, u], r >= 0), which ``build_lp``
@@ -30,16 +31,13 @@ stores, less 1e-9 relative, as ``LpProblem.lower`` for the simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import crown, relax, simplex
 from .model import Network, PerturbationSpec, ball_rows, check_input
 from .relax import LineSpaces
-
-#: slack for the primal-certificate recheck after a solve
-CERT_TOL = 1e-7
 
 
 class LpUnsupportedError(ValueError):
@@ -48,12 +46,11 @@ class LpUnsupportedError(ValueError):
 
 @dataclass
 class LpProblem:
-    """A dense LP with one or more objectives over the same rows: optimize
-    c[j].v + c0[j] in sense[j] ("min" or "max") over A_eq v = b_eq,
-    A_ub v <= b_ub, for each row j of ``c``.  The rows imply v >= lower.
+    """A dense LP with one or more objectives over the same rows: minimize
+    c[j].v + c0[j] over A_eq v = b_eq, A_ub v <= b_ub for each row j of c.
+    The rows imply v >= lower; ``meta`` names each objective's side.
     """
 
-    sense: list
     c: np.ndarray
     c0: list
     A_eq: np.ndarray
@@ -62,7 +59,7 @@ class LpProblem:
     b_ub: np.ndarray
     lower: np.ndarray
     names: list
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def n_vars(self) -> int:
@@ -138,7 +135,8 @@ class RelaxationMenu:
 def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
              bounds: crown.LayerBounds, lines) -> LpProblem:
     """Assemble the relaxed LP of layer k, with objective j bounding neuron
-    ``neurons[j]`` on side ``sides[j]`` ("lower" or "upper").
+    ``neurons[j]`` on side ``sides[j]`` ("lower" or "upper"): its row of the
+    layer-k affine map, negated for an upper bound.
 
     ``bounds`` gives the intervals of layers < k, and ``lines[v-1]`` layer
     v's lines (slope_lower, intercept_lower, slope_upper, intercept_upper):
@@ -204,13 +202,13 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
         rhs.append(b[order])
     ball_A, ball_b = ball_rows(spec, total, r_col=r_at)
 
-    # objective j: row neurons[j] of the layer-k affine map, over a(k-1)
+    # objective j: row neurons[j] of the layer-k affine map over a(k-1), signed
+    sign = np.where(np.asarray(sides) == "lower", 1.0, -1.0)
     c = np.zeros((len(neurons), total))
     c[:, r_at - widths[-1]:r_at] = net.weights[k - 1][neurons]
     return LpProblem(
-        sense=["min" if side == "lower" else "max" for side in sides],
-        c=c,
-        c0=net.biases[k - 1][neurons].tolist(),
+        c=c * sign[:, None],
+        c0=(sign * net.biases[k - 1][neurons]).tolist(),
         A_eq=A_eq,
         b_eq=np.concatenate(net.biases[:k - 1]),
         A_ub=np.vstack(ub_blocks + [ball_A]),
@@ -222,23 +220,10 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
 
 
 def solve(problem: LpProblem):
-    """Optimal values and primal points, one entry (row) per objective, with
-    a feasibility certificate check."""
+    """Least values and optimal points, one entry (row) per objective."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
-        problem.sense, problem.lower)
-    if problem.A_eq.shape[0]:
-        eq_gap = np.abs(point @ problem.A_eq.T - problem.b_eq).max()
-        if eq_gap > CERT_TOL:
-            raise simplex.SimplexError(f"equality residual {eq_gap:.3e}")
-    if problem.A_ub.shape[0]:
-        ub_gap = (point @ problem.A_ub.T - problem.b_ub).max()
-        if ub_gap > CERT_TOL:
-            raise simplex.SimplexError(f"inequality violation {ub_gap:.3e}")
-    re_eval = (problem.c * point).sum(axis=-1)
-    if np.any(np.abs(re_eval - value) > CERT_TOL
-              * np.maximum(1.0, np.abs(value))):
-        raise simplex.SimplexError("objective mismatch at the primal point")
+        problem.lower)
     return value + problem.c0, point
 
 
@@ -248,13 +233,10 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     """Recursive LP bounds for layers 2..m: each layer's LPs use the menu
     lines and intervals of the LP bounds of the layers below.  A layer's
     LPs share their rows, so they are solved as one LP with an objective
-    per bound: every lower bound, then every upper bound.  Given a
+    per bound: every lower bound, then every negated upper bound.  Given a
     ``label``, the output layer solves only the bounds ``crown.margins``
     reads, the label's lower bound and every other class's upper bound, and
     leaves the others at -inf (lower) and +inf (upper)."""
-    if spec.p not in (1.0, math.inf):
-        raise LpUnsupportedError(
-            "the relaxation is a linear program only for p in {1, inf}")
     menu = menu or RelaxationMenu()
     n_out = net.layer_width(net.m)
     if label is not None and not 0 <= label < n_out:
@@ -274,7 +256,8 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
             net, spec, k, np.concatenate([solve_lo, solve_up]).tolist(),
             ("lower",) * n_lo + ("upper",) * len(solve_up), bounds, lines))[0]
         low, up = np.full(w, -np.inf), np.full(w, np.inf)
-        low[solve_lo], up[solve_up] = values[:n_lo], values[n_lo:]
+        # minus the negated row's least value; 0.0 - v, not -v, keeps 0 at +0.0
+        low[solve_lo], up[solve_up] = values[:n_lo], 0.0 - values[n_lo:]
         low, up = crown.ordered_bounds(low, up, k)
         bounds.lower.append(low)
         bounds.upper.append(up)
@@ -283,7 +266,8 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
 
 def dump_lp(problem: LpProblem) -> str:
     """Textual listing of the LP for external checks: for each objective in
-    turn, its objective and then every row, the listings blank-line apart."""
+    turn, its objective and then every row, the listings blank-line apart.
+    An upper bound's objective is listed as the maximum of its row."""
     meta = problem.meta
     rows = ["subject to:"]
     rows += [f"  {_poly(row, problem.names)} = {float(rhs)!r}"
@@ -292,16 +276,14 @@ def dump_lp(problem: LpProblem) -> str:
              for row, rhs in zip(problem.A_ub, problem.b_ub)]
     rows.append("free: " + " ".join(problem.names))
     listings = []
-    for j, (sense, c, c0) in enumerate(zip(problem.sense, problem.c,
-                                           problem.c0)):
-        parts = []
-        if meta:
-            parts.append(f"\\ layer {meta['k']} neuron {meta['neurons'][j]} "
-                         f"{meta['sides'][j]}")
-        parts.append(("minimize: " if sense == "min" else "maximize: ")
-                     + _poly(c, problem.names)
-                     + (f" + {c0!r}" if c0 else ""))
-        listings.append("\n".join(parts + rows) + "\n")
+    for neuron, side, c, c0 in zip(meta["neurons"], meta["sides"], problem.c,
+                                   problem.c0):
+        sign = 1.0 if side == "lower" else -1.0     # list the unsigned row
+        head = [f"\\ layer {meta['k']} neuron {neuron} {side}",
+                ("minimize: " if sign > 0 else "maximize: ")
+                + _poly(sign * c, problem.names)
+                + (f" + {sign * c0!r}" if c0 else "")]
+        listings.append("\n".join(head + rows) + "\n")
     return "\n".join(listings)
 
 

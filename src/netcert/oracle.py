@@ -7,10 +7,10 @@ functional of the outputs of a tiny ReLU network (a unit vector gives one
 output's range) by activation-pattern enumeration: once the active set of
 every hidden neuron is fixed the network is affine, so each pattern region
 reduces to a small LP over the ball intersected with the sign constraints,
-whose min and max share one phase 1.  The enumeration walks patterns
-depth-first and prunes subtrees whose sign-constraint prefix is already
-infeasible, which visits every feasible pattern while skipping infeasible
-ones wholesale.
+whose min and max (minus the min of the negated functional) share one
+phase 1.  The enumeration walks patterns depth-first and prunes subtrees
+whose sign-constraint prefix is already infeasible, which visits every
+feasible pattern while skipping infeasible ones wholesale.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         try:
             simplex.solve_inequality_form(
                 np.zeros((1, n_vars)), None, None, np.array(rows),
-                np.array(rhs), ["min"], lower)
+                np.array(rhs), lower)
             return True
         except simplex.InfeasibleError:
             return False
@@ -148,17 +148,17 @@ def exact_output_functional_range(net: Network, spec: PerturbationSpec,
         c = np.zeros(n_vars)
         c[:n] = coeff
         try:
-            (vmin, vmax), (pmin, pmax) = simplex.solve_inequality_form(
-                np.stack([c, c]), None, None, np.array(rows), np.array(rhs),
-                ["min", "max"], lower)
+            (vmin, neg_max), (pmin, pmax) = simplex.solve_inequality_form(
+                np.stack([c, -c]), None, None, np.array(rows), np.array(rhs),
+                lower)
         except simplex.InfeasibleError:
             state["patterns"] -= 1
             return
         if vmin + const < state["best_min"]:
             state["best_min"] = vmin + const
             state["argmin"] = pmin[:n].copy()
-        if vmax + const > state["best_max"]:
-            state["best_max"] = vmax + const
+        if -neg_max + const > state["best_max"]:
+            state["best_max"] = -neg_max + const
             state["argmax"] = pmax[:n].copy()
 
     def descend(v, j, M, d, pattern, rows, rhs):

@@ -1,27 +1,29 @@
 """Dense two-phase revised simplex with Bland's rule.
 
-Solves  min/max c.v  subject to  A_eq v = b_eq,  A_ub v <= b_ub  and
-v >= lower, for one or more objectives over the same rows; a ``lower`` that
-the rows already imply leaves the optimum of the LP over free variables.
-Internally the problem moves to standard form once (y = v - lower >= 0,
-slacks added to the inequalities) and phase 1 runs once, from the slack
-basis (Bixby, ORSA J. Computing 4, 1992): an inequality row whose slack is
-feasible at y = 0 starts with that slack basic, and only equality rows and
-rows whose right-hand side was flipped start with an artificial.  Each
-objective's phase 2 starts from the optimal basis of the objective before
-it (the first from the phase-1 basis): only the costs change, so that basis
-is still feasible.  The entering column is the eligible one of smallest
-index.  Among the rows tied in the ratio test the one with the largest
-pivot leaves, except on a degenerate pivot (a step of 0), where the one
-with the smallest basic index leaves.  A cycle is made of degenerate pivots
-only, so it would follow Bland's smallest-index rule throughout, which
-cannot cycle.  The basis inverse is maintained by elementary row updates
-and refactorized periodically, after the artificial drive-out and before
-optimality is concluded, so that every solve ends, and every warm start
-begins, on a fresh inverse.  A phase 1 that fails, and an objective whose
-solve still ends off its rows, on a singular basis or on a spurious
-unbounded ray, are solved again cold: phase 1 from the all-artificial
-basis, then phase 2, with a refactorization at every pivot.
+Minimizes c.v subject to A_eq v = b_eq, A_ub v <= b_ub and v >= lower, for
+one or more objectives over the same rows (a maximum is minus the minimum of
+the negated row); a ``lower`` that the rows already imply leaves the optimum
+of the LP over free variables.  Internally the problem moves to standard
+form once (y = v - lower >= 0, slacks added to the inequalities) and phase 1
+runs once, from the slack basis (Bixby, ORSA J. Computing 4, 1992): an
+inequality row whose slack is feasible at y = 0 starts with that slack
+basic, and only equality rows and rows whose right-hand side was flipped
+start with an artificial.  Each objective's phase 2 starts from the optimal
+basis of the objective before it (the first from the phase-1 basis): only
+the costs change, so that basis is still feasible.  The entering column is
+the eligible one of smallest index.  Among the rows tied in the ratio test
+the one with the largest pivot leaves, except on a degenerate pivot (a step
+of 0), where the one with the smallest basic index leaves.  A cycle is made
+of degenerate pivots only, so it would follow Bland's smallest-index rule
+throughout, which cannot cycle.  The basis inverse is maintained by
+elementary row updates and refactorized periodically, after the artificial
+drive-out and before optimality is concluded, so that every solve ends, and
+every warm start begins, on a fresh inverse.  A point v is off its rows when
+it misses an equality or breaks an inequality by more than FEAS_TOL.  A
+phase 1 that fails, and an objective whose solve ends off its rows, on a
+singular basis or on a spurious unbounded ray, are solved again cold: phase
+1 from the all-artificial basis, then phase 2, with a refactorization at
+every pivot.  A cold point off its rows raises SimplexError.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ PIVOT_TOL = 1e-9
 RATIO_TOL = 1e-7
 #: rounding error of a reduced cost, relative to |multipliers| @ |column|
 ROUNDING = 1e-13
-#: phase-1 objective above this value means infeasible
+#: a phase-1 objective, or a point's largest row violation, above this fails
 FEAS_TOL = 1e-7
 #: refactorize the basis inverse every this many pivots
 REFACTOR_EVERY = 100
@@ -61,6 +63,14 @@ def _refactor(A, b, basis, B_inv, xB):
     """Recompute the basis inverse and the basic values from scratch."""
     B_inv[:, :] = np.linalg.inv(A[:, basis])
     xB[:] = np.maximum(B_inv @ b, 0.0)
+
+
+def _take_in(B_inv, basis, row, enter, d, piv):
+    """Pivot column ``enter`` in at ``row``, with d = B_inv @ A[:, enter]."""
+    B_inv[row, :] /= piv
+    others = np.arange(len(basis)) != row
+    B_inv[others, :] -= np.outer(d[others], B_inv[row, :])
+    basis[row] = enter
 
 
 def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
@@ -133,14 +143,11 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
             leave_row = int(ties[np.argmin(basis[ties])])
         else:
             leave_row = int(ties[np.argmax(d[ties])])
-        piv, leaving = d[leave_row], basis[leave_row]
+        leaving = basis[leave_row]
         xB -= theta * d
         xB[leave_row] = theta
         np.maximum(xB, 0.0, out=xB)
-        B_inv[leave_row, :] /= piv
-        others = np.arange(m) != leave_row
-        B_inv[others, :] -= np.outer(d[others], B_inv[leave_row, :])
-        basis[leave_row] = enter
+        _take_in(B_inv, basis, leave_row, enter, d, d[leave_row])
         eligible[:] = allowed
         since_refactor += 1
         if since_refactor >= refactor_every:
@@ -154,21 +161,15 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
                 eligible[enter] = False
 
 
-def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
-                          max_iter=10**6):
-    """Solve the LP over the variables v >= ``lower`` for every objective,
-    one per row of ``c``, each with its entry of ``senses`` ("min" or
-    "max"); returns the optimal values and points, one entry (row) per
+def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6):
+    """Minimize over the variables v >= ``lower`` every objective, one per
+    row of ``c``; returns the optimal values and points, one entry (row) per
     objective.  ``max_iter`` caps the pivots of phase 1 plus one objective's
-    phase 2.
-    """
+    phase 2."""
     costs = np.asarray(c, dtype=float)
-    senses = list(senses)
-    if (costs.ndim != 2 or len(senses) != len(costs)
-            or not set(senses) <= {"min", "max"}):
-        raise ValueError(f"c must hold one objective per row with a sense "
-                         f"'min' or 'max' per objective, got shape "
-                         f"{costs.shape} and senses {senses!r}")
+    if costs.ndim != 2:
+        raise ValueError(f"c must be 2-D, one row per objective, got shape "
+                         f"{costs.shape}")
     nv = costs.shape[1]
     A_eq = np.zeros((0, nv)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
@@ -178,14 +179,15 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
     n_eq, n_ub = A_eq.shape[0], A_ub.shape[0]
     m = n_eq + n_ub
     # standard form: y = [v - lower, slacks]; rows [A_eq; A_ub]
-    A = np.zeros((m, nv + n_ub))
-    A[:n_eq, :nv] = A_eq
-    A[n_eq:, :nv] = A_ub
-    A[n_eq:, nv:] = np.eye(n_ub)
+    A = np.block([[A_eq, np.zeros((n_eq, n_ub))], [A_ub, np.eye(n_ub)]])
     b = np.concatenate([b_eq - A_eq @ lower, b_ub - A_ub @ lower])
     flip = b < 0
     A[flip, :] *= -1.0
     b = np.abs(b)
+
+    def violation(v):           # largest amount by which v breaks a row
+        return max(np.abs(A_eq @ v - b_eq).max(initial=0.0),
+                   (A_ub @ v - b_ub).max(initial=0.0))
 
     n_std = A.shape[1]
     full = np.hstack([A, np.eye(m)])
@@ -201,26 +203,25 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, senses, lower,
         warm = None
     values = np.empty(len(costs))
     points = np.empty((len(costs), nv))
-    for j, (cost, sense_j) in enumerate(zip(costs, senses)):
-        obj = cost if sense_j == "min" else -cost
+    for j, cost in enumerate(costs):
         cost2 = np.zeros(n_std + m)
-        cost2[:nv] = obj
-        y = None
+        cost2[:nv] = cost
+        v = None
         if warm is not None:
             try:
-                y = _phase2(full, b, cost2, n_std, warm, budget,
-                            REFACTOR_EVERY)
-                if np.abs(A @ y[:n_std] - b).max(initial=0.0) > FEAS_TOL:
-                    y = None
+                v = _phase2(full, b, cost2, n_std, warm, budget,
+                            REFACTOR_EVERY)[:nv] + lower
             except (np.linalg.LinAlgError, UnboundedError):
                 pass
-        if y is None:
+        if v is None or violation(v) > FEAS_TOL:
             # cold re-solve, refactorized at every pivot
             warm, budget = _phase1(full, b, n_std, artificials, max_iter, 1)
-            y = _phase2(full, b, cost2, n_std, warm, budget, 1)
-        points[j] = y[:nv] + lower
-        value = float(obj @ points[j])
-        values[j] = -value if sense_j == "max" else value
+            v = _phase2(full, b, cost2, n_std, warm, budget, 1)[:nv] + lower
+            if violation(v) > FEAS_TOL:
+                raise SimplexError(f"cold solve ends off its rows by "
+                                   f"{violation(v):.3e}")
+        points[j] = v
+        values[j] = float(cost @ v)
     return values, points
 
 
@@ -255,12 +256,8 @@ def _phase1(full, b, n_std, start, max_iter, refactor_every):
         if cands.size == 0:
             continue
         enter = int(cands[0])
-        piv = tableau_row[enter]
-        d = B_inv @ full[:, enter]
-        B_inv[row, :] /= piv
-        others = np.arange(m) != row
-        B_inv[others, :] -= np.outer(d[others], B_inv[row, :])
-        basis[row] = enter
+        _take_in(B_inv, basis, row, enter, B_inv @ full[:, enter],
+                 tableau_row[enter])
         driven = True
     if driven:
         _refactor(full, b, basis, B_inv, xB)

@@ -102,10 +102,12 @@ def shared_lines_lp(net: Network, spec) -> crown.LayerBounds:
     lines = crown_lines(net, bounds)
     lows, ups = [bounds.lower[0]], [bounds.upper[0]]
     for k in range(2, net.m + 1):
-        for sense, out in zip(relax.SIDES, (lows, ups)):
+        for sense, sign, out in zip(relax.SIDES, (1.0, -1.0), (lows, ups)):
+            # an upper objective is the negated row: its bound is minus the
+            # LP's least value
             out.append(np.array([
-                lp.solve(lp.build_lp(net, spec, k, [i], [sense], bounds,
-                                     lines))[0][0]
+                sign * lp.solve(lp.build_lp(net, spec, k, [i], [sense], bounds,
+                                            lines))[0][0]
                 for i in range(net.layer_width(k))]))
     return crown.LayerBounds(lows, ups)
 

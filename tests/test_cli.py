@@ -89,6 +89,24 @@ def test_tangent_bounds_match_golden(tmp_path, act):
             assert got[key] == want[key], (want["p"], want["eps"], key)
 
 
+@pytest.mark.parametrize("lines", ["single", "multi"])
+@pytest.mark.parametrize("p", ["inf", "1"])
+@pytest.mark.parametrize("net, sample", [("toy_relu", "toy_sample"),
+                                         ("constgap", "linear2_sample")])
+def test_dump_lp_matches_golden(tmp_path, net, sample, p, lines):
+    # the output-layer LPs as --dump-lp writes them, compared byte for byte.
+    # Both nets have one hidden layer, so every row comes from the exact
+    # layer-1 bounds; constgap's output layer has zero rows and a bias, so
+    # its objectives read "0" and "0 + 1.0"
+    dump = tmp_path / "out.lp"
+    rc = run(["bounds", data_path(f"{net}.json"), data_path(f"{sample}.json"),
+              "--eps", "0.5", "--p", p, "--method", "lp", "--lines", lines,
+              "--dump-lp", str(dump), "--out", str(tmp_path / "bounds.json")])
+    assert rc == 0
+    golden = data_path(os.path.join("golden_lp", f"{net}_p{p}_{lines}.lp"))
+    assert dump.read_bytes() == open(golden, "rb").read()
+
+
 def test_tangent_golden_nets_cover_every_case():
     tags = set()
     for act in ("sigmoid", "tanh"):

@@ -281,11 +281,11 @@ def test_one_evaluation_per_iteration_serves_every_restart(monkeypatch):
     vv = frown.collect_variables(spaces_for(net, crown.propagate(net, spec),
                                             3))
     evaluated = record_evaluations(monkeypatch)
-    # improvement_tol 0 stops no group: the running best never falls
+    # IMPROVEMENT_TOL 0 stops no group: the running best never falls
+    monkeypatch.setattr(frown, "IMPROVEMENT_TOL", 0.0)
     frown.optimize_bounds(
         net, spec, 3, [[0, 1], [2]], ["lower", "upper"],
-        frown.OptimizerConfig(max_iters=20, restarts=3, improvement_tol=0.0),
-        vv)
+        frown.OptimizerConfig(max_iters=20, restarts=3), vv)
     assert [len(values) for values in evaluated] == [3 * 2] * 21
 
 
@@ -334,21 +334,22 @@ def test_propagate_dominates_baseline_and_sound(act):
         assert not oracle.sample_check(net, spec, fb, 30000, seed=seed)
 
 
-def test_group_of_one_at_least_as_tight_as_full_layer():
+def test_group_of_one_at_least_as_tight_as_full_layer(monkeypatch):
     # the direction of the tightness-vs-cost trade-off: a dedicated
     # optimization per neuron beats the shared group compromise, up to the
     # residual a first-order method leaves around each optimum (measured
     # ~5e-5 here, against a typical per-neuron advantage of 5e-4 .. 1e-2)
+    monkeypatch.setattr(frown, "IMPROVEMENT_TOL", 0.0)
     advantages = []
     for seed in range(10):
         net = generate_random_network(seed, [4, 5, 4, 3], "sigmoid", scale=1.2)
         spec = PerturbationSpec(np.full(4, 0.02), np.inf, 0.35)
         per_neuron = frown.frown_propagate(
             net, spec, frown.OptimizerConfig(max_iters=100, group_size=1,
-                                             restarts=3, improvement_tol=0.0))
+                                             restarts=3))
         grouped = frown.frown_propagate(
             net, spec, frown.OptimizerConfig(max_iters=100, group_size=4,
-                                             restarts=3, improvement_tol=0.0))
+                                             restarts=3))
         for k in range(2, net.m + 1):
             assert np.all(per_neuron.lower[k - 1] >= grouped.lower[k - 1] - 1e-4)
             assert np.all(per_neuron.upper[k - 1] <= grouped.upper[k - 1] + 1e-4)

@@ -23,7 +23,7 @@ def test_simplex_min_on_unit_interval():
     # min x s.t. 0 <= x <= 1
     (value,), (point,) = simplex.solve_inequality_form(
         np.array([[1.0]]), None, None,
-        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), ["min"], [-1.0])
+        np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), [-1.0])
     assert value == pytest.approx(0.0, abs=1e-12)
     assert point[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -37,11 +37,11 @@ def test_simplex_box_corner_matches_hand_value():
         A = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
         b = np.concatenate([np.ones(d), np.zeros(d), [float(d)]])
         (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
-                                                    ["min"], np.zeros(d))
+                                                    np.zeros(d))
         assert value == pytest.approx(np.minimum(c, 0.0).sum(), abs=1e-9)
-        (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
-                                                    ["max"], np.zeros(d))
-        assert value == pytest.approx(np.maximum(c, 0.0).sum(), abs=1e-9)
+        (value,), _ = simplex.solve_inequality_form(-c[None], None, None, A,
+                                                    b, np.zeros(d))
+        assert -value == pytest.approx(np.maximum(c, 0.0).sum(), abs=1e-9)
 
 
 def test_simplex_with_equalities():
@@ -52,7 +52,7 @@ def test_simplex_with_equalities():
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.concatenate([np.ones(3), np.zeros(3)])
     (value,), (point,) = simplex.solve_inequality_form(c, A_eq, b_eq, A, b,
-                                                       ["min"], np.zeros(3))
+                                                       np.zeros(3))
     assert value == pytest.approx(0.0, abs=1e-9)
     assert point[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -62,7 +62,7 @@ def test_simplex_detects_infeasible():
     b = np.array([0.0, -1.0])  # x <= 0 and x >= 1
     with pytest.raises(simplex.InfeasibleError):
         simplex.solve_inequality_form(np.array([[1.0]]), None, None, A, b,
-                                      ["min"], [0.0])
+                                      [0.0])
 
 
 def test_simplex_detects_unbounded():
@@ -70,7 +70,7 @@ def test_simplex_detects_unbounded():
     b = np.array([0.0])  # x >= 0, minimize -x
     with pytest.raises(simplex.UnboundedError):
         simplex.solve_inequality_form(np.array([[-1.0]]), None, None, A, b,
-                                      ["min"], [0.0])
+                                      [0.0])
 
 
 def test_pivot_to_a_singular_basis_is_taken_back(monkeypatch):
@@ -117,7 +117,7 @@ def test_phase1_from_the_slack_basis_of_a_box_corner_lp_needs_no_pivot(
     b = np.concatenate([np.ones(d), np.zeros(d), [float(d)]])
     c = np.array([1.0, -2.0, 0.5, -1.0])
     (value,), _ = simplex.solve_inequality_form(c[None], None, None, A, b,
-                                                ["min"], np.zeros(d))
+                                                np.zeros(d))
     assert value == pytest.approx(-3.0, abs=1e-12)
     start, end, used = calls[0]                  # phase 1
     assert start.tolist() == list(range(d, d + len(b)))   # the slacks
@@ -146,7 +146,7 @@ def test_phase1_starts_on_slacks_and_artificials_elsewhere(
     monkeypatch.setattr(simplex, "_phase1", spy)
     A_ub = np.array([[1.0, 0.0], [0.0, -1.0]])
     simplex.solve_inequality_form(np.array([[1.0, 1.0]]), A_eq, b_eq, A_ub,
-                                  np.array(b_ub), ["min"], np.zeros(2))
+                                  np.array(b_ub), np.zeros(2))
     assert starts == [want]
 
 
@@ -168,9 +168,8 @@ def test_failed_phase1_from_the_slack_basis_falls_back_to_a_cold_solve(
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 2.0, 1.0, 2.0])
     values, points = simplex.solve_inequality_form(
-        np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
-        ["min", "max"], [-1.0, -2.0])
-    assert values.tolist() == [-3.0, 3.0]
+        np.array([[1.0, 1.0], [-1.0, 1.0]]), None, None, A, b, [-1.0, -2.0])
+    assert (values * [1.0, -1.0]).tolist() == [-3.0, 3.0]
     assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
     assert calls == [([2, 3, 4, 5], simplex.REFACTOR_EVERY),
                      ([6, 7, 8, 9], 1)]
@@ -182,18 +181,16 @@ def test_simplex_solves_several_objectives_over_one_feasible_set():
     b = np.array([1.0, 2.0, 1.0, 2.0])
     c = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
     lower = np.array([-1.0, -2.0])
+    # a maximum is minus the minimum of the negated row
+    sign = np.array([1.0, -1.0, -1.0])
     values, points = simplex.solve_inequality_form(
-        c, None, None, A, b, ["min", "max", "max"], lower)
-    assert values.tolist() == [-3.0, 3.0, 2.0]
+        c * sign[:, None], None, None, A, b, lower)
+    assert (values * sign).tolist() == [-3.0, 3.0, 2.0]
     assert points[:2].tolist() == [[-1.0, -2.0], [1.0, -2.0]]
-    values, _ = simplex.solve_inequality_form(c, None, None, A, b,
-                                              ["min"] * 3, lower)
+    values, _ = simplex.solve_inequality_form(c, None, None, A, b, lower)
     assert values.tolist() == [-3.0, -3.0, -2.0]
-    for bad_c, senses in ((c, ["min", "max"]), (c, "min"),
-                          (c[0], ["min"])):
-        with pytest.raises(ValueError, match="per objective"):
-            simplex.solve_inequality_form(bad_c, None, None, A, b, senses,
-                                          lower)
+    with pytest.raises(ValueError, match="per objective"):
+        simplex.solve_inequality_form(c[0], None, None, A, b, lower)
 
 
 def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
@@ -207,15 +204,14 @@ def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
     def off_rows(*args):
         refactor_every.append(args[-1])
         y = phase2(*args)
-        return 2.0 * y if args[-1] == simplex.REFACTOR_EVERY else y
+        return y + 4.0 if args[-1] == simplex.REFACTOR_EVERY else y
 
     monkeypatch.setattr(simplex, "_phase2", off_rows)
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 2.0, 1.0, 2.0])
     values, points = simplex.solve_inequality_form(
-        np.array([[1.0, 1.0], [1.0, -1.0]]), None, None, A, b,
-        ["min", "max"], [-1.0, -2.0])
-    assert values.tolist() == [-3.0, 3.0]
+        np.array([[1.0, 1.0], [-1.0, 1.0]]), None, None, A, b, [-1.0, -2.0])
+    assert (values * [1.0, -1.0]).tolist() == [-3.0, 3.0]
     assert points.tolist() == [[-1.0, -2.0], [1.0, -2.0]]
     assert refactor_every == [simplex.REFACTOR_EVERY, 1] * 2
 
@@ -229,17 +225,30 @@ def test_warm_solve_off_its_rows_falls_back_to_a_cold_solve(monkeypatch):
                       <= 1e-9 * np.maximum(1.0, np.abs(c_arr)))
 
 
-def highs(optimize, prob, c, sense, feasibility=1e-10):
-    """The optimum of ``prob``'s rows for objective c over free variables,
+def test_cold_solve_off_its_rows_raises(monkeypatch):
+    # every phase 2, warm or cold, is made to end off its rows: the warm
+    # point falls back to the cold solve, and the cold point raises in the
+    # simplex itself rather than reaching a direct caller such as the oracle
+    phase2 = simplex._phase2
+    monkeypatch.setattr(simplex, "_phase2", lambda *args: phase2(*args) + 4.0)
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.array([1.0, 2.0, 1.0, 2.0])
+    with pytest.raises(simplex.SimplexError,
+                       match="cold solve ends off its rows"):
+        simplex.solve_inequality_form(np.array([[1.0, 1.0]]), None, None, A,
+                                      b, [-1.0, -2.0])
+
+
+def highs(optimize, prob, c, feasibility=1e-10):
+    """The minimum of objective c over ``prob``'s rows and free variables,
     by HiGHS's dual simplex at tight tolerances."""
-    sign = 1.0 if sense == "min" else -1.0
     res = optimize.linprog(
-        sign * c, A_ub=prob.A_ub, b_ub=prob.b_ub, A_eq=prob.A_eq,
+        c, A_ub=prob.A_ub, b_ub=prob.b_ub, A_eq=prob.A_eq,
         b_eq=prob.b_eq, bounds=(None, None), method="highs-ds",
         options={"primal_feasibility_tolerance": feasibility,
                  "dual_feasibility_tolerance": feasibility})
     assert res.status == 0, res.message
-    return sign * res.fun
+    return res.fun
 
 
 def assert_layer_lps_match_highs(net, spec, menu, feasibility=1e-10):
@@ -255,8 +264,9 @@ def assert_layer_lps_match_highs(net, spec, menu, feasibility=1e-10):
         prob = lp.build_lp(net, spec, k, neurons, relax.SIDES * width,
                            bounds, lines)
         ours = np.stack(bounds.layer(k), axis=1).ravel()
-        for c, sense, c0, value in zip(prob.c, prob.sense, prob.c0, ours):
-            want = highs(optimize, prob, c, sense, feasibility) + c0
+        signs = np.tile([1.0, -1.0], width)   # an upper bound's row is negated
+        for c, sign, c0, value in zip(prob.c, signs, prob.c0, ours):
+            want = sign * (highs(optimize, prob, c, feasibility) + c0)
             assert abs(value - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -316,7 +326,7 @@ def test_lower_bounds_are_implied_by_the_rows(act, p):
     lines = menu_lines(net, bounds, "multi", net.m)
     prob = lp.build_lp(net, spec, net.m, [0], ["lower"], bounds, lines)
     for j, unit in enumerate(np.eye(prob.n_vars)):
-        assert prob.lower[j] <= highs(optimize, prob, unit, "min")
+        assert prob.lower[j] <= highs(optimize, prob, unit)
 
 
 # --- build_lp -------------------------------------------------------------------
@@ -411,10 +421,11 @@ def test_build_lp_matches_per_entry_reference(act, p):
     for k in (2, 3):
         for lines in (crown_lines(net, bounds), menu_lines(net, bounds, "single", k),
                       menu_lines(net, bounds, "multi", k)):
-            for i, sense in ((0, "lower"), (1, "upper")):
+            for i, sense, sign in ((0, "lower", 1.0), (1, "upper", -1.0)):
                 prob = lp.build_lp(net, spec, k, [i], [sense], bounds, lines)
                 got = (prob.c[0], prob.A_eq, prob.b_eq, prob.A_ub, prob.b_ub)
-                want = per_entry_lp(net, spec, k, i, bounds, lines)
+                c, *rows = per_entry_lp(net, spec, k, i, bounds, lines)
+                want = (sign * c, *rows)      # an upper objective is negated
                 # same bits, so signed zeros too
                 assert [g.tobytes() for g in got] == \
                     [w.tobytes() for w in want]

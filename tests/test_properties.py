@@ -64,10 +64,11 @@ def multi_menu_never_looser_than_single(act, case):
     multi = lp.RelaxationMenu("multi")
     for k in range(2, net.m + 1):
         lines = [multi.layer_lines(act, *single.layer(v)) for v in range(1, k)]
-        for sense, bound in zip(relax.SIDES, single.layer(k)):
+        for sense, sign, bound in zip(relax.SIDES, (1.0, -1.0),
+                                      single.layer(k)):
             for i in range(net.layer_width(k)):
-                value = lp.solve(lp.build_lp(net, spec, k, [i], [sense], single,
-                                             lines))[0][0]
+                value = sign * lp.solve(lp.build_lp(net, spec, k, [i], [sense],
+                                                    single, lines))[0][0]
                 if sense == "lower":
                     assert value >= bound[i] - 1e-7
                 else:
@@ -185,10 +186,11 @@ def test_warm_started_layer_bounds_equal_cold_solves(act, menu, case):
     lines = []
     for k in range(2, net.m + 1):
         lines.append(menu.layer_lines(act, *warm.layer(k - 1)))
-        for sense, bound in zip(relax.SIDES, warm.layer(k)):
+        for sense, sign, bound in zip(relax.SIDES, (1.0, -1.0),
+                                      warm.layer(k)):
             for i in range(net.layer_width(k)):
-                cold = lp.solve(lp.build_lp(net, spec, k, [i], [sense], warm,
-                                            lines))[0][0]
+                cold = sign * lp.solve(lp.build_lp(net, spec, k, [i], [sense],
+                                                   warm, lines))[0][0]
                 assert abs(bound[i] - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
