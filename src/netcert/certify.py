@@ -2,9 +2,12 @@
 
 A prediction is certified at radius eps when the lower bound of the labeled
 logit stays above the upper bounds of the competing logits over the whole
-ball.  Every probe re-derives its bounds from scratch at the probed radius
-(the admissible line families depend on the intervals, which depend on eps,
-so reusing state across probes would not be sound).  A probe reads n of the
+ball.  Every probe re-derives its bounds at the probed radius: the
+admissible line families depend on the intervals, which depend on eps.  The
+one state an lp search carries from probe to probe is each LP objective's
+optimal basis, a starting point of the simplex that it checks for
+feasibility before use, so the bounds are the LP optima at every radius
+whatever the earlier probes left.  A probe reads n of the
 2n output bounds, the label's lower bound and every other class's upper
 bound, in targeted mode too: lp solves only those (its LPs are one per
 bound), while crown and frown bound every entry in one pass.  The largest
@@ -63,27 +66,31 @@ class Certificate:
 def output_bounds(net: Network, spec: PerturbationSpec, method: str,
                   frown_config: frown.OptimizerConfig | None = None,
                   lp_menu: lp.RelaxationMenu | None = None,
-                  label: int | None = None) -> crown.LayerBounds:
+                  label: int | None = None,
+                  lp_bases: dict | None = None) -> crown.LayerBounds:
     """Every layer's bounds under the chosen method.  Given a ``label``, lp
     bounds only the output entries ``crown.margins`` reads for it and sets
     the others to -inf (lower) and +inf (upper); crown and frown bound
-    every entry."""
+    every entry.  ``lp_bases`` is lp's starting bases (``lp.lp_propagate``'s
+    ``bases``)."""
     if method == "crown":
         return crown.propagate(net, spec)
     if method == "frown":
         return frown.frown_propagate(net, spec, frown_config)
     if method == "lp":
-        return lp.lp_propagate(net, spec, menu=lp_menu, label=label)
+        return lp.lp_propagate(net, spec, menu=lp_menu, label=label,
+                               bases=lp_bases)
     raise ValueError(f"unknown method {method!r}")
 
 
 def certified_at(net: Network, x0, label: int, epsilon: float, p,
                  method: str = "crown", target: int | None = None,
-                 frown_config=None, lp_menu=None):
+                 frown_config=None, lp_menu=None, lp_bases=None):
     """(is certified, margin trace) at a fixed radius.
 
     Untargeted when ``target`` is None: every margin must be nonnegative.
-    Targeted: only the margin against ``target`` matters.
+    Targeted: only the margin against ``target`` matters.  ``lp_bases`` is
+    passed to ``output_bounds``.
     """
     x0 = np.asarray(x0, dtype=float)
     logits = forward(net, x0)
@@ -92,7 +99,8 @@ def certified_at(net: Network, x0, label: int, epsilon: float, p,
             f"label {label} is not the network's prediction "
             f"{int(np.argmax(logits))}; the certificate is vacuous")
     spec = PerturbationSpec(x0, p, epsilon)
-    bounds = output_bounds(net, spec, method, frown_config, lp_menu, label)
+    bounds = output_bounds(net, spec, method, frown_config, lp_menu, label,
+                           lp_bases)
     marg = crown.margins(bounds.output_lower, bounds.output_upper, label)
     return _score(marg, label, target) >= 0.0, marg
 
@@ -184,6 +192,8 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
     and walk again until none is left.  The radius is a probed certified
     point, a probed uncertified one (or the cap) within ``rel_tol`` above
     it, and the radius of probing every point if certification is monotone.
+    An lp search starts each probe's LPs from the previous probe's optimal
+    bases (``lp.lp_propagate``'s ``bases``).
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -191,6 +201,7 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
         raise ModelError(f"cap must be positive and finite, got {cap}")
     t_start = time.perf_counter()
     probed = {}  # eps -> margins, None where the crown screen answered
+    lp_bases = {} if method == "lp" else None
 
     def probe(eps: float) -> bool:
         if method == "frown" and certified_at(net, x0, label, eps, p,
@@ -198,7 +209,8 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
             probed[eps] = None
             return True
         ok, probed[eps] = certified_at(net, x0, label, eps, p, method,
-                                       target, frown_config, lp_menu)
+                                       target, frown_config, lp_menu,
+                                       lp_bases)
         return ok
 
     if method != "frown":
@@ -217,7 +229,7 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
     marg = probed.get(radius)
     if marg is None:
         _, marg = certified_at(net, x0, label, radius, p, method, target,
-                               frown_config, lp_menu)
+                               frown_config, lp_menu, lp_bases)
     return Certificate(
         epsilon_certified=float(radius),
         mode="untargeted" if target is None else "targeted",

@@ -184,7 +184,8 @@ def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
         coeffs, offsets, _ = backward_rows(
             net, k, np.vstack([w, -w]), np.concatenate([b, -b]), lines)
         g = concretize_rows(coeffs, offsets, spec)
-        low, up = ordered_bounds(g[:len(b)], -g[len(b):], k)
+        # minus the negated row's least value; 0.0 - g, not -g, keeps 0 at +0.0
+        low, up = ordered_bounds(g[:len(b)], 0.0 - g[len(b):], k)
         lows.append(low)
         ups.append(up)
     return LayerBounds(lows, ups)

@@ -356,7 +356,8 @@ def frown_propagate(net: Network, spec: PerturbationSpec,
         _fold(best, np.arange(2 * width), gammas)
         # a pair crossed by rounding comes back swapped, which can put a side
         # past crown's; crown's bounds are folded in again after the swap
-        lower, upper = crown.ordered_bounds(best[:width], -best[width:], k)
+        lower, upper = crown.ordered_bounds(best[:width], 0.0 - best[width:],
+                                            k)
         lows.append(np.maximum(lower, gl))
         ups.append(np.minimum(upper, gu))
         if k < net.m:

@@ -13,9 +13,13 @@ intervals and menu lines.  A layer's lines are its four line arrays, made
 once per layer.  The LPs of a layer differ only in their objective, so
 ``build_lp`` assembles the layer's rows once from those arrays with block
 array operations, with one objective per bound, and the simplex solves them
-with one phase 1, each objective's phase 2 warm-started from the optimal
-basis of the one before.  As in crown, every bound is the least value of a
-signed row: an upper bound is minus that of the negated row.  A hidden layer
+with at most one phase 1, each objective's phase 2 warm-started from the
+optimal basis of the one before.  Between the probes of a radius search the
+rows change with eps, and keep their shape unless a menu line is dropped or
+added, so each objective's phase 2 starts from its own optimal basis of the
+previous probe where that basis is still feasible (``lp_propagate``'s
+``bases``).  As in crown, every bound is the least value of a signed row:
+an upper bound is minus that of the negated row.  A hidden layer
 of n_k neurons gets 2 n_k objectives, one per neuron and side.  Given a
 label, the output layer gets only the n objectives the margins read, as in
 spec-driven bounding (alpha-CROWN, Xu et al., arXiv:2011.13824): the label's
@@ -219,24 +223,34 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
     )
 
 
-def solve(problem: LpProblem):
-    """Least values and optimal points, one entry (row) per objective."""
+def solve(problem: LpProblem, bases: list | None = None):
+    """Least values and optimal points, one entry (row) per objective.
+    ``bases`` is passed to ``simplex.solve_inequality_form``: each
+    objective's starting basis, replaced by its optimal one."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
-        problem.lower)
+        problem.lower, bases=bases)
     return value + problem.c0, point
 
 
 def lp_propagate(net: Network, spec: PerturbationSpec,
                  menu: RelaxationMenu | None = None,
-                 label: int | None = None) -> crown.LayerBounds:
+                 label: int | None = None,
+                 bases: dict | None = None) -> crown.LayerBounds:
     """Recursive LP bounds for layers 2..m: each layer's LPs use the menu
     lines and intervals of the LP bounds of the layers below.  A layer's
     LPs share their rows, so they are solved as one LP with an objective
     per bound: every lower bound, then every negated upper bound.  Given a
     ``label``, the output layer solves only the bounds ``crown.margins``
     reads, the label's lower bound and every other class's upper bound, and
-    leaves the others at -inf (lower) and +inf (upper)."""
+    leaves the others at -inf (lower) and +inf (upper).
+
+    ``bases``, a dict the caller keeps across calls (a radius search keeps
+    one per search), maps each layer k to its objectives' optimal bases of
+    the last call: each objective's phase 2 starts from its own if that
+    basis is still feasible, and the dict is updated in place.  Any start
+    is checked before use, so the bounds are the LP optima whatever the
+    dict holds; without it every call starts from scratch."""
     menu = menu or RelaxationMenu()
     n_out = net.layer_width(net.m)
     if label is not None and not 0 <= label < n_out:
@@ -251,10 +265,13 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
         solve_lo = solve_up = np.arange(w)   # neurons bounded on each side
         if k == net.m and label is not None:
             solve_lo, solve_up = solve_lo[[label]], solve_up[solve_up != label]
-        n_lo = len(solve_lo)
+        n_lo, n_obj = len(solve_lo), len(solve_lo) + len(solve_up)
+        if bases is not None and len(bases.get(k, ())) != n_obj:
+            bases[k] = [None] * n_obj
         values = solve(build_lp(
             net, spec, k, np.concatenate([solve_lo, solve_up]).tolist(),
-            ("lower",) * n_lo + ("upper",) * len(solve_up), bounds, lines))[0]
+            ("lower",) * n_lo + ("upper",) * len(solve_up), bounds, lines),
+            None if bases is None else bases[k])[0]
         low, up = np.full(w, -np.inf), np.full(w, np.inf)
         # minus the negated row's least value; 0.0 - v, not -v, keeps 0 at +0.0
         low[solve_lo], up[solve_up] = values[:n_lo], 0.0 - values[n_lo:]

@@ -5,25 +5,38 @@ one or more objectives over the same rows (a maximum is minus the minimum of
 the negated row); a ``lower`` that the rows already imply leaves the optimum
 of the LP over free variables.  Internally the problem moves to standard
 form once (y = v - lower >= 0, slacks added to the inequalities) and phase 1
-runs once, from the slack basis (Bixby, ORSA J. Computing 4, 1992): an
-inequality row whose slack is feasible at y = 0 starts with that slack
+runs at most once, from the slack basis (Bixby, ORSA J. Computing 4, 1992):
+an inequality row whose slack is feasible at y = 0 starts with that slack
 basic, and only equality rows and rows whose right-hand side was flipped
 start with an artificial.  Each objective's phase 2 starts from the optimal
 basis of the objective before it (the first from the phase-1 basis): only
-the costs change, so that basis is still feasible.  The entering column is
-the eligible one of smallest index.  Among the rows tied in the ratio test
-the one with the largest pivot leaves, except on a degenerate pivot (a step
-of 0), where the one with the smallest basic index leaves.  A cycle is made
-of degenerate pivots only, so it would follow Bland's smallest-index rule
-throughout, which cannot cycle.  The basis inverse is maintained by
-elementary row updates and refactorized periodically, after the artificial
-drive-out and before optimality is concluded, so that every solve ends, and
-every warm start begins, on a fresh inverse.  A point v is off its rows when
-it misses an equality or breaks an inequality by more than FEAS_TOL.  A
-phase 1 that fails, and an objective whose solve ends off its rows, on a
-singular basis or on a spurious unbounded ray, are solved again cold: phase
-1 from the all-artificial basis, then phase 2, with a refactorization at
-every pivot.  A cold point off its rows raises SimplexError.
+the costs change, so that basis is still feasible.
+
+Given ``bases``, the optimal bases an earlier solve on rows of the same
+shape left (one per objective, as the previous probe of a radius search
+leaves them), an objective's phase 2 starts from its own earlier basis if
+that basis is feasible here: its matrix inverts, no basic value is below
+-FEAS_TOL (values in [-FEAS_TOL, 0) are clamped to 0, as in a
+refactorization) and no basic artificial is above FEAS_TOL.  Phase 1 then
+runs only if the first objective has no such start; a later objective
+without one starts from the optimum of the objective before it.  A start
+moves where the pivots begin, not the LP, so the optimum stays the same up
+to rounding.
+
+The entering column is the eligible one of smallest index.  Among the rows
+tied in the ratio test the one with the largest pivot leaves, except on a
+degenerate pivot (a step of 0), where the one with the smallest basic index
+leaves.  A cycle is made of degenerate pivots only, so it would follow
+Bland's smallest-index rule throughout, which cannot cycle.  The basis
+inverse is maintained by elementary row updates and refactorized
+periodically, after the artificial drive-out and before optimality is
+concluded, so that every solve ends, and every warm start begins, on a
+fresh inverse.  A point v is off its rows when it misses an equality or
+breaks an inequality by more than FEAS_TOL.  A phase 1 that fails, and an
+objective whose solve ends off its rows, on a singular basis or on a
+spurious unbounded ray, are solved again cold: phase 1 from the
+all-artificial basis, then phase 2, with a refactorization at every pivot.
+A cold point off its rows raises SimplexError.
 """
 
 from __future__ import annotations
@@ -161,15 +174,24 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
                 eligible[enter] = False
 
 
-def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6):
+def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6,
+                          bases=None):
     """Minimize over the variables v >= ``lower`` every objective, one per
     row of ``c``; returns the optimal values and points, one entry (row) per
     objective.  ``max_iter`` caps the pivots of phase 1 plus one objective's
-    phase 2."""
+    phase 2.
+
+    ``bases``, if given, is a list with one entry per objective: None, or an
+    optimal basis this function stored there before, which objective j's
+    phase 2 starts from if it is feasible here (``_start``).  Entry j is
+    replaced by objective j's optimal basis."""
     costs = np.asarray(c, dtype=float)
     if costs.ndim != 2:
         raise ValueError(f"c must be 2-D, one row per objective, got shape "
                          f"{costs.shape}")
+    if bases is not None and len(bases) != len(costs):
+        raise ValueError(f"{len(bases)} starting bases for {len(costs)} "
+                         f"objectives")
     nv = costs.shape[1]
     A_eq = np.zeros((0, nv)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
@@ -196,33 +218,61 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6):
     slack_basis = np.where((rows >= n_eq) & ~flip, nv + rows - n_eq,
                            artificials)
 
-    try:
-        warm, budget = _phase1(full, b, n_std, slack_basis, max_iter,
-                               REFACTOR_EVERY)
-    except (np.linalg.LinAlgError, SimplexError):
-        warm = None
+    # the chain: phase 1's basis, then the optimal basis of each objective
+    warm = budget = None
     values = np.empty(len(costs))
     points = np.empty((len(costs), nv))
     for j, cost in enumerate(costs):
         cost2 = np.zeros(n_std + m)
         cost2[:nv] = cost
-        v = None
-        if warm is not None:
+        start = None if bases is None else _start(full, b, n_std, bases[j])
+        if start is None and warm is None:      # the first objective only
             try:
-                v = _phase2(full, b, cost2, n_std, warm, budget,
+                warm, budget = _phase1(full, b, n_std, slack_basis, max_iter,
+                                       REFACTOR_EVERY)
+            except (np.linalg.LinAlgError, SimplexError):
+                pass
+        state, left = (warm, budget) if start is None else (start, max_iter)
+        v = None
+        if state is not None:
+            try:
+                v = _phase2(full, b, cost2, n_std, state, left,
                             REFACTOR_EVERY)[:nv] + lower
             except (np.linalg.LinAlgError, UnboundedError):
                 pass
         if v is None or violation(v) > FEAS_TOL:
             # cold re-solve, refactorized at every pivot
-            warm, budget = _phase1(full, b, n_std, artificials, max_iter, 1)
-            v = _phase2(full, b, cost2, n_std, warm, budget, 1)[:nv] + lower
+            state, left = _phase1(full, b, n_std, artificials, max_iter, 1)
+            v = _phase2(full, b, cost2, n_std, state, left, 1)[:nv] + lower
             if violation(v) > FEAS_TOL:
                 raise SimplexError(f"cold solve ends off its rows by "
                                    f"{violation(v):.3e}")
+        warm, budget = state, left
+        if bases is not None:
+            bases[j] = (state[0].copy(), full.shape)
         points[j] = v
         values[j] = float(cost @ v)
     return values, points
+
+
+def _start(full, b, n_std, entry):
+    """The feasible basis (basis, B_inv, xB) that ``entry`` = (basis, shape
+    of ``full``) gives on these rows, or None if there is no entry, the
+    shape differs, the basis matrix does not invert, a basic value is below
+    -FEAS_TOL or a basic artificial is above FEAS_TOL."""
+    if entry is None or entry[1] != full.shape:
+        return None
+    basis = entry[0].copy()
+    try:
+        B_inv = np.linalg.inv(full[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    xB = B_inv @ b
+    # written so that a NaN fails both tests
+    if not ((xB >= -FEAS_TOL).all()
+            and (xB[basis >= n_std] <= FEAS_TOL).all()):
+        return None
+    return basis, B_inv, np.maximum(xB, 0.0)
 
 
 def _phase1(full, b, n_std, start, max_iter, refactor_every):

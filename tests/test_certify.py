@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netcert import certify, crown, frown, lp, oracle
+from netcert import certify, crown, frown, lp, oracle, simplex
 from netcert.model import (
     ModelError,
     Network,
@@ -330,6 +330,40 @@ def test_guided_search_ends_where_bisection_does(name, method, monkeypatch):
     assert (cert.cap_hit, cert.never_certified) == (ref_cap_hit, ref_never)
     assert cert.iterations <= len(ref_probes)
     assert_probed_bracket(cert, probed, cap)
+
+
+@pytest.mark.parametrize("name", ["linear2", "toy", "sigmoid", "tanh",
+                                  "relu-0", "relu-1", "relu-2", "relu-3"])
+def test_lp_search_from_earlier_bases_matches_cold_probes(name, monkeypatch):
+    # an lp search starts each probe's LPs from the previous probe's optimal
+    # bases; a start moves where the pivots begin, not the optimum, so the
+    # search ends as one whose probes each solve from scratch
+    net, x0, label = _search_case(name)
+    starts = []
+    start = simplex._start
+    monkeypatch.setattr(simplex, "_start", lambda *args:
+                        starts.append(start(*args)) or starts[-1])
+    warm = certify.search_epsilon(net, x0, label, np.inf, "lp")
+    monkeypatch.setattr(simplex, "_start", start)
+    propagate = lp.lp_propagate
+    monkeypatch.setattr(lp, "lp_propagate",
+                        lambda *args, bases=None, **kwargs:
+                        propagate(*args, **kwargs))
+    cold = certify.search_epsilon(net, x0, label, np.inf, "lp")
+    assert warm.epsilon_certified == cold.epsilon_certified
+    assert (warm.cap_hit, warm.never_certified) == (cold.cap_hit,
+                                                    cold.never_certified)
+    assert warm.iterations == cold.iterations
+    if warm.iterations > 1:
+        assert any(s is not None for s in starts)
+    # a margin is the difference of two bounds, whose rounding scales with
+    # their own size, not with the margin's
+    spec = PerturbationSpec(x0, np.inf, cold.epsilon_certified)
+    bounds = propagate(net, spec, label=label)
+    others = np.arange(len(bounds.output_upper)) != label
+    scale = (abs(bounds.output_lower[label])
+             + np.abs(bounds.output_upper[others]))
+    assert np.all(np.abs(warm.margins - cold.margins) <= 1e-12 * scale)
 
 
 def test_frown_search_probes_every_point_of_the_bisection(monkeypatch):

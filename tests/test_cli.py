@@ -34,6 +34,22 @@ def test_bounds_matches_golden(tmp_path):
         assert got[key] == golden[key]
 
 
+def test_every_method_prints_a_zero_bound_as_positive_zero(tmp_path):
+    # an upper bound is 0.0 minus the negated row's least value in every
+    # engine, so the constant-gap net's zero bounds print as 0.0, not -0.0
+    printed = {}
+    for method in ("crown", "frown", "lp"):
+        out = tmp_path / f"{method}.json"
+        assert run(["bounds", data_path("constgap.json"),
+                    data_path("linear2_sample.json"), "--eps", "0.5",
+                    "--method", method, "--out", str(out)]) == 0
+        got = json.load(open(out))
+        printed[method] = [repr(v) for key in ("gamma_lower", "gamma_upper")
+                           for v in got[key]]
+    assert printed["crown"] == printed["frown"] == printed["lp"]
+    assert printed["lp"] == ["1.0", "0.0", "1.0", "0.0"]
+
+
 def test_crown_bounds_ignore_frown_flags(tmp_path):
     # settings that frown rejects leave a crown query untouched
     out = tmp_path / "bounds.json"

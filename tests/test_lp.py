@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from netcert import crown, lp, oracle, relax, simplex
+from netcert import certify, crown, lp, oracle, relax, simplex
 from netcert.model import (
     ModelError,
     PerturbationSpec,
     ball_rows,
+    forward,
     generate_random_network,
     load_network,
     load_sample,
@@ -237,6 +238,53 @@ def test_cold_solve_off_its_rows_raises(monkeypatch):
                        match="cold solve ends off its rows"):
         simplex.solve_inequality_form(np.array([[1.0, 1.0]]), None, None, A,
                                       b, [-1.0, -2.0])
+
+
+# the LP of the starting-basis tests: minimize -v1 - 2 v2 over v >= 0 with
+# v1 + v2 <= 4, v1 - v2 <= 2 and v2 <= 3 (optimum -7 at (1, 3)); its
+# standard-form columns are v1, v2, the slacks 2-4 and the artificials 5-7
+START_LP = (np.array([[-1.0, -2.0]]), None, None,
+            np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]]),
+            np.array([4.0, 2.0, 3.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("entry", [
+    (np.array([2, 3, 4]), (3, 9)),       # the shape of other rows
+    (np.array([2, 5, 4]), (3, 8)),       # slack and artificial of row 0
+    (np.array([0, 3, 4]), (3, 8)),       # v1 = 4 leaves slack 2 at -2
+    (np.array([5, 6, 7]), (3, 8)),       # every artificial basic, at b
+], ids=["wrong-shape", "singular", "negative-basic-value",
+        "nonzero-basic-artificial"])
+def test_a_bad_starting_basis_falls_back_to_the_cold_path(entry, monkeypatch):
+    # an earlier basis that is not a feasible basis of these rows is
+    # dropped: the objective runs phase 1 from the slack basis as it would
+    # without a start, and returns the same optimum bit for bit
+    cold_values, cold_points = simplex.solve_inequality_form(*START_LP)
+    assert cold_values.tolist() == [-7.0]
+    phase1 = simplex._phase1
+    calls = []
+    monkeypatch.setattr(simplex, "_phase1",
+                        lambda *args: calls.append(args) or phase1(*args))
+    bases = [entry]
+    values, points = simplex.solve_inequality_form(*START_LP, bases=bases)
+    assert [args[-1] for args in calls] == [simplex.REFACTOR_EVERY]
+    assert values.tolist() == cold_values.tolist()
+    assert points.tolist() == cold_points.tolist()
+    assert sorted(bases[0][0].tolist()) == [0, 1, 3] and bases[0][1] == (3, 8)
+
+
+def test_a_feasible_starting_basis_skips_phase1(monkeypatch):
+    # the optimal basis of one solve starts the next on the same rows: no
+    # phase 1, the same optimum; a list of the wrong length is rejected
+    bases = [None]
+    cold_values, cold_points = simplex.solve_inequality_form(*START_LP,
+                                                             bases=bases)
+    monkeypatch.setattr(simplex, "_phase1", None)
+    values, points = simplex.solve_inequality_form(*START_LP, bases=bases)
+    assert values.tolist() == cold_values.tolist() == [-7.0]
+    assert points.tolist() == cold_points.tolist()
+    with pytest.raises(ValueError, match="2 starting bases for 1 objectives"):
+        simplex.solve_inequality_form(*START_LP, bases=bases * 2)
 
 
 def highs(optimize, prob, c, feasibility=1e-10):
@@ -588,6 +636,23 @@ def test_lp_propagate_with_a_label_bounds_only_the_rows_margins_read(
             assert part.output_upper[label] == np.inf
     with pytest.raises(ValueError, match="label 3 out of range"):
         lp.lp_propagate(net, spec, label=3)
+
+
+def test_lp_propagate_is_unchanged_by_a_search_on_another_net():
+    # the starting bases live in the search that made them: a later call
+    # without them solves from scratch, bit for bit
+    net = generate_random_network(0, [4, 6, 5, 3], "tanh", scale=1.0)
+    spec = PerturbationSpec(np.random.default_rng(0).uniform(-1, 1, 4),
+                            math.inf, 0.05)
+    before = lp.lp_propagate(net, spec)
+    other = generate_random_network(1, [3, 8, 8, 3], "relu")
+    x0 = np.random.default_rng(1).uniform(-1, 1, 3)
+    label = int(np.argmax(forward(other, x0)))
+    cert = certify.search_epsilon(other, x0, label, np.inf, "lp")
+    assert cert.iterations > 1
+    after = lp.lp_propagate(net, spec)
+    for a, b in zip(before.lower + before.upper, after.lower + after.upper):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_shared_lines_mode_matches_closed_form():
