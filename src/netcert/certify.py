@@ -3,14 +3,16 @@
 A prediction is certified at radius eps when the lower bound of the labeled
 logit stays above the upper bounds of the competing logits over the whole
 ball.  Every probe re-derives its bounds at the probed radius: the
-admissible line families depend on the intervals, which depend on eps.  The
-one state an lp search carries from probe to probe is each LP objective's
-optimal basis, a starting point of the simplex that it checks for
-feasibility before use, so the bounds are the LP optima at every radius
-whatever the earlier probes left.  A probe reads n of the
-2n output bounds, the label's lower bound and every other class's upper
-bound, in targeted mode too: lp solves only those (its LPs are one per
-bound), while crown and frown bound every entry in one pass.  The largest
+admissible line families depend on the intervals, which depend on eps.  A
+search hands two things from one ``certified_at`` call to the next
+(``_Carry``): each LP objective's optimal basis, a starting point of the
+simplex that it checks for feasibility before use, so the bounds are the LP
+optima at every radius whatever the earlier probes left; and the bounds of
+the last crown call with its ball.  A probe's margins read n of the 2n
+output bounds, the label's lower bound and every other class's upper bound,
+and a targeted decision only two of them: lp solves those n (its LPs are
+one per bound), frown optimizes only the output groups holding a bound the
+decision reads, and crown bounds every entry in one pass.  The largest
 certifiable radius is the end of one walk, exponential bracketing and then
 bisection, whose unprobed points crown and lp searches predict from the
 margins already probed.
@@ -18,8 +20,12 @@ margins already probed.
 A frown search probes every point of the walk, each first asking crown
 (the crown screen).  frown folds crown's bounds into every layer, so a
 margin crown certifies frown certifies too, and such a probe is answered
-without running the optimizer.  It keeps no margins, so the certificate's
-margins are frown's, computed at the final radius if its probe was screened.
+without running the optimizer.  Otherwise frown runs at the same radius and
+takes the screen's bounds as its fold baseline instead of running crown
+again, and its output layer stops as soon as the margins certify.  A
+screened probe keeps no margins, so the certificate's margins are frown's,
+computed at the final radius if its probe was screened; they are those of
+the first optimizer iterate whose bounds certify, not of a full run.
 """
 
 from __future__ import annotations
@@ -63,33 +69,64 @@ class Certificate:
         return doc
 
 
+@dataclass
+class _Carry:
+    """What a search hands from one ``certified_at`` call to the next: lp's
+    starting bases (``lp.lp_propagate``'s ``bases``), and the network, ball
+    and bounds of the last crown call, which a frown call on the same
+    network and ball takes as its fold baseline."""
+
+    lp_bases: dict = dataclasses.field(default_factory=dict)
+    last_crown: tuple = (None, None, None)   # (net, spec, bounds)
+
+    def crown_bounds(self, net: Network, spec: PerturbationSpec):
+        """The last crown call's bounds if it bounded ``net`` on ``spec``'s
+        ball, else None."""
+        last_net, last, bounds = self.last_crown
+        if (last_net is net and last.p == spec.p
+                and last.epsilon == spec.epsilon
+                and np.array_equal(last.x0, spec.x0)):
+            return bounds
+        return None
+
+
 def output_bounds(net: Network, spec: PerturbationSpec, method: str,
                   frown_config: frown.OptimizerConfig | None = None,
                   lp_menu: lp.RelaxationMenu | None = None,
-                  label: int | None = None,
-                  lp_bases: dict | None = None) -> crown.LayerBounds:
+                  label: int | None = None, target: int | None = None,
+                  carry: _Carry | None = None) -> crown.LayerBounds:
     """Every layer's bounds under the chosen method.  Given a ``label``, lp
-    bounds only the output entries ``crown.margins`` reads for it and sets
-    the others to -inf (lower) and +inf (upper); crown and frown bound
-    every entry.  ``lp_bases`` is lp's starting bases (``lp.lp_propagate``'s
-    ``bases``)."""
+    bounds only the output entries ``crown.margins`` reads and sets the
+    others to -inf (lower) and +inf (upper); frown optimizes only the
+    output groups holding an entry the decision (``crown.score`` with
+    ``target``) reads, stops once it certifies, and leaves the others at
+    crown's bounds; crown bounds every entry.  ``carry`` is a search's
+    ``_Carry``: crown records its bounds there, frown reuses them, lp
+    starts from its bases."""
     if method == "crown":
-        return crown.propagate(net, spec)
+        bounds = crown.propagate(net, spec)
+        if carry is not None:
+            carry.last_crown = (net, spec, bounds)
+        return bounds
     if method == "frown":
-        return frown.frown_propagate(net, spec, frown_config)
+        baseline = None if carry is None else carry.crown_bounds(net, spec)
+        return frown.frown_propagate(net, spec, frown_config,
+                                     crown_bounds=baseline, label=label,
+                                     target=target)
     if method == "lp":
+        bases = None if carry is None else carry.lp_bases
         return lp.lp_propagate(net, spec, menu=lp_menu, label=label,
-                               bases=lp_bases)
+                               bases=bases)
     raise ValueError(f"unknown method {method!r}")
 
 
 def certified_at(net: Network, x0, label: int, epsilon: float, p,
                  method: str = "crown", target: int | None = None,
-                 frown_config=None, lp_menu=None, lp_bases=None):
+                 frown_config=None, lp_menu=None, carry=None):
     """(is certified, margin trace) at a fixed radius.
 
     Untargeted when ``target`` is None: every margin must be nonnegative.
-    Targeted: only the margin against ``target`` matters.  ``lp_bases`` is
+    Targeted: only the margin against ``target`` matters.  ``carry`` is
     passed to ``output_bounds``.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -100,18 +137,9 @@ def certified_at(net: Network, x0, label: int, epsilon: float, p,
             f"{int(np.argmax(logits))}; the certificate is vacuous")
     spec = PerturbationSpec(x0, p, epsilon)
     bounds = output_bounds(net, spec, method, frown_config, lp_menu, label,
-                           lp_bases)
+                           target, carry)
     marg = crown.margins(bounds.output_lower, bounds.output_upper, label)
-    return _score(marg, label, target) >= 0.0, marg
-
-
-def _score(marg: np.ndarray, label: int, target: int | None) -> float:
-    """The margin certification rests on: the smallest, or the target's."""
-    if target is None:
-        return float(marg.min()) if marg.size else math.inf
-    if target == label or target not in range(len(marg) + 1):
-        raise ValueError(f"bad target class {target}")
-    return float(marg[target - (target > label)])
+    return crown.score(marg, label, target) >= 0.0, marg
 
 
 def _walk(answer, cap: float, rel_tol: float):
@@ -192,8 +220,9 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
     and walk again until none is left.  The radius is a probed certified
     point, a probed uncertified one (or the cap) within ``rel_tol`` above
     it, and the radius of probing every point if certification is monotone.
-    An lp search starts each probe's LPs from the previous probe's optimal
-    bases (``lp.lp_propagate``'s ``bases``).
+    The probes of one search share a ``_Carry``: an lp search starts each
+    probe's LPs from the previous probe's optimal bases, and a frown probe
+    reuses its crown screen's bounds.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -201,22 +230,22 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
         raise ModelError(f"cap must be positive and finite, got {cap}")
     t_start = time.perf_counter()
     probed = {}  # eps -> margins, None where the crown screen answered
-    lp_bases = {} if method == "lp" else None
+    carry = _Carry()
 
     def probe(eps: float) -> bool:
         if method == "frown" and certified_at(net, x0, label, eps, p,
-                                              "crown", target)[0]:
+                                              "crown", target,
+                                              carry=carry)[0]:
             probed[eps] = None
             return True
         ok, probed[eps] = certified_at(net, x0, label, eps, p, method,
-                                       target, frown_config, lp_menu,
-                                       lp_bases)
+                                       target, frown_config, lp_menu, carry)
         return ok
 
     if method != "frown":
         logits = forward(net, np.asarray(x0, dtype=float))
         gaps = crown.margins(logits, logits, label)
-        guess = _Guess(_score(gaps, label, target))
+        guess = _Guess(crown.score(gaps, label, target))
     answer = probe if method == "frown" else guess.answer
     while True:
         radius, needed, cap_hit, never = _walk(answer, cap, rel_tol)
@@ -225,11 +254,11 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
             break
         eps = todo[-1] if guess.low else todo[0]
         probe(eps)
-        guess.add(eps, _score(probed[eps], label, target))
+        guess.add(eps, crown.score(probed[eps], label, target))
     marg = probed.get(radius)
     if marg is None:
         _, marg = certified_at(net, x0, label, radius, p, method, target,
-                               frown_config, lp_menu, lp_bases)
+                               frown_config, lp_menu, carry)
     return Certificate(
         epsilon_certified=float(radius),
         mode="untargeted" if target is None else "targeted",

@@ -193,9 +193,11 @@ def propagate(net: Network, spec: PerturbationSpec) -> LayerBounds:
 
 def ordered_bounds(lower: np.ndarray, upper: np.ndarray, k: int):
     """Each bound pair as (min, max): a zero-width interval's sides may cross
-    by float noise.  A crossing above _BOUND_ORDER_SLACK raises."""
-    if np.any(lower > upper + _BOUND_ORDER_SLACK):
-        raise RuntimeError(f"layer {k}: lower bound exceeds upper bound")
+    by float noise.  A crossing above _BOUND_ORDER_SLACK raises, and so does
+    a NaN bound (an overflow inside the backward pass)."""
+    if not np.all(lower <= upper + _BOUND_ORDER_SLACK):
+        raise RuntimeError(f"layer {k}: lower bound exceeds upper bound "
+                           f"or is NaN")
     return np.minimum(lower, upper), np.maximum(lower, upper)
 
 
@@ -207,3 +209,12 @@ def margins(output_lower: np.ndarray, output_upper: np.ndarray,
         raise ValueError(f"label {label} out of range for {n} outputs")
     others = np.arange(n) != label
     return output_lower[label] - np.asarray(output_upper)[others]
+
+
+def score(marg: np.ndarray, label: int, target: int | None) -> float:
+    """The margin certification rests on: the smallest, or the target's."""
+    if target is None:
+        return float(marg.min()) if marg.size else math.inf
+    if target == label or target not in range(len(marg) + 1):
+        raise ValueError(f"bad target class {target}")
+    return float(marg[target - (target > label)])

@@ -34,7 +34,9 @@ a random start, so one iteration loop serves every restart.  Projection
 clamps each variable to its admissible interval after every step, so every
 iterate generates valid lines and every visited gamma is a sound bound; the
 returned value per row is the best one any copy ever visited.
-``frown_propagate`` runs both senses of a layer as one batch.
+``frown_propagate`` runs both senses of a layer as one batch; given a label,
+its output layer keeps only the groups the decision reads and stops once it
+certifies.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def _fold(best: np.ndarray, pos: np.ndarray, gammas: np.ndarray) -> None:
 
 def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                     senses, config: OptimizerConfig,
-                    var_vec: VariableVector, seeds=None):
+                    var_vec: VariableVector, seeds=None, stop=None):
     """Projected gradient ascent over the line variables of signed rows, one
     copy of them per group, all groups in one batch; never worse than the
     initialization, per neuron.
@@ -258,6 +260,9 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     of the signed rows: an upper-sense row's is the negated upper bound.
     The best of a row is taken over every iterate of every copy of its
     group, so the rows of one group may keep bounds of different iterates.
+    ``stop``, if given, is called with the running best after every
+    evaluation, the first included; the optimizer returns that best as
+    soon as it answers True.
     """
     n_groups = len(groups)
     seeds = [config.seed] * n_groups if seeds is None else seeds
@@ -279,13 +284,17 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
                                                           var_vec.hi)
     best = np.full(len(batch.rows), -np.inf)
 
+    def result():
+        return best.reshape(copies, -1).max(axis=0)
+
     def evaluate(values, part, pos):
         g, grad = objective_and_gradient(net, spec, k, part, var_vec, values)
         _fold(best, pos, g)
-        return np.add.reduceat(g, part.starts), grad
+        return (np.add.reduceat(g, part.starts), grad,
+                stop is not None and stop(result()))
 
     active, part, pos = np.arange(len(batch)), batch, np.arange(len(best))
-    obj, grad = evaluate(values, part, pos)
+    obj, grad, done = evaluate(values, part, pos)
     # normalizing each group's direction by its largest entry makes the
     # travel speed independent of the objective scale (and so of the group
     # size); the geometric decay converges the iterates instead of orbiting
@@ -296,13 +305,15 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
     history = np.empty((config.max_iters + 1, len(batch)))
     history[0] = obj
     scale = 1.0
-    for it in range(config.max_iters if len(var_vec) else 0):
+    for it in range(config.max_iters if len(var_vec) and not done else 0):
         gmax = np.abs(grad).max(axis=1, keepdims=True)
         direction = grad / np.where(gmax > 0, gmax, 1.0)
         values[active] = var_vec.clipped(
             values[active] + step * scale * direction)
         scale *= decay
-        obj, grad = evaluate(values[active], part, pos)
+        obj, grad, done = evaluate(values[active], part, pos)
+        if done:
+            break
         history[it + 1, active] = np.maximum(history[it, active], obj)
         if it >= 4:
             stalled = (history[it + 1, active] - history[it - 4, active]
@@ -312,7 +323,7 @@ def optimize_bounds(net: Network, spec: PerturbationSpec, k: int, groups,
             if stalled.any():
                 active, grad = active[~stalled], grad[~stalled]
                 part, pos = batch.take(active)
-    return best.reshape(copies, -1).max(axis=0)
+    return result()
 
 
 def _groups(width: int, group_size: int):
@@ -321,45 +332,88 @@ def _groups(width: int, group_size: int):
             for s in range(0, width, group_size)]
 
 
+def _read(group, sense: str, label: int, target: int | None) -> bool:
+    """Whether a certificate of ``label`` reads a bound of an output
+    ``group`` in ``sense``: the label's lower bound, and the upper bound of
+    ``target`` or, untargeted, of every other class."""
+    if sense == "lower":
+        return label in group
+    return any(j == target if target is not None else j != label
+               for j in group)
+
+
+def _tightened(gl, gu, rows, gammas, k: int):
+    """crown's bounds (gl, gu) of layer k with the best ``gammas`` of the
+    signed ``rows`` folded in; a signed row j < width is neuron j's lower
+    bound, width + j its negated upper bound."""
+    width = len(gl)
+    best = np.concatenate([gl, -gu])
+    _fold(best, rows, gammas)
+    # a pair crossed by rounding comes back swapped, which can put a side
+    # past crown's; crown's bounds are folded in again after the swap
+    lower, upper = crown.ordered_bounds(best[:width], 0.0 - best[width:], k)
+    return np.maximum(lower, gl), np.minimum(upper, gu)
+
+
 def frown_propagate(net: Network, spec: PerturbationSpec,
-                    config: OptimizerConfig | None = None):
+                    config: OptimizerConfig | None = None,
+                    crown_bounds: crown.LayerBounds | None = None,
+                    label: int | None = None, target: int | None = None):
     """Layer-by-layer optimized bounds.
 
     Each layer runs one batched optimization in which every group appears
     twice: with lower-sense rows, maximizing the group's summed lower
     bounds, and with upper-sense (negated) rows, minimizing its summed upper
-    bounds.  The deterministic baseline bounds are folded into the
-    per-neuron best so the result weakly dominates them everywhere (the
-    refreshed intermediate intervals mean the initialization alone does not
-    reproduce the baseline bound beyond layer 2).  Refreshed bounds
-    regenerate the layer's line spaces before the next layer is processed.
+    bounds.  The deterministic baseline bounds, ``crown_bounds`` if the
+    caller has them for this ball (``crown.propagate(net, spec)``
+    otherwise), are folded into the per-neuron best so the result weakly
+    dominates them everywhere (the refreshed intermediate intervals mean the
+    initialization alone does not reproduce the baseline bound beyond layer
+    2).  Refreshed bounds regenerate the layer's line spaces before the next
+    layer is processed.
+
+    Given a ``label`` (and a ``target``), the output layer does only the
+    work a certificate's decision reads: it optimizes only the groups
+    ``_read`` keeps, every other output entry keeps crown's bound, and it
+    stops at the first evaluation whose bounds certify (``crown.score`` of
+    the margins >= 0).  The best only rises, so the decision is that of the
+    full run; the bounds are those of the first certifying iterate.
     """
     config = config or OptimizerConfig()
-    base_bounds = crown.propagate(net, spec)
+    base_bounds = (crown.propagate(net, spec) if crown_bounds is None
+                   else crown_bounds)
     lows = [base_bounds.lower[0]]
     ups = [base_bounds.upper[0]]
     layer_spaces = [relax.layer_line_spaces(net.activation, lows[0], ups[0])]
 
     for k in range(2, net.m + 1):
         width = net.layer_width(k)
-        # the best of every signed row: lower rows, then negated upper rows
         gl, gu = base_bounds.layer(k)
-        best = np.concatenate([gl, -gu])
         var_vec = collect_variables(layer_spaces)
         groups = _groups(width, config.group_size)
-        seeds = [[config.seed, k, g_idx, s_idx] for s_idx in range(2)
-                 for g_idx in range(len(groups))]
+        # (group, sense) pairs, every lower-sense group first
+        kept = [(g, s) for s in range(2) for g in range(len(groups))]
+        decides = k == net.m and label is not None
+        if decides:
+            kept = [(g, s) for g, s in kept
+                    if _read(groups[g], relax.SIDES[s], label, target)]
+        # the signed row of every neuron of the kept groups, group by group
+        rows = np.concatenate([np.asarray(groups[g]) + s * width
+                               for g, s in kept])
+
+        def stop(gammas):
+            low, up = _tightened(gl, gu, rows, gammas, k)
+            return crown.score(crown.margins(low, up, label), label,
+                               target) >= 0.0
+
         gammas = optimize_bounds(
-            net, spec, k, groups + groups,
-            [sense for sense in relax.SIDES for _ in groups], config,
-            var_vec, seeds)
-        _fold(best, np.arange(2 * width), gammas)
-        # a pair crossed by rounding comes back swapped, which can put a side
-        # past crown's; crown's bounds are folded in again after the swap
-        lower, upper = crown.ordered_bounds(best[:width], 0.0 - best[width:],
-                                            k)
-        lows.append(np.maximum(lower, gl))
-        ups.append(np.minimum(upper, gu))
+            net, spec, k, [groups[g] for g, _ in kept],
+            [relax.SIDES[s] for _, s in kept], config, var_vec,
+            [[config.seed, k, g, s] for g, s in kept],
+            stop if decides else None)
+        lower, upper = _tightened(gl, gu, rows, gammas, k)
+        lows.append(lower)
+        ups.append(upper)
         if k < net.m:
             layer_spaces.append(
                 relax.layer_line_spaces(net.activation, lows[-1], ups[-1]))

@@ -284,14 +284,18 @@ def load_network(path) -> Network:
 
 
 def load_sample(path) -> tuple:
-    """Load a sample file: returns (x0, label)."""
+    """Load a sample file: returns (x0, label).  The label must be a JSON
+    integer: 1.5, true and "1" are rejected, not truncated or cast."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         x0 = np.asarray(doc["x0"], dtype=float)
-        label = int(doc["label"])
+        label = doc["label"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cannot parse sample file {path}: {exc}") from exc
+    if type(label) is not int:
+        raise ModelError(f"cannot parse sample file {path}: label must be "
+                         f"an integer, got {label!r}")
     return x0, label
 
 

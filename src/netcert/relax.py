@@ -44,8 +44,13 @@ from .model import ACTIVATION_JETS, ACTIVATIONS
 #: (the chord slope divides by u - l)
 DEGENERATE_WIDTH = 1e-12
 
-#: validity slack for grid checks of bounding lines
+#: validity slack for grid checks of bounding lines, relative to
+#: 1 + max |f| over the grid (a line near values of 1e7 is rounded by more
+#: than an absolute 1e-9)
 LINE_SLACK = 1e-9
+
+#: half the largest float, the widest half-width an interval may have
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 #: halvings of the tangent-point bracket, which ends 2**-40 (about 1e-12) as
 #: wide as it starts; bisecting on to adjacent floats took half again as
@@ -80,13 +85,16 @@ def _activation(act: str):
 
 
 def _intervals(lower, upper):
-    """The intervals as two float arrays; rejects non-finite or inverted
-    ones."""
+    """The intervals as two float arrays; rejects inverted ones and those
+    whose ends or width are not finite (an overflowing width makes every
+    chord slope 0)."""
     l = np.atleast_1d(np.asarray(lower, dtype=float))
     u = np.atleast_1d(np.asarray(upper, dtype=float))
     if l.shape != u.shape:
         raise ValueError(f"{l.shape[0]} lower but {u.shape[0]} upper bounds")
-    bad = ~(np.isfinite(l) & np.isfinite(u) & (l <= u))
+    # u - l rounds to inf exactly when its half, which cannot overflow,
+    # exceeds half the largest float; an infinite or NaN end fails too
+    bad = ~((l <= u) & (0.5 * u - 0.5 * l <= _HALF_MAX))
     if bad.any():
         j = int(np.argmax(bad))
         raise ValueError(f"bad interval [{l[j]}, {u[j]}]")
@@ -320,7 +328,8 @@ def _grid(l, u, grid_size):
 def validate_line(act: str, side: str, l, u, slope, intercept,
                   grid_size: int = 1001):
     """Check the side inequality of the line (slope, intercept) on a dense
-    grid of [l, u] including both endpoints.
+    grid of [l, u] including both endpoints, up to ``LINE_SLACK`` times
+    1 + max |f| over the grid.
 
     The four values may also be arrays of one shape: each line is then
     checked on its own interval, and the result is a bool array.
@@ -332,8 +341,12 @@ def validate_line(act: str, side: str, l, u, slope, intercept,
                grid_size)
     slope = np.asarray(slope, dtype=float)[..., None]
     intercept = np.asarray(intercept, dtype=float)[..., None]
-    gap = f(zs) - (slope * zs + intercept)
+    fz = f(zs)
+    gap = fz - (slope * zs + intercept)
     if side == "upper":
         gap = -gap
-    ok = np.min(gap, axis=-1) >= -LINE_SLACK
+    # every activation is monotone: max |f| over the grid is at an end
+    slack = LINE_SLACK * (1.0 + np.maximum(np.abs(fz[..., 0]),
+                                           np.abs(fz[..., -1])))
+    ok = np.min(gap, axis=-1) >= -slack
     return bool(ok) if ok.ndim == 0 else ok

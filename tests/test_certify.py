@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,9 +119,9 @@ def test_frown_search_runs_no_frown_on_probes_crown_certifies(monkeypatch):
         x0, label = boundary_sample(net, 40 + seed)
         radii = []
 
-        def counting(net, spec, config=None):
+        def counting(net, spec, config=None, **kwargs):
             radii.append(spec.epsilon)
-            return real(net, spec, config)
+            return real(net, spec, config, **kwargs)
 
         monkeypatch.setattr(certify.frown, "frown_propagate", counting)
         cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
@@ -151,9 +154,9 @@ def test_targeted_frown_search(monkeypatch):
     real = frown.frown_propagate
     radii = []
 
-    def counting(net, spec, config=None):
+    def counting(net, spec, config=None, **kwargs):
         radii.append(spec.epsilon)
-        return real(net, spec, config)
+        return real(net, spec, config, **kwargs)
 
     monkeypatch.setattr(certify.frown, "frown_propagate", counting)
     cert = certify.search_epsilon(net, x0, label, np.inf, "frown",
@@ -169,6 +172,120 @@ def test_targeted_frown_search(monkeypatch):
         if probed != eps:
             assert not certify.certified_at(net, x0, label, probed, np.inf,
                                             "crown", target=target)[0]
+
+
+def test_an_unscreened_frown_probe_runs_crown_once(monkeypatch):
+    # the probe's crown screen and frown's fold baseline are one crown pass
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    propagate, original = crown.propagate, certify.certified_at
+    for seed in range(2):
+        net = generate_random_network(seed, [6, 8, 8, 4], "sigmoid", scale=2.0)
+        x0, label = boundary_sample(net, 40 + seed)
+        calls, inside = [], []    # (eps, method, crown passes inside)
+
+        def counting(net, spec):
+            inside.append(spec.epsilon)
+            return propagate(net, spec)
+
+        def recording(*args, **kwargs):
+            inside.clear()
+            result = original(*args, **kwargs)
+            calls.append((args[3], args[5], len(inside)))
+            return result
+
+        monkeypatch.setattr(crown, "propagate", counting)
+        monkeypatch.setattr(certify, "certified_at", recording)
+        certify.search_epsilon(net, x0, label, np.inf, "frown", cap=2.0,
+                               frown_config=cfg)
+        monkeypatch.setattr(crown, "propagate", propagate)
+        monkeypatch.setattr(certify, "certified_at", original)
+        probes = [(screen, run) for screen, run in zip(calls, calls[1:])
+                  if (screen[:2], run[:2]) == ((run[0], "crown"),
+                                               (screen[0], "frown"))]
+        assert probes
+        for screen, run in probes:
+            assert (screen[2], run[2]) == (1, 0), (seed, screen, run)
+
+
+def test_a_carry_hands_crown_bounds_only_to_the_same_ball(monkeypatch):
+    cfg = frown.OptimizerConfig(max_iters=10, group_size=8)
+    net = generate_random_network(0, [6, 8, 8, 4], "sigmoid", scale=2.0)
+    other = generate_random_network(1, [6, 8, 8, 4], "sigmoid", scale=2.0)
+    x0, label = boundary_sample(net, 40)
+    propagate, passes = crown.propagate, []
+    monkeypatch.setattr(crown, "propagate", lambda *args: passes.append(
+        args) or propagate(*args))
+    carry = certify._Carry()
+    certify.certified_at(net, x0, label, 0.1, np.inf, "crown", carry=carry)
+    for case, runs_crown in (((net, x0, 0.1, np.inf), False),
+                             ((other, x0, 0.1, np.inf), True),
+                             ((net, x0 + 1e-3, 0.1, np.inf), True),
+                             ((net, x0, 0.2, np.inf), True),
+                             ((net, x0, 0.1, 2.0), True)):
+        n, x, eps, p = case
+        passes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # label is not other's prediction
+            got = certify.certified_at(n, x, label, eps, p, "frown", None,
+                                       cfg, carry=carry)
+            fresh = certify.certified_at(n, x, label, eps, p, "frown", None,
+                                         cfg)
+        assert len(passes) == 1 + runs_crown, case
+        assert got[0] == fresh[0] and got[1].tobytes() == fresh[1].tobytes()
+
+
+def test_frown_decision_reads_only_what_it_needs():
+    # given a label, frown optimizes only the output groups holding a bound
+    # the decision reads and stops once it certifies: the decision is that
+    # of the full run, and every bound it does not read stays crown's
+    decisions = set()
+    for act, seed, group_size in itertools.product(
+            ("relu", "sigmoid", "tanh"), (0, 1), (1, 8)):
+        net = generate_random_network(seed, [6, 8, 8, 4], act, scale=2.0)
+        x0, label = boundary_sample(net, 40 + seed)
+        cfg = frown.OptimizerConfig(max_iters=10, group_size=group_size)
+        for target in (None, (label + 1) % 4):
+            def full_decision(eps):
+                full = frown.frown_propagate(
+                    net, PerturbationSpec(x0, np.inf, eps), cfg)
+                return crown.score(
+                    crown.margins(full.output_lower, full.output_upper,
+                                  label), label, target) >= 0.0
+
+            crown_radius = certify.search_epsilon(
+                net, x0, label, np.inf, "crown", target,
+                cap=2.0).epsilon_certified
+            # the largest radius the full run certifies, where the output
+            # layer's ascent decides
+            frown_radius = bisect_radius(full_decision, 2.0, 1e-2)[0]
+            for eps in (0.5 * crown_radius, 0.5 * (crown_radius + frown_radius),
+                        frown_radius, 1.5 * frown_radius):
+                spec = PerturbationSpec(x0, np.inf, eps)
+                decision = full_decision(eps)
+                ok, marg = certify.certified_at(net, x0, label, eps, np.inf,
+                                                "frown", target, cfg)
+                cell = (act, seed, group_size, target, eps)
+                assert ok == decision, cell
+                decisions.add((ok, certify.certified_at(
+                    net, x0, label, eps, np.inf, "crown", target)[0]))
+                read = certify.output_bounds(net, spec, "frown", cfg,
+                                             label=label, target=target)
+                assert crown.margins(read.output_lower, read.output_upper,
+                                     label).tobytes() == marg.tobytes()
+                if group_size == 1:
+                    cb = crown.propagate(net, spec)
+                    lower = np.arange(4) != label
+                    upper = (np.arange(4) == label if target is None
+                             else np.arange(4) != target)
+                    assert np.array_equal(read.output_lower[lower],
+                                          cb.output_lower[lower]), cell
+                    assert np.array_equal(read.output_upper[upper],
+                                          cb.output_upper[upper]), cell
+                assert not oracle.sample_check(net, spec, read, 2000,
+                                               seed=seed), cell
+    # certified by frown only, where the stop can end the ascent, and not at
+    # all, where the output layer runs in full
+    assert {(True, False), (False, False)} <= decisions
 
 
 def test_certificate_margins_are_frowns_at_the_radius():

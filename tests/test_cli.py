@@ -167,6 +167,17 @@ def test_infinite_eps_exits_1(capsys):
     assert "epsilon must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["1.5", "true", '"1"'])
+def test_non_integer_label_exits_1(tmp_path, capsys, label):
+    sample = tmp_path / "sample.json"
+    sample.write_text('{"x0": [0.0], "label": %s}' % label)
+    for command in (["bounds", "--eps", "0.5"], ["certify"]):
+        rc = run([command[0], data_path("toy_relu.json"), str(sample),
+                  *command[1:]])
+        assert rc == 1
+        assert "label must be an integer" in capsys.readouterr().err
+
+
 def test_mode_flag_removed():
     with pytest.raises(SystemExit):
         run(["bounds", data_path("toy_relu.json"), data_path("toy_sample.json"),

@@ -289,6 +289,34 @@ def test_one_evaluation_per_iteration_serves_every_restart(monkeypatch):
     assert [len(values) for values in evaluated] == [3 * 2] * 21
 
 
+def test_a_stop_ends_the_ascent_at_the_first_best_it_accepts(monkeypatch):
+    net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
+    spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
+    vv = frown.collect_variables(spaces_for(net, crown.propagate(net, spec),
+                                            3))
+    cfg = frown.OptimizerConfig(max_iters=20, restarts=2)
+    args = (net, spec, 3, [[0, 1], [2]], ["lower", "upper"], cfg, vv)
+    evaluated = record_evaluations(monkeypatch)
+    full = frown.optimize_bounds(*args)
+    assert len(evaluated) > 3
+    never = frown.optimize_bounds(*args, stop=lambda best: False)
+    assert never.tobytes() == full.tobytes()
+    seen = []
+
+    def third(best):
+        seen.append(best.copy())
+        return len(seen) == 3
+
+    evaluated.clear()
+    stopped = frown.optimize_bounds(*args, stop=third)
+    # the stop sees the running best after every evaluation, the first
+    # included, and the ascent returns the best it accepted
+    assert len(evaluated) == len(seen) == 3
+    assert stopped.tobytes() == seen[-1].tobytes()
+    assert np.all(np.diff(seen, axis=0) >= 0.0)
+    assert np.all(stopped <= full)
+
+
 def test_iterates_stay_in_box_and_lines_valid(monkeypatch):
     net = generate_random_network(13, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.full(4, 0.05), np.inf, 0.35)
@@ -358,6 +386,28 @@ def test_group_of_one_at_least_as_tight_as_full_layer(monkeypatch):
             advantages.extend(
                 (grouped.upper[k - 1] - per_neuron.upper[k - 1]).tolist())
     assert np.mean(advantages) > 1e-4
+
+
+@pytest.mark.parametrize("group_size", [1, 6])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_handed_over_crown_bounds_give_the_same_bits(act, group_size,
+                                                     monkeypatch):
+    # a search hands frown its crown screen's bounds at the same ball; with
+    # them frown runs no crown pass of its own and changes no bit
+    cfg = frown.OptimizerConfig(max_iters=20, restarts=2,
+                                group_size=group_size)
+    propagate = crown.propagate
+    for seed in range(2):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.5)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        spec = PerturbationSpec(x0, np.inf, 0.2)
+        own = frown.frown_propagate(net, spec, cfg)
+        handed = propagate(net, spec)
+        monkeypatch.setattr(crown, "propagate", None)
+        got = frown.frown_propagate(net, spec, cfg, crown_bounds=handed)
+        monkeypatch.setattr(crown, "propagate", propagate)
+        for a, b in zip(own.lower + own.upper, got.lower + got.upper):
+            assert a.tobytes() == b.tobytes(), (seed, a, b)
 
 
 def test_zero_radius_collapses_to_forward_values():

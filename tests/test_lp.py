@@ -718,6 +718,22 @@ def test_lp_bounds_survive_sampling(p):
     assert not oracle.sample_check(net, spec, bounds, 30000, seed=4)
 
 
+@pytest.mark.parametrize("lines", ["single", "multi"])
+def test_menu_lines_of_huge_intervals_pass_the_relative_line_check(lines):
+    # layer-1 intervals reach 3e7, where one ulp of relu(u) is 3.7e-9: an
+    # absolute slack of 1e-9 rejected crown's own relu chord there
+    net = generate_random_network(0, [4, 6, 5, 3], "relu", 100.0)
+    x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 4)
+    spec = PerturbationSpec(x0, np.inf, 1e3)
+    bounds = lp.lp_propagate(net, spec, menu=lp.RelaxationMenu(lines))
+    assert not oracle.sample_check(net, spec, bounds, 4000, seed=0)
+    # either menu holds crown's lines, so neither is looser than crown
+    cb = crown.propagate(net, spec)
+    slack = 1e-9 * np.abs(cb.output_upper - cb.output_lower)
+    assert np.all(bounds.output_lower >= cb.output_lower - slack)
+    assert np.all(bounds.output_upper <= cb.output_upper + slack)
+
+
 def test_lp_at_least_as_tight_as_closed_form_with_same_lines():
     # a dual-feasible closed-form bound can never beat the LP optimum
     net = generate_random_network(10, [4, 6, 5, 3], "sigmoid", scale=1.0)

@@ -254,6 +254,12 @@ def test_validate_line_trivials():
     assert not validate_line("relu", "lower", -1.0, 1.0, 0.0, 0.1)
 
 
+def test_validate_line_slack_scales_with_the_activation():
+    # 1e-8 below relu(u) = 1e7 is under one ulp there, but not near 1
+    assert validate_line("relu", "upper", -1e7, 1e7, 0.5, 5e6 - 1e-8)
+    assert not validate_line("relu", "upper", -1.0, 1.0, 0.5, 0.5 - 1e-8)
+
+
 def test_validate_line_grid_size_guard():
     with pytest.raises(ValueError):
         validate_line("relu", "lower", -1.0, 1.0, 0.0, 0.0, grid_size=1)
