@@ -28,6 +28,9 @@ WORKERS_ENV = "NETCERT_WORKERS"
 BENCH_KEYS = ("networks", "samples", "methods", "norms", "rel_tol", "cap",
               "frown", "lp_lines", "timing")
 METHODS = ("crown", "frown", "lp")
+#: numpy's overflow warnings, silenced: the engines reject what an overflow
+#: breaks (a non-finite interval width, a NaN bound) with an error of their own
+QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 def _parse_p(text: str) -> float:
@@ -271,7 +274,8 @@ def cmd_bench(args) -> int:
 
 def _bench_cell_safe(task: dict) -> dict:
     try:
-        return _bench_cell(task)
+        with np.errstate(**QUIET_OVERFLOW):
+            return _bench_cell(task)
     except Exception as exc:  # cell failures must not kill the sweep
         return {"network": task["network"], "p": _p_str(task["p"]),
                 "method": task["method"], "error": str(exc)}
@@ -323,7 +327,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(**QUIET_OVERFLOW):
+            return args.func(args)
     except lp.LpUnsupportedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from netcert.model import (
 )
 
 from conftest import boundary_sample, data_path
+from test_extreme_inputs import FROWN, NORMS, RADII, SCALES, SEEDS
 
 
 def run(args):
@@ -105,6 +108,24 @@ def test_tangent_bounds_match_golden(tmp_path, act):
             assert got[key] == want[key], (want["p"], want["eps"], key)
 
 
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_single_menu_lp_bounds_are_crowns_bit_for_bit(tmp_path, act):
+    # the single menu offers crown's own line per neuron and side, so lp
+    # answers every layer with crown's closed form: the same bits, at every
+    # radius and norm of the tangent golden files the LP takes
+    for p, eps in itertools.product(("1", "inf"), ("1.0", "5e-13")):
+        docs = []
+        for method in ("crown", "lp"):
+            out = tmp_path / f"{method}.json"
+            assert run(["bounds", data_path(f"{act}_3_10_10_2.json"),
+                        data_path("small3_sample.json"), "--eps", eps,
+                        "--p", p, "--method", method, "--lines", "single",
+                        "--all-layers", "--out", str(out)]) == 0
+            docs.append(json.load(open(out)))
+        for key in ("gamma_lower", "gamma_upper", "layers"):
+            assert docs[0][key] == docs[1][key], (p, eps, key)
+
+
 @pytest.mark.parametrize("lines", ["single", "multi"])
 @pytest.mark.parametrize("p", ["inf", "1"])
 @pytest.mark.parametrize("net, sample", [("toy_relu", "toy_sample"),
@@ -165,6 +186,42 @@ def test_infinite_eps_exits_1(capsys):
               "--eps", "inf"])
     assert rc == 1
     assert "epsilon must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["crown", "frown"])
+def test_overflow_cells_write_only_the_error_line(tmp_path, capsys, method):
+    # the overflow cells of the extreme-input grid through the command line,
+    # with warnings turned into errors: each exits 0 with nothing on stderr,
+    # or 1 with the one error line and no numpy warning before it
+    cells = [(data_path("tanh_3_10_10_2.json"), data_path("small3_sample.json"),
+              1e308, "inf")]
+    for act, scale, seed in itertools.product(
+            ("relu", "sigmoid", "tanh"), SCALES, SEEDS):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale)
+        net_path = tmp_path / f"{act}-{scale:g}-{seed}.json"
+        sample_path = tmp_path / f"sample-{seed}.json"
+        save_network(net, net_path)
+        save_sample(np.random.default_rng(seed).uniform(-1.0, 1.0, 4), 0,
+                    sample_path)
+        cells += [(net_path, sample_path, eps, "inf" if p == np.inf
+                   else str(int(p)))
+                  for eps, p in itertools.product(RADII, NORMS)
+                  if scale >= 1e150 or eps >= 1e300]
+    failed = 0
+    for net_path, sample_path, eps, p in cells:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["bounds", str(net_path), str(sample_path), "--eps",
+                      repr(eps), "--p", p, "--method", method, "--iters",
+                      str(FROWN.max_iters), "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == "", (net_path, eps, p)
+        else:
+            failed += 1
+            assert rc == 1 and err.startswith("error: "), (net_path, eps, p)
+            assert err.count("\n") == 1, (net_path, eps, p, err)
+    assert failed > 0
 
 
 @pytest.mark.parametrize("label", ["1.5", "true", '"1"'])

@@ -6,6 +6,7 @@ import pytest
 from netcert import certify, crown, lp, oracle, relax, simplex
 from netcert.model import (
     ModelError,
+    Network,
     PerturbationSpec,
     ball_rows,
     forward,
@@ -14,8 +15,8 @@ from netcert.model import (
     load_sample,
 )
 
-from conftest import (build, crown_lines, data_path, shared_lines_lp,
-                      toy_relu_net)
+from conftest import (build, crown_lines, data_path, positive_bias_relu_net,
+                      shared_lines_lp, toy_relu_net)
 
 
 # --- simplex core -------------------------------------------------------------
@@ -597,13 +598,24 @@ def test_lp_propagate_makes_each_layers_lines_once(monkeypatch):
     assert len(calls) == 3
 
 
+def offers_several_lines(net, bounds, menu, k) -> bool:
+    """Whether some neuron below layer k offers the menu more than one line
+    on a side, so that layer k's bounds come from the simplex."""
+    return any(np.any((~np.isnan(slopes)).sum(axis=1) > 1)
+               for v in range(1, k)
+               for slopes in menu.layer_lines(net.activation,
+                                              *bounds.layer(v))[::2])
+
+
 @pytest.mark.parametrize("p", [1.0, math.inf])
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 def test_lp_propagate_with_a_label_bounds_only_the_rows_margins_read(
         monkeypatch, act, p):
     # the output LP gets n objectives, the label's lower bound and every
     # other class's upper bound; those match the full call, the entries
-    # left unsolved are -inf and +inf, and every lower layer is unchanged
+    # left unsolved are -inf and +inf, and every lower layer is unchanged.
+    # An output layer with one line per neuron and side below it builds no
+    # LP (its closed form bounds the same rows) and keeps the same contract
     objectives = []
     build = lp.build_lp
 
@@ -617,12 +629,16 @@ def test_lp_propagate_with_a_label_bounds_only_the_rows_margins_read(
                             0.05)
     for menu in (lp.RelaxationMenu("single"), lp.RelaxationMenu("multi")):
         full = lp.lp_propagate(net, spec, menu=menu)
+        simplex_out = offers_several_lines(net, full, menu, net.m)
         for label in range(3):
             objectives.clear()
             part = lp.lp_propagate(net, spec, menu=menu, label=label)
             others = [j for j in range(3) if j != label]
-            assert objectives[-1] == (net.m, [label] + others,
-                                      ["lower", "upper", "upper"])
+            if simplex_out:
+                assert objectives[-1] == (net.m, [label] + others,
+                                          ["lower", "upper", "upper"])
+            else:
+                assert all(k < net.m for k, _, _ in objectives)
             for k in range(1, net.m):
                 assert np.array_equal(part.lower[k - 1], full.lower[k - 1])
                 assert np.array_equal(part.upper[k - 1], full.upper[k - 1])
@@ -636,6 +652,83 @@ def test_lp_propagate_with_a_label_bounds_only_the_rows_margins_read(
             assert part.output_upper[label] == np.inf
     with pytest.raises(ValueError, match="label 3 out of range"):
         lp.lp_propagate(net, spec, label=3)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_closed_form_layers_are_the_optima_of_their_lps(act, p):
+    # the paper's optimality result as lp_propagate uses it: a layer with one
+    # line per neuron and side below it is bounded by crown's backward pass
+    # on those lines, which is the optimum of the LP over the same lines and
+    # intervals, by the built-in simplex and by HiGHS
+    try:
+        from scipy import optimize
+    except ImportError:
+        optimize = None
+    closed = 0
+    for seed in range(2):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        for eps in (1e-3, 0.05, 0.2):
+            spec = PerturbationSpec(x0, p, eps)
+            for menu in (lp.RelaxationMenu("single"),
+                         lp.RelaxationMenu("multi")):
+                bounds = lp.lp_propagate(net, spec, menu=menu)
+                for k in range(2, net.m + 1):
+                    if offers_several_lines(net, bounds, menu, k):
+                        continue
+                    closed += menu.lines == "multi"
+                    width = net.layer_width(k)
+                    prob = lp.build_lp(
+                        net, spec, k, np.repeat(np.arange(width), 2),
+                        relax.SIDES * width, bounds,
+                        menu_lines(net, bounds, menu.lines, k))
+                    signs = np.tile([1.0, -1.0], width)
+                    ours = np.stack(bounds.layer(k), axis=1).ravel()
+                    want = signs * lp.solve(prob)[0]
+                    assert np.all(np.abs(ours - want)
+                                  <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                    if optimize is None:
+                        continue
+                    for c, sign, c0, value in zip(prob.c, signs, prob.c0,
+                                                  ours):
+                        ref = sign * (highs(optimize, prob, c) + c0)
+                        assert abs(value - ref) <= 1e-8 * max(1.0, abs(ref))
+    # relu's hidden neurons are all stable at the smallest radius, so its
+    # multi menu offers one line each there; a tangent family never does
+    assert (closed > 0) == (act == "relu")
+
+
+def test_only_layers_with_several_lines_below_reach_the_simplex(monkeypatch):
+    solved = []         # objectives of each simplex call
+    original = simplex.solve_inequality_form
+
+    def counted(c, *args, **kwargs):
+        solved.append(len(c))
+        return original(c, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_inequality_form", counted)
+    eps = 0.3
+    net = generate_random_network(0, [4, 6, 5, 3], "relu", scale=1.0)
+    spec = PerturbationSpec(np.zeros(4), np.inf, eps)
+    # the single menu offers one line per neuron and side everywhere
+    lp.lp_propagate(net, spec, menu=lp.RelaxationMenu("single"))
+    assert solved == []
+    # every hidden neuron of this net is stable: its multi menu offers one
+    # line each too
+    stable = positive_bias_relu_net(0, [4, 6, 5, 3], eps=eps)
+    lp.lp_propagate(stable, spec, menu=lp.RelaxationMenu("multi"))
+    assert solved == []
+    # one layer-2 neuron made to cross zero: layer 2 is still closed form,
+    # the output layer above the crossing neuron solves its 2 n objectives
+    low, up = crown.propagate(stable, spec).layer(2)
+    biases = list(stable.biases)
+    biases[1] = biases[1] - np.eye(len(low))[0] * 0.5 * (low[0] + up[0])
+    crossing = Network(stable.weights, tuple(biases), "relu")
+    bounds = lp.lp_propagate(crossing, spec, menu=lp.RelaxationMenu("multi"))
+    low, up = bounds.layer(2)
+    assert low[0] < 0.0 < up[0] and np.all(low[1:] > 0.0)
+    assert solved == [2 * net.layer_width(3)]
 
 
 def test_lp_propagate_is_unchanged_by_a_search_on_another_net():
