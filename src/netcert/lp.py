@@ -34,7 +34,10 @@ basis of the one before.  Between the probes of a radius search the rows
 change with eps, and keep their shape unless a menu line is dropped or
 added, so each objective's phase 2 starts from its own optimal basis of the
 previous probe where that basis is still feasible (``lp_propagate``'s
-``bases``).
+``bases``).  An objective without one, as on a search's first LP, starts
+at its crown vertex (``crown_vertices``), which is an optimal basis
+wherever the LP's optimum is crown's bound; a search runs no phase 1 where
+those vertices are feasible.
 
 Each variable has a lower bound its own rows imply (x >= x0 - eps, z >= l,
 a >= its lower lines' least value on [l, u], r >= 0), which ``build_lp``
@@ -180,6 +183,9 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
     by layer and within a layer neuron by neuron, the lower lines
     a >= s z + t as s z - a <= -t, the upper lines a <= s z + t as
     a - s z <= t, then z <= u and -z <= -l; the ball rows come last.
+    ``meta["line_rows"][v-1]`` holds the row of each of layer v's lines,
+    as (lower, upper) arrays shaped like its slopes with -1 for no line,
+    and ``meta["ball_row"]`` the first ball row.
     """
     _check_ball(net, spec)
     if k < 2 or k > net.m:
@@ -199,7 +205,8 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
 
     A_eq = np.zeros((sum(widths), total))
     lower = np.concatenate([spec.x0 - spec.epsilon, np.zeros(total - net.n)])
-    ub_blocks, rhs = [], []
+    ub_blocks, rhs, line_rows = [], [], []
+    n_ub = 0                  # inequality rows so far
     for v, (w, first, at) in enumerate(zip(widths, before, z_at), start=1):
         # z(v) - W(v) a(v-1) = b(v), where a(v-1) (or x) sits just before z(v)
         weights = net.weights[v - 1]
@@ -227,6 +234,17 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
         block[row, at + w + neuron[order]] = a_coef[order]
         ub_blocks.append(block)
         rhs.append(b[order])
+        # the row of each line: its entry of parts, moved by the sort
+        row_of = np.empty(len(order), dtype=int)
+        row_of[order] = n_ub + row
+        per_side, done = [], 0
+        for s in (sl, su):
+            keep = ~np.isnan(s)
+            per_side.append(np.full(s.shape, -1))
+            per_side[-1][keep] = row_of[done:done + keep.sum()]
+            done += keep.sum()
+        line_rows.append(tuple(per_side))
+        n_ub += len(order)
     ball_A, ball_b = ball_rows(spec, total, r_col=r_at)
 
     # objective j: row neurons[j] of the layer-k affine map over a(k-1), signed
@@ -242,18 +260,83 @@ def build_lp(net: Network, spec: PerturbationSpec, k: int, neurons, sides,
         b_ub=np.concatenate(rhs + [ball_b]),
         lower=lower - 1e-9 * (1.0 + np.abs(lower)),
         names=names,
-        meta={"k": k, "neurons": neurons, "sides": sides},
+        meta={"k": k, "neurons": neurons, "sides": sides,
+              "line_rows": line_rows, "ball_row": n_ub},
     )
 
 
-def solve(problem: LpProblem, bases: list | None = None):
+def solve(problem: LpProblem, bases: list | None = None, vertices=None):
     """Least values and optimal points, one entry (row) per objective.
-    ``bases`` is passed to ``simplex.solve_inequality_form``: each
-    objective's starting basis, replaced by its optimal one."""
+    ``bases`` and ``vertices`` are passed to
+    ``simplex.solve_inequality_form``: each objective's starting basis,
+    replaced by its optimal one, and the function that gives each
+    objective's starting vertex where it has no feasible basis."""
     value, point = simplex.solve_inequality_form(
         problem.c, problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub,
-        problem.lower, bases=bases)
+        problem.lower, bases=bases, vertices=vertices)
     return value + problem.c0, point
+
+
+def crown_vertices(net: Network, spec: PerturbationSpec,
+                   problem: LpProblem, bounds: crown.LayerBounds, lines,
+                   A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per objective of ``problem`` (the signed rows (A, c) of its layer, as
+    ``crown.backward_rows`` takes them), the rows of ``A_ub`` tight at the
+    vertex crown's backward pass points to.
+
+    The pass walks back on one menu line per neuron and side, the lower
+    line highest and the upper line lowest at the middle of its interval
+    (crown's adaptive relu line).  The input sits at the ball's point that
+    minimizes the pass's input row: for p = inf every coordinate at the end
+    against its entry's sign, for p = 1 x0 moved by eps against the sign of
+    the largest entry.  Forward from there,
+    each neuron's activation sits on the lower line highest at its z where
+    the running row is positive, else on the upper line lowest there, so
+    every line holds, and that line's row is tight.  Where the LP's
+    optimum is crown's bound, that vertex is optimal."""
+    k = problem.meta["k"]
+    picked = []
+    for v, (sl, tl, su, tu) in enumerate(lines[:k - 1], start=1):
+        mid = np.mean(bounds.layer(v), axis=0)
+        lo, up = _tightest(sl, tl, mid, 1.0), _tightest(su, tu, mid, -1.0)
+        picked.append(tuple(np.take_along_axis(a, at, -1)[..., 0] for a, at
+                            in ((sl, lo), (tl, lo), (su, up), (tu, up))))
+    coeffs, _, tape = crown.backward_rows(net, k, A, c, picked)
+
+    n, ball, objs = net.n, problem.meta["ball_row"], np.arange(len(A))
+    if spec.p == math.inf:
+        rise = coeffs <= 0.0        # x = x0 + eps, its row x <= x0 + eps tight
+        act = spec.x0 + spec.epsilon * np.where(rise, 1.0, -1.0)
+        tight = [ball + 2 * np.arange(n) + ~rise]
+    else:
+        # x - r <= x0 and -x - r <= -x0 are tight but at the largest entry
+        # t, where x moves by eps against its sign, and sum r <= eps is tight
+        t = np.abs(coeffs).argmax(axis=1)
+        rise = coeffs[objs, t] <= 0.0
+        act = np.repeat(spec.x0[None], len(A), axis=0)
+        act[objs, t] += spec.epsilon * np.where(rise, 1.0, -1.0)
+        held = np.ones((len(A), 2 * n + 1), dtype=bool)
+        held[objs, 2 * t + rise] = False
+        tight = [ball + np.nonzero(held)[1].reshape(len(A), 2 * n)]
+    for v in range(1, k):
+        z = act @ net.weights[v - 1].T + net.biases[v - 1]
+        lower_side = (tape[v - 1][0] > 0.0)[..., None]
+        sl, tl, su, tu = lines[v - 1]
+        s, t = np.where(lower_side, sl, su), np.where(lower_side, tl, tu)
+        at = _tightest(s, t, z, np.where(lower_side, 1.0, -1.0))
+        act = np.take_along_axis(s * z[..., None] + t, at, -1)[..., 0]
+        rows = np.where(lower_side, *problem.meta["line_rows"][v - 1])
+        tight.append(np.take_along_axis(rows, at, -1)[..., 0])
+    return np.concatenate(tight, axis=1)
+
+
+def _tightest(s, t, z, sign):
+    """Per entry of z, the index, kept on a last axis of length 1, of the
+    line (s, t) whose ``sign`` times value at z is largest: the highest
+    lower line for sign 1, the lowest upper line for -1.  A NaN line is
+    no line."""
+    on = sign * (s * z[..., None] + t)
+    return np.where(np.isnan(on), -np.inf, on).argmax(axis=-1)[..., None]
 
 
 def lp_propagate(net: Network, spec: PerturbationSpec,
@@ -276,7 +359,9 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     the last call: each objective's phase 2 starts from its own if that
     basis is still feasible, and the dict is updated in place.  Any start
     is checked before use, so the bounds are the LP optima whatever the
-    dict holds; without it every call starts from scratch."""
+    dict holds; an objective without a feasible basis there starts at its
+    crown vertex (``crown_vertices``).  Without the dict every call starts
+    from scratch: phase 1, then each objective from the one before."""
     _check_ball(net, spec)
     menu = menu or RelaxationMenu()
     n_out = net.layer_width(net.m)
@@ -296,19 +381,23 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
             solve_lo, solve_up = solve_lo[[label]], solve_up[solve_up != label]
         rows = np.concatenate([solve_lo, solve_up])
         n_lo, n_obj = len(solve_lo), len(rows)
+        sign = np.repeat([1.0, -1.0], [n_lo, n_obj - n_lo])
+        A = sign[:, None] * net.weights[k - 1][rows]
+        c = sign * net.biases[k - 1][rows]
         if closed is not None:
             # the LP's optimum in closed form: crown's bound on its lines
-            sign = np.repeat([1.0, -1.0], [n_lo, n_obj - n_lo])
-            values = crown.concretize_rows(*crown.backward_rows(
-                net, k, sign[:, None] * net.weights[k - 1][rows],
-                sign * net.biases[k - 1][rows], closed)[:2], spec)
+            values = crown.concretize_rows(
+                *crown.backward_rows(net, k, A, c, closed)[:2], spec)
         else:
             if bases is not None and len(bases.get(k, ())) != n_obj:
                 bases[k] = [None] * n_obj
-            values = solve(build_lp(
+            problem = build_lp(
                 net, spec, k, rows.tolist(),
                 ("lower",) * n_lo + ("upper",) * (n_obj - n_lo), bounds,
-                lines), None if bases is None else bases[k])[0]
+                lines)
+            values = solve(problem, *(() if bases is None else (
+                bases[k], lambda: crown_vertices(
+                    net, spec, problem, bounds, lines, A, c))))[0]
         low, up = np.full(w, -np.inf), np.full(w, np.inf)
         # minus the negated row's least value; 0.0 - v, not -v, keeps 0 at +0.0
         low[solve_lo], up[solve_up] = values[:n_lo], 0.0 - values[n_lo:]

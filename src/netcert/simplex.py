@@ -17,11 +17,13 @@ shape left (one per objective, as the previous probe of a radius search
 leaves them), an objective's phase 2 starts from its own earlier basis if
 that basis is feasible here: its matrix inverts, no basic value is below
 -FEAS_TOL (values in [-FEAS_TOL, 0) are clamped to 0, as in a
-refactorization) and no basic artificial is above FEAS_TOL.  Phase 1 then
-runs only if the first objective has no such start; a later objective
-without one starts from the optimum of the objective before it.  A start
-moves where the pivots begin, not the LP, so the optimum stays the same up
-to rounding.
+refactorization) and no basic artificial is above FEAS_TOL.  Given
+``vertices``, an objective without such a start next tries its vertex: the
+basis of every variable and the slacks of the rows not tight there, under
+the same checks.  Phase 1 then runs only if the first objective has no
+start; a later objective without one starts from the optimum of the
+objective before it.  A start moves where the pivots begin, not the LP, so
+the optimum stays the same up to rounding.
 
 The entering column is the eligible one of smallest index.  Among the rows
 tied in the ratio test the one with the largest pivot leaves, except on a
@@ -175,7 +177,7 @@ def _bland_pivot(A, b, c, basis, B_inv, xB, allowed, iter_budget,
 
 
 def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6,
-                          bases=None):
+                          bases=None, vertices=None):
     """Minimize over the variables v >= ``lower`` every objective, one per
     row of ``c``; returns the optimal values and points, one entry (row) per
     objective.  ``max_iter`` caps the pivots of phase 1 plus one objective's
@@ -184,7 +186,13 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6,
     ``bases``, if given, is a list with one entry per objective: None, or an
     optimal basis this function stored there before, which objective j's
     phase 2 starts from if it is feasible here (``_start``).  Entry j is
-    replaced by objective j's optimal basis."""
+    replaced by objective j's optimal basis.
+
+    ``vertices``, if given, is called at most once, when an objective has
+    no feasible basis of its own, and returns per objective the rows of
+    ``A_ub`` tight at a vertex at which every variable is basic: an
+    objective without a feasible basis of its own starts there if that
+    basis is feasible here (``_start``)."""
     costs = np.asarray(c, dtype=float)
     if costs.ndim != 2:
         raise ValueError(f"c must be 2-D, one row per objective, got shape "
@@ -222,10 +230,19 @@ def solve_inequality_form(c, A_eq, b_eq, A_ub, b_ub, lower, max_iter=10**6,
     warm = budget = None
     values = np.empty(len(costs))
     points = np.empty((len(costs), nv))
+    tight = None
     for j, cost in enumerate(costs):
         cost2 = np.zeros(n_std + m)
         cost2[:nv] = cost
         start = None if bases is None else _start(full, b, n_std, bases[j])
+        if start is None and vertices is not None:
+            tight = vertices() if tight is None else tight
+            # every variable basic, and the slacks of the rows not tight
+            slack = np.ones(n_ub, dtype=bool)
+            slack[tight[j]] = False
+            if nv + slack.sum() == m:
+                start = _start(full, b, n_std, (np.concatenate(
+                    [np.arange(nv), nv + np.flatnonzero(slack)]), full.shape))
         if start is None and warm is None:      # the first objective only
             try:
                 warm, budget = _phase1(full, b, n_std, slack_basis, max_iter,

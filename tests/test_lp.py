@@ -288,6 +288,33 @@ def test_a_feasible_starting_basis_skips_phase1(monkeypatch):
         simplex.solve_inequality_form(*START_LP, bases=bases * 2)
 
 
+@pytest.mark.parametrize("tight, phase1_runs", [
+    ([0, 2], 0),        # the optimum (1, 3)
+    ([1, 2], 1),        # (5, 3), which breaks v1 + v2 <= 4
+    ([0], 1),           # one tight row for two basic variables
+], ids=["optimal", "infeasible", "too-few-rows"])
+def test_a_vertex_start_replaces_phase1_where_it_is_feasible(
+        tight, phase1_runs, monkeypatch):
+    # an objective without a basis of its own starts at the vertex whose
+    # tight rows ``vertices`` gives, if that basis is feasible; otherwise
+    # phase 1 runs from the slack basis as without it; the optimum is the same
+    cold_values, cold_points = simplex.solve_inequality_form(*START_LP)
+    phase1 = simplex._phase1
+    calls, asked = [], []
+    monkeypatch.setattr(simplex, "_phase1",
+                        lambda *args: calls.append(args) or phase1(*args))
+    bases = [None]
+    values, points = simplex.solve_inequality_form(
+        *START_LP, bases=bases, vertices=lambda: asked.append(1) or [tight])
+    assert len(calls) == phase1_runs and asked == [1]
+    assert values.tolist() == cold_values.tolist() == [-7.0]
+    assert points.tolist() == cold_points.tolist()
+    # with a feasible basis of its own, the vertex is not asked for
+    simplex.solve_inequality_form(*START_LP, bases=bases,
+                                  vertices=lambda: pytest.fail("asked"))
+    assert len(calls) == phase1_runs
+
+
 def highs(optimize, prob, c, feasibility=1e-10):
     """The minimum of objective c over ``prob``'s rows and free variables,
     by HiGHS's dual simplex at tight tolerances."""
@@ -729,6 +756,71 @@ def test_only_layers_with_several_lines_below_reach_the_simplex(monkeypatch):
     low, up = bounds.layer(2)
     assert low[0] < 0.0 < up[0] and np.all(low[1:] > 0.0)
     assert solved == [2 * net.layer_width(3)]
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_a_search_starts_its_first_lps_at_crown_vertices(act, p, monkeypatch):
+    # with an empty ``bases``, as on a search's first probe, every objective
+    # starts at its crown vertex, a feasible basis: no phase 1 runs, and the
+    # bounds are those of phase 1 and the chain within 1e-12 relative
+    phase1 = simplex._phase1
+    calls = []
+    monkeypatch.setattr(simplex, "_phase1",
+                        lambda *args: calls.append(args) or phase1(*args))
+    solved = 0
+    for seed in range(2):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        for eps in (1e-3, 0.05, 0.2):
+            spec = PerturbationSpec(x0, p, eps)
+            bases = {}
+            warm = lp.lp_propagate(net, spec, bases=bases)
+            assert calls == []
+            solved += len(bases)
+            cold = lp.lp_propagate(net, spec)
+            calls.clear()
+            for got, want in zip(warm.lower + warm.upper,
+                                 cold.lower + cold.upper):
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert solved > 0
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_crown_vertices_are_optimal_on_the_single_menu(act, p, monkeypatch):
+    # the paper's optimality result as a starting basis: on one line per
+    # neuron and side, the vertex crown's backward pass points to is the
+    # LP's optimum, so each objective's phase 2 prices once and stops
+    used = []
+    pivot = simplex._bland_pivot
+    monkeypatch.setattr(simplex, "_bland_pivot",
+                        lambda *args: used.append(pivot(*args)) or used[-1])
+    menu = lp.RelaxationMenu("single")
+    for seed in range(2):
+        net = generate_random_network(seed, [4, 6, 5, 3], act, scale=1.0)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        for eps in (1e-3, 0.05, 0.2):
+            spec = PerturbationSpec(x0, p, eps)
+            bounds = lp.lp_propagate(net, spec, menu=menu)
+            for k in range(2, net.m + 1):
+                width = net.layer_width(k)
+                lines = menu_lines(net, bounds, "single", k)
+                prob = lp.build_lp(
+                    net, spec, k, np.repeat(np.arange(width), 2),
+                    relax.SIDES * width, bounds, lines)
+                signs = np.tile([1.0, -1.0], width)
+                A = signs[:, None] * net.weights[k - 1][prob.meta["neurons"]]
+                c = signs * net.biases[k - 1][prob.meta["neurons"]]
+                used.clear()
+                values = lp.solve(prob, [None] * len(A), lambda: (
+                    lp.crown_vertices(net, spec, prob, bounds, lines, A,
+                                      c)))[0]
+                assert used == [1] * len(A)
+                ours = np.stack(bounds.layer(k), axis=1).ravel()
+                assert np.all(np.abs(signs * values - ours)
+                              <= 1e-12 * np.maximum(1.0, np.abs(ours)))
 
 
 def test_lp_propagate_is_unchanged_by_a_search_on_another_net():
