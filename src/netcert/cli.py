@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -191,7 +192,21 @@ def _bench_norms(config) -> list:
         raise ModelError(f"bad bench norm: {exc}") from None
 
 
+def _bench_workers() -> int:
+    """The worker count ``NETCERT_WORKERS`` sets, 1 when it is unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ModelError(f"{WORKERS_ENV} must be an integer >= 1, "
+                         f"got {raw!r}")
+    return workers
+
+
 def cmd_bench(args) -> int:
+    workers = _bench_workers()
     with open(args.config) as fh:
         config = json.load(fh)
     norms = _bench_norms(config)
@@ -212,10 +227,13 @@ def cmd_bench(args) -> int:
                     "frown": config.get("frown"),
                     "lp_lines": config.get("lp_lines", "multi"),
                 })
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     cells = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned workers start from a clean interpreter, not a fork of this
+        # one with its threads and BLAS state
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             for task, result in zip(tasks, pool.map(_bench_cell_safe, tasks)):
                 cells.append(result)
     else:

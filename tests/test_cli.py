@@ -393,6 +393,21 @@ def test_bench_worker_pool_matches_serial(tmp_path):
     assert (d1 / "bench.csv").read_text() == (d2 / "bench.csv").read_text()
 
 
+@pytest.mark.parametrize("workers", ["abc", "-1", "0", "1.5", ""])
+def test_bench_rejects_a_bad_worker_count(tmp_path, capsys, monkeypatch,
+                                          workers):
+    # once "abc" failed with int()'s message and "-1" ran serially
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(toy_bench_doc()))
+    monkeypatch.setenv(cli.WORKERS_ENV, workers)
+    out_dir = tmp_path / "out"
+    assert run(["bench", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: NETCERT_WORKERS must be an integer >= 1, "
+                   f"got {workers!r}\n")
+    assert not out_dir.exists()
+
+
 def test_bench_partial_failure_recorded(tmp_path):
     cfg_doc = {
         "networks": [str(tmp_path / "missing.json")],

@@ -194,6 +194,31 @@ def test_warm_started_layer_bounds_equal_cold_solves(act, menu, case):
                 assert abs(bound[i] - cold) <= 1e-9 * max(1.0, abs(cold))
 
 
+@LP_SETTINGS
+@given(case=lp_cases, log_ratio=st.floats(0.0, 1.0))
+# crown's and frown's bounds at eps 0.1 are not inside theirs at 0.2 here
+@example(case=(9, math.inf, -1.0), log_ratio=math.log10(2.0))
+def test_relu_multi_menu_lp_bounds_are_monotone_in_eps(case, log_ratio):
+    # the multi menu offers both ends of every crossing relu's slope family,
+    # so each layer's LP is the triangle relaxation over the intervals
+    # below, and a larger ball gives intervals and LPs that contain the
+    # smaller ball's: every layer's bounds are nested.  crown is not
+    # monotone (tests/data/nonmonotone_sample.json), and so neither is the
+    # single menu, which gives crown's bounds; frown starts from crown's
+    # lines
+    seed, p, log_eps = case
+    net, small = build("relu", seed, p, log_eps, widths=(4, 6, 5, 3))
+    _, big = build("relu", seed, p, log_eps + log_ratio, widths=(4, 6, 5, 3))
+    menu = lp.RelaxationMenu("multi")
+    inner = lp.lp_propagate(net, small, menu=menu)
+    outer = lp.lp_propagate(net, big, menu=menu)
+    for k in range(1, net.m + 1):
+        slack = 1e-9 * np.maximum(1.0, np.abs(outer.lower[k - 1]))
+        assert np.all(inner.lower[k - 1] >= outer.lower[k - 1] - slack)
+        slack = 1e-9 * np.maximum(1.0, np.abs(outer.upper[k - 1]))
+        assert np.all(inner.upper[k - 1] <= outer.upper[k - 1] + slack)
+
+
 @pytest.mark.parametrize("act", ACTS)
 @SETTINGS
 @given(case=cases, group=st.sampled_from([1, 2, 4]))

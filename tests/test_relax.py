@@ -491,6 +491,103 @@ def test_tangent_points_need_the_case_test(act, anchor, l, u):
                                      [anchor == "left"] * 2)
 
 
+def anchored_intervals(act, seed, count=200):
+    """``count`` intervals with ends 1e-6 to 30 from 0 and one anchor each,
+    left or right, on which that anchor passes its case test."""
+    rng = np.random.default_rng(seed)
+    l, u, left = [], [], []
+    while len(l) < count:
+        lo = -10.0 ** rng.uniform(-6, np.log10(30.0))
+        hi = 10.0 ** rng.uniform(-6, np.log10(30.0))
+        anchor = rng.choice(["left", "right"])
+        if anchored(act, anchor, lo, hi):
+            l.append(lo)
+            u.append(hi)
+            left.append(anchor == "left")
+    return np.array(l), np.array(u), np.array(left)
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_tangent_points_lie_on_the_valid_side_inside_the_bracket(act):
+    # the solver's contract, batched and one at a time: each point lies
+    # between the inflection point and the far end, and passes the case
+    # test's own valid-side comparison (the tangent's value at the anchor
+    # against f there) with the activation's jet
+    l, u, left = anchored_intervals(act, {"sigmoid": 31, "tanh": 32}[act])
+    got = relax.tangent_points_through(act, l, u, left)
+    alone = [tangent_point(act, "left" if a else "right", lo, hi)
+             for lo, hi, a in zip(l, u, left)]
+    assert got.tolist() == alone
+    e, far = np.where(left, l, u), np.where(left, u, l)
+    assert np.all(np.where(left, (0.0 < got) & (got <= far),
+                           (far <= got) & (got < 0.0)))
+    fd, dfd = ACTIVATION_JETS[act](got, 1)
+    t, fe = dfd * (e - got) + fd, ACTIVATIONS[act](e)
+    assert np.all(np.where(left, t >= fe, t <= fe))
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_tangent_points_are_within_the_tolerance_of_the_exact_root(act):
+    # against the root of the gap at 50 digits: within 2**-39 |far| wherever
+    # the gap's slope there times the tolerance 2**-40 |far| exceeds 1e-14,
+    # that is, outside the band in which rounding decides the gap's sign
+    mpmath = pytest.importorskip("mpmath")
+    l, u, left = anchored_intervals(act, {"sigmoid": 33, "tanh": 34}[act],
+                                    600)
+    got = relax.tangent_points_through(act, l, u, left)
+    # most drawn intervals lie inside the band; the float slope at the
+    # returned point spares their exact roots
+    e, far = np.where(left, l, u), np.where(left, u, l)
+    slope = ACTIVATION_JETS[act](got)[2] * (e - got)
+    near = np.abs(slope) * 2.0 ** -40 * np.abs(far) > 0.5e-14
+    got, l, u, left = got[near], l[near], u[near], left[near]
+    checked = 0
+    with mpmath.workdps(50):
+        if act == "tanh":
+            def jet(z):
+                t = mpmath.tanh(z)
+                return t, 1 - t * t, -2 * t * (1 - t * t)
+        else:
+            def jet(z):
+                s = 1 / (1 + mpmath.exp(-z))
+                return s, s * (1 - s), s * (1 - s) * (1 - 2 * s)
+        for d, lo, hi, a in zip(got, l, u, left):
+            e, far = mpmath.mpf(lo if a else hi), mpmath.mpf(hi if a else lo)
+            fe = jet(e)[0]
+            # bisect between 0 (invalid) and the far end to 1e-51 |far|
+            inner, outer = mpmath.mpf(0), far
+            for _ in range(170):
+                mid = (inner + outer) / 2
+                f, df, _ = jet(mid)
+                if (df * (e - mid) + f - fe) * (1 if a else -1) < 0:
+                    inner = mid
+                else:
+                    outer = mid
+            root = (inner + outer) / 2
+            slope = jet(root)[2] * (e - root)
+            tol = 2.0 ** -40 * abs(float(far))
+            if abs(float(slope)) * tol > 1e-14:
+                checked += 1
+                assert abs(mpmath.mpf(float(d)) - root) <= 2 * tol, (lo, hi, a)
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("act, l, u, left, message", [
+    ("sigmoid", 0.5, 2.0, True,
+     "left anchor 0.5 not below the inflection point"),
+    ("tanh", -2.0, 0.0, False,
+     "right anchor 0.0 not above the inflection point"),
+    ("sigmoid", -8.0, 0.1, True,
+     "the tangent through the left end of [-8.0, 0.1] touches outside it"),
+    ("tanh", -0.1, 8.0, False,
+     "the tangent through the right end of [-0.1, 8.0] touches outside it"),
+])
+def test_tangent_points_raise_with_their_messages(act, l, u, left, message):
+    with pytest.raises(TangentUndefinedError) as err:
+        relax.tangent_points_through(act, [l], [u], [left])
+    assert str(err.value) == message
+
+
 #: the first and second derivatives in closed form, given z and f(z)
 DERIVATIVES = {
     "relu": (lambda z, a: (z > 0.0).astype(float),
