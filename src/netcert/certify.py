@@ -14,18 +14,20 @@ and a targeted decision only two of them: lp solves those n (its LPs are
 one per bound), frown optimizes only the output groups holding a bound the
 decision reads, and crown bounds every entry in one pass.  The largest
 certifiable radius is the end of one walk, exponential bracketing and then
-bisection, whose unprobed points crown and lp searches predict from the
-margins already probed.
+bisection, whose unprobed points crown and lp searches predict from a
+model of the score: the logit gap, its first-order slope at eps = 0 (one
+Jacobian of the logits per search) and the scores already probed.
 
-A frown search probes every point of the walk, each first asking crown
-(the crown screen).  frown folds crown's bounds into every layer, so a
-margin crown certifies frown certifies too, and such a probe is answered
-without running the optimizer.  Otherwise frown runs at the same radius and
-takes the screen's bounds as its fold baseline instead of running crown
-again, and its output layer stops as soon as the margins certify.  A
-screened probe keeps no margins, so the certificate's margins are frown's,
-computed at the final radius if its probe was screened; they are those of
-the first optimizer iterate whose bounds certify, not of a full run.
+A frown search from a nonnegative logit gap probes every point of the
+walk, each first asking crown (the crown screen).  frown folds crown's
+bounds into every layer, so a margin crown certifies frown certifies too,
+and such a probe is answered without running the optimizer.  Otherwise
+frown runs at the same radius and takes the screen's bounds as its fold
+baseline instead of running crown again, and its output layer stops as
+soon as the margins certify.  A screened probe keeps no margins, so the
+certificate's margins are frown's, computed at the final radius if its
+probe was screened; they are those of the first optimizer iterate whose
+bounds certify, not of a full run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crown, frown, lp
-from .model import ModelError, Network, PerturbationSpec, forward
+from .model import ModelError, Network, PerturbationSpec, forward, jacobian
 
 #: starting probe of the exponential bracket
 BRACKET_START = 1e-3
@@ -169,18 +171,36 @@ def _walk(answer, cap: float, rel_tol: float):
     return lo, (lo, hi), False, False
 
 
+def _first_order(net: Network, x0, label: int, p):
+    """Each margin's value and slope at eps = 0, where crown's and lp's
+    bounds are first-order exact (Zhang et al., arXiv:1811.00866): the logit
+    gap and -(||J_label||_q + ||J_j||_q), J the logits' Jacobian at x0."""
+    x0 = np.asarray(x0, dtype=float)
+    logits = forward(net, x0)
+    norms = crown.dual_norm(jacobian(net, x0), PerturbationSpec(x0, p, 0).q)
+    return (crown.margins(logits, logits, label),
+            crown.margins(-norms, norms, label))
+
+
 class _Guess:
     """Answers the walk by the score of a known radius (eps = 0: the logit
-    gap), else by ``eps <= root``.  With c and u the tightest certified and
-    uncertified radii, ``root`` is the root of the secant through the two
-    largest certified radii if below u (Dekker's step), else infinite while
-    u is unknown, else the Illinois regula-falsi root between c and u
-    (Dowell and Jarratt, BIT 11, 1971): an end's score is halved k - 1 times
-    once it stayed put on k >= 2 updates in a row.  ``low`` marks the
-    latter, which on a margin concave in eps is below the true root."""
+    gap), else by ``eps <= root``: the root in (c, u) of the score's model
+    m(e) = gap + s0 e + e^2 (a + b e) that Newton steps from c reach, c and
+    u the tightest certified and uncertified radii (u infinite until a
+    radius fails).  s0 is the slope of the line from (0, gap) to the
+    first-order root of ``_first_order``'s margins (the smallest, or the
+    target's); a and b put m through the two probed radii whose scores are
+    nearest 0.  ``root`` is the midpoint of (c, u) instead (infinite while u
+    is) where s0 >= 0, where the steps leave (c, u), and after two model
+    roots in a row whose probes did not halve the step between probes
+    (Brent's guard).  ``low`` marks a model root."""
 
-    def __init__(self, gap: float):
-        self.known, self.ends, self.stays = {}, (None, math.inf), [0, 0]
+    def __init__(self, gaps, slopes, label: int, target: int | None):
+        gap = crown.score(gaps, label, target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.slope = float(-gap / np.float64(
+                crown.score(gaps / -slopes, label, target)))
+        self.known, self.slow, self.low, self.step = {}, 0, False, math.inf
         self.add(0.0, gap)
 
     def answer(self, eps: float) -> bool:
@@ -189,40 +209,51 @@ class _Guess:
 
     def add(self, eps: float, score: float) -> None:
         known = self.known
+        step = abs(eps - next(reversed(known), -math.inf))  # from the last
         known[eps] = score      # certified iff >= 0
         u = min((e for e, s in known.items() if s < 0.0), default=math.inf)
-        cert = sorted(e for e, s in known.items() if s >= 0.0 and e < u)
-        c = cert[-1] if cert else None
-        old, self.ends = self.ends, (c, u)
-        if old[1] < math.inf:
-            moved = [a != b for a, b in zip(old, self.ends)]
-            self.stays = [0 if moved[k] else self.stays[k] + moved[1 - k]
-                          for k in (0, 1)]
-        self.root, self.low = (math.inf if cert else 0.0), False
-        if len(cert) > 1:
-            slope = (known[c] - known[cert[-2]]) / (c - cert[-2])
-            if slope < 0.0 and c - known[c] / slope < u:
-                self.root = c - known[c] / slope
-                return
-        if cert and u < math.inf:
-            sc, su = (known[e] * 0.5 ** max(k - 1, 0)
-                      for e, k in zip(self.ends, self.stays))
-            self.root, self.low = c + sc * (u - c) / (sc - su), True
+        c = max((e for e, s in known.items() if s >= 0.0 and e < u),
+                default=0.0)
+        self.slow = self.slow + 1 if self.low and step > self.step / 2 else 0
+        self.step = step
+        root = self._root(c, u) if self.slow < 2 and self.slope < 0 else None
+        self.low = root is not None
+        self.root = root if self.low else 0.5 * (c + u)
+
+    def _root(self, c: float, u: float) -> float | None:
+        """m's root by Newton steps from c, None outside (c, u)."""
+        known, s0 = self.known, self.slope
+        gap = known[0.0]
+        fit = sorted((e for e in known if e > 0.0),
+                     key=lambda e: abs(known[e]))[:2]
+        r = [(known[e] - gap - s0 * e) / (e * e) for e in fit]
+        b = (r[1] - r[0]) / (fit[1] - fit[0]) if len(fit) == 2 else 0.0
+        a = r[0] - b * fit[0] if fit else 0.0
+        x = c
+        for _ in range(64):
+            m = gap + x * (s0 + x * (a + b * x))
+            d = s0 + x * (2.0 * a + 3.0 * b * x)
+            step = m / -d if d < 0.0 else math.nan
+            x += step
+            if not abs(step) > 1e-10 * x:
+                break
+        return x if c < x < u else None
 
 
 def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
                    target: int | None = None, rel_tol: float = 1e-3,
                    cap: float = 10.0, frown_config=None,
                    lp_menu=None) -> Certificate:
-    """Largest certifiable radius: the end of ``_walk``.  frown probes every
-    point of the walk.  crown and lp walk on ``_Guess``'s answers, probe an
-    unprobed point the ending rests on (the upper one if ``_Guess.low``)
-    and walk again until none is left.  The radius is a probed certified
-    point, a probed uncertified one (or the cap) within ``rel_tol`` above
-    it, and the radius of probing every point if certification is monotone.
-    The probes of one search share a ``_Carry``: an lp search starts each
-    probe's LPs from the previous probe's optimal bases, and a frown probe
-    reuses its crown screen's bounds.
+    """Largest certifiable radius: the end of ``_walk``.  A frown search
+    from a nonnegative logit gap probes every point of the walk; the others
+    walk on ``_Guess``'s answers, probe an unprobed point the ending rests
+    on (the upper one after a model root) and walk again until none is
+    left.  The radius is a probed certified point, a probed uncertified one
+    (or the cap) within ``rel_tol`` above it, and the radius of probing
+    every point if certification is monotone.  The probes of one search
+    share a ``_Carry``: an lp search starts each probe's LPs from the
+    previous probe's optimal bases, and a frown probe reuses its crown
+    screen's bounds.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -242,11 +273,10 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
                                        target, frown_config, lp_menu, carry)
         return ok
 
-    if method != "frown":
-        logits = forward(net, np.asarray(x0, dtype=float))
-        gaps = crown.margins(logits, logits, label)
-        guess = _Guess(crown.score(gaps, label, target))
-    answer = probe if method == "frown" else guess.answer
+    guess = _Guess(*_first_order(net, x0, label, p), label, target)
+    # every engine's bounds hold the logits: no radius beats a negative gap
+    answer = (probe if method == "frown" and guess.known[0.0] >= 0.0
+              else guess.answer)
     while True:
         radius, needed, cap_hit, never = _walk(answer, cap, rel_tol)
         todo = [eps for eps in needed if eps not in probed]

@@ -219,6 +219,22 @@ def forward(net: Network, x) -> np.ndarray:
     return a
 
 
+def jacobian(net: Network, x) -> np.ndarray:
+    """d logits / dx at ``x`` (n_m x n): one forward pass that keeps each
+    activation's derivative, then the product of the layers from the top
+    (relu's derivative at its kink is 0)."""
+    a = np.asarray(x, dtype=float)
+    jet = ACTIVATION_JETS[net.activation]
+    slopes = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a, d1 = jet(w @ a + b, order=1)
+        slopes.append(d1)
+    jac = net.weights[-1]
+    for w, d1 in zip(reversed(net.weights[:-1]), reversed(slopes)):
+        jac = (jac * d1) @ w
+    return jac
+
+
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network on rows of ``xs`` (N x n). Returns N x n_m."""
     for z in preactivations(net, xs):

@@ -11,8 +11,10 @@ from netcert.model import (
     PerturbationSpec,
     forward,
     generate_random_network,
+    jacobian,
     load_network,
     load_sample,
+    preactivations,
 )
 
 from conftest import (
@@ -547,3 +549,163 @@ def test_crown_is_not_monotone_in_eps_and_the_search_keeps_a_bracket(
     cert = certify.search_epsilon(net, x0, label, 2.0, "crown", cap=0.06)
     assert not cert.cap_hit and not cert.never_certified
     assert_probed_bracket(cert, probed, 0.06)
+
+
+def _premise_case(act: str, seed: int):
+    """A random 3-6-5-4 net, an x0 drawn from its seed and the predicted
+    label; None for a relu net with a pre-activation within 1e-6 of its
+    kink, where the logits have no Jacobian."""
+    net = generate_random_network(seed, [3, 6, 5, 4], act)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+    if act == "relu" and any(np.abs(z).min() < 1e-6 for z in
+                             list(preactivations(net, x0[None]))[:-1]):
+        return None
+    return net, x0, int(np.argmax(forward(net, x0)))
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_jacobian_matches_central_differences(act):
+    h = 1e-6
+    for seed in range(4):
+        case = _premise_case(act, seed)
+        if case is None:
+            continue
+        net, x0, _ = case
+        steps = h * np.eye(3)
+        fd = np.column_stack([(forward(net, x0 + s) - forward(net, x0 - s))
+                              / (2 * h) for s in steps])
+        np.testing.assert_allclose(jacobian(net, x0), fd, rtol=1e-6,
+                                   atol=1e-8)
+
+
+#: the multi menu's LP optima at eps = 1e-7 on these sigmoid/tanh nets are
+#: off by up to 2e-8, tighter than the true extremes (ROADMAP item 1: the
+#: simplex's primal value is not a sound bound), which moves the slope by
+#: up to 66%
+LP_MULTI_OFF = pytest.mark.xfail(
+    strict=True, reason="lp multi-menu optima off by up to 2e-8 at 1e-7")
+
+
+@pytest.mark.parametrize("method, menu, p", [
+    ("crown", None, 1.0), ("crown", None, 2.0), ("crown", None, np.inf),
+    ("lp", "multi", 1.0), ("lp", "multi", np.inf),
+    ("lp", "single", 1.0), ("lp", "single", np.inf)])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+def test_each_margins_first_order_slope_is_the_engines(act, method, menu, p,
+                                                       request):
+    # the search's model starts from these slopes: crown's and lp's bounds
+    # of each logit are exact to first order in eps, so each margin's slope
+    # at 0 is -(||J_label||_q + ||J_j||_q).  Per margin, not per score: the
+    # score's slope at 0 is that of the smallest gap, which need not be the
+    # margin with the smallest first-order root
+    if menu == "multi" and (act, p) in {("sigmoid", 1.0), ("tanh", 1.0),
+                                        ("tanh", np.inf)}:
+        request.applymarker(LP_MULTI_OFF)
+    h = 1e-7
+    lp_menu = None if menu is None else getattr(lp.RelaxationMenu, menu)()
+    checked = 0
+    for seed in range(4):
+        case = _premise_case(act, seed)
+        if case is None:
+            continue
+        net, x0, label = case
+        gaps, slopes = certify._first_order(net, x0, label, p)
+        assert np.all(slopes < 0)
+        _, marg = certify.certified_at(net, x0, label, h, p, method,
+                                       lp_menu=lp_menu)
+        np.testing.assert_allclose((marg - gaps) / h, slopes, rtol=1e-4)
+        checked += 1
+    assert checked >= 2
+
+
+def test_a_one_output_net_is_probed_at_the_cap_only(monkeypatch):
+    # no margin, so no slope: the guess falls back to the cap at once
+    net = Network((np.array([[1.0], [-1.0]]), np.array([[1.0, 2.0]])),
+                  (np.zeros(2), np.zeros(1)), "tanh")
+    gaps, slopes = certify._first_order(net, [0.3], 0, np.inf)
+    assert gaps.size == slopes.size == 0
+    for method in ("crown", "lp"):
+        probed = recorded_probes(monkeypatch)
+        cert = certify.search_epsilon(net, [0.3], 0, np.inf, method, cap=2.0)
+        assert probed == {2.0: True}
+        assert cert.cap_hit and cert.epsilon_certified == 2.0
+
+
+def test_a_constant_gap_has_slope_zero_and_is_probed_at_the_cap_only(
+        monkeypatch):
+    # the net of test_constant_gap_net_hits_cap: s0 = 0, the model has no
+    # root, and the first probe is the cap, not a first-order root
+    w1 = np.array([[1.0], [-1.0]])
+    net = Network((w1, np.zeros((2, 2))),
+                  (np.zeros(2), np.array([1.0, 0.0])), "relu")
+    gaps, slopes = certify._first_order(net, [0.5], 0, np.inf)
+    assert gaps.tolist() == [1.0] and slopes.tolist() == [0.0]
+    for method in ("crown", "lp"):
+        probed = recorded_probes(monkeypatch)
+        cert = certify.search_epsilon(net, [0.5], 0, np.inf, method)
+        assert probed == {10.0: True}
+        assert cert.cap_hit and cert.iterations == 1
+
+
+@pytest.mark.parametrize("method", ["crown", "lp", "frown"])
+def test_a_label_that_is_not_the_prediction_takes_one_probe(method,
+                                                            monkeypatch):
+    # every engine's bounds hold the logits at x0, so from a negative gap
+    # no radius certifies: the search probes only the smallest halving
+    # point its ending rests on (a frown search probed all 21 points of
+    # the walk before)
+    net = generate_random_network(0, [3, 4, 2], "relu")
+    x0 = np.zeros(3)
+    wrong = 1 - int(np.argmax(forward(net, x0)))
+    probed = recorded_probes(monkeypatch)
+    with pytest.warns(UserWarning):
+        cert = certify.search_epsilon(net, x0, wrong, np.inf, method)
+    smallest = certify.BRACKET_START * 2.0 ** -certify.BRACKET_HALVINGS
+    assert cert.never_certified and cert.epsilon_certified == 0.0
+    assert cert.iterations == 1
+    # and, after the walk, radius 0 for the certificate's margins
+    assert probed == {smallest: False, 0.0: False}
+
+
+@pytest.mark.parametrize("method", ["crown", "lp"])
+def test_a_targeted_search_models_the_targets_margin(method):
+    net = generate_random_network(3, [3, 8, 8, 3], "relu")
+    x0, label = boundary_sample(net, 3)
+    gaps, slopes = certify._first_order(net, x0, label, np.inf)
+    for target in {0, 1, 2} - {label}:
+        j = target - (target > label)
+        guess = certify._Guess(gaps, slopes, label, target)
+        assert guess.slope == pytest.approx(slopes[j], rel=1e-12)
+        assert guess.root == pytest.approx(gaps[j] / -slopes[j], rel=1e-12)
+        ref, ref_probes, _, _ = bisect_radius(
+            lambda eps: certify.certified_at(net, x0, label, eps, np.inf,
+                                             method, target)[0], 1.0)
+        cert = certify.search_epsilon(net, x0, label, np.inf, method,
+                                      target=target, cap=1.0)
+        assert cert.epsilon_certified == ref
+        assert cert.iterations < len(ref_probes)
+
+
+#: total probes of the 24 searches of the gate below, as measured when the
+#: first-order model came in (the secant and regula-falsi guess before it
+#: took 88, bisection 265)
+GATE_PROBES = 53
+
+
+def test_probe_count_gate():
+    # 24 fixed crown and lp searches on small generated nets: each ends on
+    # bisection's radius, and together they take no more probes than the
+    # first-order model took when it came in
+    total = 0
+    for act, seed, method in itertools.product(
+            ("relu", "sigmoid", "tanh"), range(4), ("crown", "lp")):
+        net = generate_random_network(seed, [3, 8, 8, 3], act)
+        x0, label = boundary_sample(net, seed)
+        cert = certify.search_epsilon(net, x0, label, np.inf, method,
+                                      cap=1.0, rel_tol=1e-2)
+        ref, _, _, _ = bisect_radius(
+            lambda eps: certify.certified_at(net, x0, label, eps, np.inf,
+                                             method)[0], 1.0, 1e-2)
+        assert cert.epsilon_certified == ref
+        total += cert.iterations
+    assert total <= GATE_PROBES
