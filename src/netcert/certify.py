@@ -253,7 +253,9 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
     every point if certification is monotone.  The probes of one search
     share a ``_Carry``: an lp search starts each probe's LPs from the
     previous probe's optimal bases, and a frown probe reuses its crown
-    screen's bounds.
+    screen's bounds.  A search that certifies nothing reports the logit
+    gaps as its margins at radius 0, where every engine's bounds are the
+    logits.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -273,7 +275,8 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
                                        target, frown_config, lp_menu, carry)
         return ok
 
-    guess = _Guess(*_first_order(net, x0, label, p), label, target)
+    gaps, slopes = _first_order(net, x0, label, p)
+    guess = _Guess(gaps, slopes, label, target)
     # every engine's bounds hold the logits: no radius beats a negative gap
     answer = (probe if method == "frown" and guess.known[0.0] >= 0.0
               else guess.answer)
@@ -285,7 +288,7 @@ def search_epsilon(net: Network, x0, label: int, p, method: str = "crown",
         eps = todo[-1] if guess.low else todo[0]
         probe(eps)
         guess.add(eps, crown.score(probed[eps], label, target))
-    marg = probed.get(radius)
+    marg = gaps if never else probed.get(radius)
     if marg is None:
         _, marg = certified_at(net, x0, label, radius, p, method, target,
                                frown_config, lp_menu, carry)

@@ -28,16 +28,13 @@ rows.  It agrees with the simplex within 1e-12 relative (measured: at most
 
 The other layers' LPs differ only in their objective, so ``build_lp``
 assembles a layer's rows once from its line arrays with block array
-operations, with one objective per bound, and the simplex solves them with
-at most one phase 1, each objective's phase 2 warm-started from the optimal
-basis of the one before.  Between the probes of a radius search the rows
-change with eps, and keep their shape unless a menu line is dropped or
-added, so each objective's phase 2 starts from its own optimal basis of the
-previous probe where that basis is still feasible (``lp_propagate``'s
-``bases``).  An objective without one, as on a search's first LP, starts
-at its crown vertex (``crown_vertices``), which is an optimal basis
-wherever the LP's optimum is crown's bound; a search runs no phase 1 where
-those vertices are feasible.
+operations, with one objective per bound.  Each objective's phase 2 starts
+from its own optimal basis of the previous probe of a radius search where
+that basis is still feasible (``lp_propagate``'s ``bases``: the rows change
+with eps, and keep their shape unless a menu line is dropped or added),
+else at its crown vertex (``crown_vertices``), which is an optimal basis
+wherever the LP's optimum is crown's bound.  Only where neither start is
+feasible does the simplex chain from the objective before or run phase 1.
 
 Each variable has a lower bound its own rows imply (x >= x0 - eps, z >= l,
 a >= its lower lines' least value on [l, u], r >= 0), which ``build_lp``
@@ -354,16 +351,16 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
     bounds the same rows by crown's backward pass over those lines, which
     the paper's optimality result makes the LP optimum.
 
-    ``bases``, a dict the caller keeps across calls (a radius search keeps
-    one per search), maps each layer k to its objectives' optimal bases of
-    the last call: each objective's phase 2 starts from its own if that
-    basis is still feasible, and the dict is updated in place.  Any start
-    is checked before use, so the bounds are the LP optima whatever the
-    dict holds; an objective without a feasible basis there starts at its
-    crown vertex (``crown_vertices``).  Without the dict every call starts
-    from scratch: phase 1, then each objective from the one before."""
+    ``bases`` maps each layer k to its objectives' optimal bases of the
+    last call and is updated in place; a radius search keeps one dict
+    across its probes, and a call without one starts from an empty dict.
+    Each objective's phase 2 starts from its own basis there if it is
+    still feasible, else at its crown vertex (``crown_vertices``).  Any
+    start is checked before use, so the bounds are the LP optima whatever
+    the dict holds."""
     _check_ball(net, spec)
     menu = menu or RelaxationMenu()
+    bases = {} if bases is None else bases
     n_out = net.layer_width(net.m)
     if label is not None and not 0 <= label < n_out:
         raise ValueError(f"label {label} out of range for {n_out} outputs")
@@ -389,15 +386,14 @@ def lp_propagate(net: Network, spec: PerturbationSpec,
             values = crown.concretize_rows(
                 *crown.backward_rows(net, k, A, c, closed)[:2], spec)
         else:
-            if bases is not None and len(bases.get(k, ())) != n_obj:
+            if len(bases.get(k, ())) != n_obj:
                 bases[k] = [None] * n_obj
             problem = build_lp(
                 net, spec, k, rows.tolist(),
                 ("lower",) * n_lo + ("upper",) * (n_obj - n_lo), bounds,
                 lines)
-            values = solve(problem, *(() if bases is None else (
-                bases[k], lambda: crown_vertices(
-                    net, spec, problem, bounds, lines, A, c))))[0]
+            values = solve(problem, bases[k], lambda: crown_vertices(
+                net, spec, problem, bounds, lines, A, c))[0]
         low, up = np.full(w, -np.inf), np.full(w, np.inf)
         # minus the negated row's least value; 0.0 - v, not -v, keeps 0 at +0.0
         low[solve_lo], up[solve_up] = values[:n_lo], 0.0 - values[n_lo:]

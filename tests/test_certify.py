@@ -469,7 +469,7 @@ def _lp_search_case(name: str):
 def test_lp_search_from_earlier_bases_matches_cold_probes(name, monkeypatch):
     # an lp search starts each probe's LPs from the previous probe's optimal
     # bases; a start moves where the pivots begin, not the optimum, so the
-    # search ends as one whose probes each solve from scratch
+    # search ends as one whose probes each start at their crown vertices
     net, x0, label = _lp_search_case(name)
     starts = []
     start = simplex._start
@@ -578,29 +578,17 @@ def test_jacobian_matches_central_differences(act):
                                    atol=1e-8)
 
 
-#: the multi menu's LP optima at eps = 1e-7 on these sigmoid/tanh nets are
-#: off by up to 2e-8, tighter than the true extremes (ROADMAP item 1: the
-#: simplex's primal value is not a sound bound), which moves the slope by
-#: up to 66%
-LP_MULTI_OFF = pytest.mark.xfail(
-    strict=True, reason="lp multi-menu optima off by up to 2e-8 at 1e-7")
-
-
 @pytest.mark.parametrize("method, menu, p", [
     ("crown", None, 1.0), ("crown", None, 2.0), ("crown", None, np.inf),
     ("lp", "multi", 1.0), ("lp", "multi", np.inf),
     ("lp", "single", 1.0), ("lp", "single", np.inf)])
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
-def test_each_margins_first_order_slope_is_the_engines(act, method, menu, p,
-                                                       request):
+def test_each_margins_first_order_slope_is_the_engines(act, method, menu, p):
     # the search's model starts from these slopes: crown's and lp's bounds
     # of each logit are exact to first order in eps, so each margin's slope
     # at 0 is -(||J_label||_q + ||J_j||_q).  Per margin, not per score: the
     # score's slope at 0 is that of the smallest gap, which need not be the
     # margin with the smallest first-order root
-    if menu == "multi" and (act, p) in {("sigmoid", 1.0), ("tanh", 1.0),
-                                        ("tanh", np.inf)}:
-        request.applymarker(LP_MULTI_OFF)
     h = 1e-7
     lp_menu = None if menu is None else getattr(lp.RelaxationMenu, menu)()
     checked = 0
@@ -653,7 +641,7 @@ def test_a_label_that_is_not_the_prediction_takes_one_probe(method,
     # every engine's bounds hold the logits at x0, so from a negative gap
     # no radius certifies: the search probes only the smallest halving
     # point its ending rests on (a frown search probed all 21 points of
-    # the walk before)
+    # the walk before), and its margins at radius 0 are the logit gaps
     net = generate_random_network(0, [3, 4, 2], "relu")
     x0 = np.zeros(3)
     wrong = 1 - int(np.argmax(forward(net, x0)))
@@ -663,8 +651,9 @@ def test_a_label_that_is_not_the_prediction_takes_one_probe(method,
     smallest = certify.BRACKET_START * 2.0 ** -certify.BRACKET_HALVINGS
     assert cert.never_certified and cert.epsilon_certified == 0.0
     assert cert.iterations == 1
-    # and, after the walk, radius 0 for the certificate's margins
-    assert probed == {smallest: False, 0.0: False}
+    assert probed == {smallest: False}
+    gaps, _ = certify._first_order(net, x0, wrong, np.inf)
+    assert np.array_equal(cert.margins, gaps)
 
 
 @pytest.mark.parametrize("method", ["crown", "lp"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from netcert.model import (
     PerturbationSpec,
     ball_rows,
     forward,
+    forward_batch,
     generate_random_network,
     load_network,
     load_sample,
@@ -762,8 +764,11 @@ def test_only_layers_with_several_lines_below_reach_the_simplex(monkeypatch):
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
 def test_a_search_starts_its_first_lps_at_crown_vertices(act, p, monkeypatch):
     # with an empty ``bases``, as on a search's first probe, every objective
-    # starts at its crown vertex, a feasible basis: no phase 1 runs, and the
-    # bounds are those of phase 1 and the chain within 1e-12 relative
+    # starts at its crown vertex, a feasible basis: no phase 1 runs, and
+    # each layer's bounds are those phase 1 and the chain give on its LP,
+    # on the same intervals and lines, within 1e-11 relative (the phase-1
+    # path lies 1.2e-12 off on one sigmoid cell here, where HiGHS gives
+    # the vertex start's bound to the bit)
     phase1 = simplex._phase1
     calls = []
     monkeypatch.setattr(simplex, "_phase1",
@@ -775,16 +780,47 @@ def test_a_search_starts_its_first_lps_at_crown_vertices(act, p, monkeypatch):
         for eps in (1e-3, 0.05, 0.2):
             spec = PerturbationSpec(x0, p, eps)
             bases = {}
-            warm = lp.lp_propagate(net, spec, bases=bases)
+            bounds = lp.lp_propagate(net, spec, bases=bases)
             assert calls == []
             solved += len(bases)
-            cold = lp.lp_propagate(net, spec)
-            calls.clear()
-            for got, want in zip(warm.lower + warm.upper,
-                                 cold.lower + cold.upper):
+            for k in bases:
+                width = net.layer_width(k)
+                prob = lp.build_lp(
+                    net, spec, k, np.tile(np.arange(width), 2),
+                    ("lower",) * width + ("upper",) * width, bounds,
+                    menu_lines(net, bounds, "multi", k))
+                want = np.repeat([1.0, -1.0], width) * lp.solve(prob)[0]
+                got = np.concatenate(bounds.layer(k))
                 assert np.all(np.abs(got - want)
-                              <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                              <= 1e-11 * np.maximum(1.0, np.abs(want)))
+            calls.clear()
     assert solved > 0
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+def test_tiny_radius_lp_bounds_hold_the_logit_range(act, seed, p, eps):
+    # on these balls the logits are linear to about 1e-14, so their range is
+    # their range over the box's 8 corners (p = inf) or over x0 +- eps e_i
+    # (p = 1).  The multi menu's lines are nearly parallel there, and an LP
+    # solved by phase 1 and the chain can end inside that range (by up to
+    # 3.6e-8 on these cells)
+    net = generate_random_network(seed, [3, 6, 5, 4], act)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+    if p == math.inf:
+        steps = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    else:
+        steps = np.vstack([np.eye(3), -np.eye(3)])
+    logits = forward_batch(net, x0 + eps * steps)
+    bounds = lp.lp_propagate(net, PerturbationSpec(x0, p, eps),
+                             menu=lp.RelaxationMenu.multi())
+    low, up = bounds.output_lower, bounds.output_upper
+    assert np.all(low - logits.min(axis=0)
+                  <= 1e-12 * np.maximum(1.0, np.abs(low)))
+    assert np.all(logits.max(axis=0) - up
+                  <= 1e-12 * np.maximum(1.0, np.abs(up)))
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -825,7 +861,7 @@ def test_crown_vertices_are_optimal_on_the_single_menu(act, p, monkeypatch):
 
 def test_lp_propagate_is_unchanged_by_a_search_on_another_net():
     # the starting bases live in the search that made them: a later call
-    # without them solves from scratch, bit for bit
+    # without them starts at its crown vertices again, bit for bit
     net = generate_random_network(0, [4, 6, 5, 3], "tanh", scale=1.0)
     spec = PerturbationSpec(np.random.default_rng(0).uniform(-1, 1, 4),
                             math.inf, 0.05)

@@ -140,10 +140,8 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
     def spy(*args):
         refactor_every.append(args[-1])
         full, _, n_std, start = args[:4]
-        # every row starts on an artificial in the cold phase 1, and on its
-        # slack, where it has one, in a layer's phase 1
-        artificials = np.arange(n_std, full.shape[1])
-        assert np.array_equal(start, artificials) == (args[-1] == 1)
+        # every row starts on an artificial in the cold phase 1
+        assert np.array_equal(start, np.arange(n_std, full.shape[1]))
         return phase1(*args)
 
     def off_rows(*args):
@@ -157,9 +155,9 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
     monkeypatch.setattr(simplex, "_phase1", spy)
     monkeypatch.setattr(simplex, "_phase2", off_rows)
     repeated = lp.lp_propagate(net, spec)
-    # one phase 1 per layer, and a cold one for the repeat
-    assert refactor_every.count(simplex.REFACTOR_EVERY) == net.m - 1
-    assert refactor_every.count(1) == 1
+    # every objective starts at its crown vertex, so no layer runs phase 1;
+    # the repeat runs one cold
+    assert refactor_every == [1]
     for k in range(2, net.m + 1):
         for got, want in zip(repeated.layer(k), expected.layer(k)):
             assert np.all(np.abs(got - want)
@@ -177,9 +175,9 @@ def test_off_row_solve_is_repeated_with_a_refactorization_per_pivot(
 @example(case=(1113, 1.0, -3.0))
 def test_warm_started_layer_bounds_equal_cold_solves(act, menu, case):
     # lp_propagate solves a layer's LPs as one LP with an objective per
-    # neuron and side, each phase 2 warm-started from the optimal basis of
-    # the objective before it; each objective solved on its own LP, from
-    # its own phase 1, gives the same bound
+    # neuron and side, each phase 2 started at its crown vertex; each
+    # objective solved on its own LP, from its own phase 1, gives the same
+    # bound
     net, spec = build(act, *case)
     menu = lp.RelaxationMenu(menu)
     warm = lp.lp_propagate(net, spec, menu=menu)
